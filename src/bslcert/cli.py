@@ -7,17 +7,22 @@ Exit codes: 0 success, 1 usage/config error, 2 bound violation detected,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import Optional
 
 from .domains import DomainSpec, Gaussian1D
 from .errors import BslError
-from .harness import (DEFAULT_DOMAIN, ExperimentConfig, FuzzRecord, RunRecord,
-                      emit, run_config, write_meta)
+from .harness import (CONFIG_FIELDS, DEFAULT_DOMAIN, ExperimentConfig, FuzzRecord,
+                      emit, read_config, run_config, write_meta)
 from .metrics import hellinger, tv, w1
 from .onlinevi import BetaInputs, VIBoundInputs, vi_bound_type1, vi_bound_type2
 
 USAGE_ERROR, VIOLATION_ERROR, NUMERICAL_ERROR = 1, 2, 3
+
+REPRODUCE_FIELDS = {k: t for k, t in CONFIG_FIELDS.items() if k not in ("filter_kind", "theorem")}
+VI_BOUND_FIELDS = {"r": int, "det_gamma": float, "elbo_floors": list[float],
+                   "evidences": list[float], "d": Optional[float], "bound_type": int,
+                   "metric": str, "beta_inputs": Optional[list[BetaInputs]]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +42,7 @@ def _build_parser() -> _Parser:
     rep.add_argument("--seed", type=int, default=None)
     rep.add_argument("--out", default=None)
     rep.add_argument("--trials", type=int, default=None)
-    rep.add_argument("--threads", type=int, default=None)
+    rep.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     rep.add_argument("--config", default=None, help="JSON config; flags override its values")
 
     bv = sub.add_parser("bound-validate", help="exact vs approximate sequence with both bound sets")
@@ -51,12 +56,18 @@ def _build_parser() -> _Parser:
     rf.add_argument("--trials", type=int, default=1000)
     rf.add_argument("--seed", type=int, default=0)
 
+    vd = sub.add_parser("vi-demo", help="online-VI bound on the parameter-state toy")
+    vd.add_argument("--steps", type=int, default=5)
+    vd.add_argument("--seed", type=int, default=0)
+    vd.add_argument("--out", default=None)
+
     met = sub.add_parser("metric", help="distance between two distributions")
     met.add_argument("--kind", choices=("tv", "hellinger", "w1"), required=True)
     met.add_argument("--a", required=True, metavar="gaussian:M,V")
     met.add_argument("--b", required=True, metavar="gaussian:M,V")
 
-    vb = sub.add_parser("vi-bound", help="online-VI learning-error bound from a JSON config")
+    vb = sub.add_parser("vi-bound", help="online-VI learning-error bound from a JSON config; "
+                                         "unknown keys are rejected")
     vb.add_argument("--config", required=True)
     return parser
 
@@ -83,42 +94,39 @@ def _metric_domain(a: Gaussian1D, b: Gaussian1D) -> DomainSpec:
     return DomainSpec(lo, hi, points)
 
 
-def _finish_run(record: RunRecord, out_dir) -> int:
-    if out_dir:
-        emit(record, "csv", out_dir)
-        emit(record, "svg", out_dir)
-        write_meta(record, out_dir)
+def _run(config: ExperimentConfig) -> int:
+    """Run one experiment, write its outputs under ``out_dir`` if set, report it."""
+    record = run_config(config)
+    if config.out_dir:
+        emit(record, "csv", config.out_dir)
+        emit(record, "svg", config.out_dir)
+        write_meta(record, config.out_dir)
     print(f"{record.experiment}: {len(record.rows)} rows, {record.violations} violations")
     return VIOLATION_ERROR if record.violations else 0
 
 
 def _cmd_reproduce(args) -> int:
-    base = {}
-    if args.config:
-        base = json.loads(open(args.config, "r", encoding="utf-8").read())
-        if not isinstance(base, dict):
-            raise ValueError("config file must hold a JSON object")
+    base = read_config(args.config, REPRODUCE_FIELDS) if args.config else {}
     if args.case is not None:
         base["experiment"] = f"reproduce_case{args.case}"
-    if "experiment" not in base:
-        raise ValueError("need --case or an experiment key in the config")
+    if not base.get("experiment", "").startswith("reproduce_case"):
+        raise ValueError("need --case or a reproduce_case1|2|3 experiment key in the config")
     for key, val in (("steps", args.steps), ("seed", args.seed),
                      ("trials", args.trials), ("threads", args.threads),
                      ("out_dir", args.out)):
         if val is not None:
             base[key] = val
-    base.setdefault("steps", 20)
-    config = ExperimentConfig(**{k: v for k, v in base.items()
-                                 if k in ExperimentConfig.__dataclass_fields__})
-    record = run_config(config)
-    return _finish_run(record, config.out_dir)
+    return _run(ExperimentConfig(**base))
 
 
 def _cmd_bound_validate(args) -> int:
-    config = ExperimentConfig(experiment="bound_validate", steps=args.steps, seed=args.seed,
-                              filter_kind=args.filter.replace("-", "_"), out_dir=args.out)
-    record = run_config(config)
-    return _finish_run(record, config.out_dir)
+    return _run(ExperimentConfig(experiment="bound_validate", steps=args.steps, seed=args.seed,
+                                 filter_kind=args.filter.replace("-", "_"), out_dir=args.out))
+
+
+def _cmd_vi_demo(args) -> int:
+    return _run(ExperimentConfig(experiment="vi_demo", steps=args.steps, seed=args.seed,
+                                 out_dir=args.out))
 
 
 def _cmd_reduction_fuzz(args) -> int:
@@ -126,7 +134,8 @@ def _cmd_reduction_fuzz(args) -> int:
                               trials=args.trials, seed=args.seed)
     record: FuzzRecord = run_config(config)
     print(f"reduction_fuzz[{record.theorem}]: {record.trials} trials, "
-          f"{record.guaranteed} guaranteed, {record.violations} violations")
+          f"{record.guaranteed} guaranteed, {record.violations} violations, "
+          f"worst excess {record.worst_excess:.3g}")
     return VIOLATION_ERROR if record.violations else 0
 
 
@@ -140,25 +149,19 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_vi_bound(args) -> int:
-    raw = json.loads(open(args.config, "r", encoding="utf-8").read())
-    if not isinstance(raw, dict):
-        raise ValueError("vi-bound config must hold a JSON object")
-    metric = raw.get("metric", "tv")
-    bound_type = int(raw.get("bound_type", 1))
+    raw = read_config(args.config, VI_BOUND_FIELDS,
+                      required=("r", "det_gamma", "elbo_floors", "evidences"))
+    bound = {1: vi_bound_type1, 2: vi_bound_type2}.get(raw.get("bound_type", 1))
+    if bound is None:
+        raise ValueError(f"bound_type must be 1 or 2, got {raw['bound_type']}")
     betas = raw.get("beta_inputs")
     inputs = VIBoundInputs(
-        r=int(raw["r"]), det_gamma=float(raw["det_gamma"]),
+        r=raw["r"], det_gamma=float(raw["det_gamma"]),
         elbo_floors=tuple(raw["elbo_floors"]), evidences=tuple(raw["evidences"]),
         d=float(raw["d"]) if raw.get("d") is not None else None,
         beta_inputs=tuple(BetaInputs(float(b["c_vi_tilde"]), float(b["w_err"]),
                                      float(b["z_hat"])) for b in betas) if betas else None)
-    if bound_type == 1:
-        value = vi_bound_type1(inputs, metric)
-    elif bound_type == 2:
-        value = vi_bound_type2(inputs, metric)
-    else:
-        raise ValueError(f"bound_type must be 1 or 2, got {bound_type}")
-    print(repr(value))
+    print(repr(bound(inputs, raw.get("metric", "tv"))))
     return 0
 
 
@@ -168,6 +171,7 @@ _COMMANDS = {
     "reduction-fuzz": _cmd_reduction_fuzz,
     "metric": _cmd_metric,
     "vi-bound": _cmd_vi_bound,
+    "vi-demo": _cmd_vi_demo,
 }
 
 
@@ -175,7 +179,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"bslcert: config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BslError as exc:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainMismatch, DomainTooSmall, NonFinite, Unnormalized
+from .errors import DomainTooSmall, NonFinite, Unnormalized
 
 NORMALIZATION_TOL = 1e-8
 JOINT_NORMALIZATION_TOL = 1e-6
@@ -230,8 +230,3 @@ def moments(g: GridDensity) -> tuple[float, float]:
     mean = float(w @ (xs * g.values))
     var = float(w @ ((xs - mean) ** 2 * g.values))
     return mean, var
-
-
-def same_domain(a: DomainSpec, b: DomainSpec) -> None:
-    if a != b:
-        raise DomainMismatch(f"domains differ: {a} vs {b}")

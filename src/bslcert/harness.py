@@ -2,9 +2,9 @@
 reduction fuzzing, the online-VI demo, and CSV/SVG emission.
 
 Every run is a pure function of (config, seed): trial seeds are spawned
-deterministically, trials may execute on a thread pool, and results are
-assembled in trial order, so outputs are byte-identical across runs and
-thread counts.
+deterministically and trials run serially in order, so outputs are
+byte-identical across runs.  ``threads`` is accepted for compatibility and
+has no effect.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ BOUND_SLACK = 1e-9
 OBSERVATION_GAIN = 1.1
 OBSERVATION_NOISE_VAR = 3.0
 DEFAULT_DOMAIN = DomainSpec(-40.0, 40.0, 8001)
+FILTER_DOMAINS = {"gauss_proj": DEFAULT_DOMAIN, "particle": DomainSpec(-25.0, 25.0, 2001)}
 
 EXPERIMENTS = ("reproduce_case1", "reproduce_case2", "reproduce_case3",
                "bound_validate", "reduction_fuzz", "vi_demo")
@@ -47,16 +48,14 @@ class ExperimentConfig:
     upper: Optional[float] = None
     grid_points: Optional[int] = None
     out_dir: Optional[str] = None
-    threads: int = 1
+    threads: int = 1                 # accepted and validated; has no effect
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.trials < 1 or self.threads < 1:
-            raise ValueError("trials and threads must be >= 1")
-        if self.filter_kind not in ("gauss_proj", "particle"):
+        if min(self.steps, self.trials, self.threads) < 1:
+            raise ValueError("steps, trials and threads must be >= 1")
+        if self.filter_kind not in FILTER_DOMAINS:
             raise ValueError(f"unknown filter {self.filter_kind!r}")
         if self.theorem not in ("tv", "hellinger", "w1-ip", "w1-dyn"):
             raise ValueError(f"unknown theorem tag {self.theorem!r}")
@@ -71,15 +70,47 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return ExperimentConfig(**raw)
+        return ExperimentConfig(**read_config(path, CONFIG_FIELDS, required=("experiment",)))
+
+
+CONFIG_FIELDS = typing.get_type_hints(ExperimentConfig)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value has type ``hint``: a class, ``Optional[...]``,
+    ``list[...]`` or a dataclass (an object holding exactly its fields)."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, *typing.get_args(hint)) for v in value)
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return (isinstance(value, dict) and set(value) == set(hints)
+                and all(_conforms(v, hints[k]) for k, v in value.items()))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def read_config(path: str, fields: dict, required: Sequence[str] = ()) -> dict:
+    """The JSON object in ``path``.  Raises ValueError unless every key is one
+    of ``fields``, every ``required`` key is present, and each value has the
+    type ``fields`` gives it (ints count as floats)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config file must hold a JSON object")
+    problems = [f"unknown key {k!r}" for k in sorted(set(raw) - set(fields))]
+    problems += [f"missing key {k!r}" for k in required if k not in raw]
+    problems += [f"key {k!r} must be {_type_name(fields[k])}, got {v!r}"
+                 for k, v in raw.items() if k in fields and not _conforms(v, fields[k])]
+    if problems:
+        raise ValueError("; ".join(problems))
+    return raw
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if type(hint) is type else str(hint).replace("typing.", "")
 
 
 @dataclass(frozen=True)
@@ -140,37 +171,29 @@ def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec)
         np.full(steps, y), domain)
 
     rows = []
-    d_tv = metrics.tv(mu, mu_prime, domain).value
-    d_h = metrics.hellinger(mu, mu_prime, domain).value
+    dist = {m: getattr(metrics, m)(mu, mu_prime, domain).value for m in ("tv", "hellinger")}
     for k in range(1, steps + 1):
         up_p = bayes.conjugate_update_ip(mu, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
         up_q = bayes.conjugate_update_ip(mu_prime, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
-        c_tv = bounds.pointwise_K(system, k, "tv", max(up_p.evidence, up_q.evidence))
-        c_h = bounds.pointwise_K(system, k, "hellinger", max(up_p.evidence, up_q.evidence))
-        bound_tv = c_tv * d_tv
-        bound_h = c_h * d_h
+        z = max(up_p.evidence, up_q.evidence)
+        bound = {m: bounds.pointwise_K(system, k, m, z) * dist[m] for m in dist}
         mu, mu_prime = up_p.posterior, up_q.posterior
-        d_tv = metrics.tv(mu, mu_prime, domain).value
-        d_h = metrics.hellinger(mu, mu_prime, domain).value
-        rows.append(Row(k, "tv", d_tv, bound_tv, up_p.evidence, up_q.evidence))
-        rows.append(Row(k, "hellinger", d_h, bound_h, up_p.evidence, up_q.evidence))
+        for m in dist:
+            dist[m] = getattr(metrics, m)(mu, mu_prime, domain).value
+            rows.append(Row(k, m, dist[m], bound[m], up_p.evidence, up_q.evidence))
     return rows, {"y": y, "x_star": x_star}
 
 
 def reproduce(case: int, steps: int, seed: int, trials: int = 1,
               domain: DomainSpec = DEFAULT_DOMAIN, threads: int = 1) -> RunRecord:
-    """Run the paired conjugate chains and the symmetric per-step bounds."""
+    """Run the paired conjugate chains and the symmetric per-step bounds.
+
+    Trials run serially; ``threads`` is validated and has no effect."""
     if case not in (1, 2, 3):
         raise ValueError("case must be 1, 2, or 3")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    seeds = _trial_seeds(seed, trials)
-    worker = lambda ts: _reproduce_trial(case, steps, ts, domain)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, seeds))
-    else:
-        results = [worker(ts) for ts in seeds]
+    if steps < 1 or threads < 1:
+        raise ValueError("steps and threads must be >= 1")
+    results = [_reproduce_trial(case, steps, ts, domain) for ts in _trial_seeds(seed, trials)]
     rows = tuple(r for chunk, _ in results for r in chunk)
     meta = {
         "experiment": f"reproduce_case{case}", "steps": steps, "seed": seed,
@@ -231,9 +254,11 @@ def bound_validate(filter_kind: str, steps: int, seed: int,
                    domain: Optional[DomainSpec] = None,
                    n_particles: int = 2000) -> RunRecord:
     """Exact and approximate sequences side by side, with both bound sets."""
+    if filter_kind not in FILTER_DOMAINS:
+        raise ValueError(f"unknown filter {filter_kind!r}")
+    domain = domain or FILTER_DOMAINS[filter_kind]
     rng = np.random.default_rng(seed)
     if filter_kind == "gauss_proj":
-        domain = domain or DomainSpec(-40.0, 40.0, 8001)
         system = bimodal_ip_system(steps, rng, domain)
         p_prior = BIMODAL_PRIOR
         p_seq = discretize(p_prior, domain)
@@ -258,9 +283,6 @@ def bound_validate(filter_kind: str, steps: int, seed: int,
                 "seed": seed, "data": list(map(float, system.data))}
         return RunRecord("bound_validate", tuple(rows), meta)
 
-    if filter_kind != "particle":
-        raise ValueError(f"unknown filter {filter_kind!r}")
-    domain = domain or DomainSpec(-25.0, 25.0, 2001)
     system = linear_se_system(steps, rng, domain)
     step_seeds = [int(s) for s in rng.integers(0, 2 ** 62, size=steps)]
     p_prior = Gaussian1D(0.0, 1.0)
@@ -289,24 +311,20 @@ def bound_validate(filter_kind: str, steps: int, seed: int,
 # -- reduction fuzzing ---------------------------------------------------------
 
 
-def _random_mixture(d: DomainSpec, rng, max_components: int = 3) -> GridDensity:
-    n = int(rng.integers(1, max_components + 1))
-    span = d.upper - d.lower
-    vals = np.zeros(d.grid_points)
-    weights = rng.dirichlet(np.ones(n))
-    for i in range(n):
-        mean = rng.uniform(d.lower + 0.2 * span, d.upper - 0.2 * span)
-        var = rng.uniform(0.0005, 0.02) * span ** 2
-        vals += weights[i] * Gaussian1D(mean, var).pdf(d.nodes)
-    vals = vals / d.integrate(vals)
-    return GridDensity(d, vals, normalized=True)
-
-
 def _mixture_density(d: DomainSpec, comps) -> GridDensity:
     vals = np.zeros(d.grid_points)
     for wgt, g in comps:
         vals += wgt * g.pdf(d.nodes)
     return GridDensity(d, vals / d.integrate(vals), normalized=True)
+
+
+def _random_mixture(d: DomainSpec, rng) -> GridDensity:
+    """One to three components; draws n, the weights, then each mean and variance."""
+    n = int(rng.integers(1, 4))
+    span = d.upper - d.lower
+    return _mixture_density(d, [(wgt, Gaussian1D(rng.uniform(d.lower + 0.2 * span, d.upper - 0.2 * span),
+                                                 rng.uniform(0.0005, 0.02) * span ** 2))
+                                for wgt in rng.dirichlet(np.ones(n))])
 
 
 def _fuzz_ip_instance(rng, d: DomainSpec):
@@ -584,10 +602,8 @@ def run_config(config: ExperimentConfig):
         return reproduce(case, config.steps, config.seed, trials=config.trials,
                          domain=config.domain(), threads=config.threads)
     if config.experiment == "bound_validate":
-        default = DomainSpec(-40.0, 40.0, 8001) if config.filter_kind == "gauss_proj" \
-            else DomainSpec(-25.0, 25.0, 2001)
         return bound_validate(config.filter_kind, config.steps, config.seed,
-                              domain=config.domain(default))
+                              domain=config.domain(FILTER_DOMAINS[config.filter_kind]))
     if config.experiment == "reduction_fuzz":
         return reduction_fuzz(config.theorem, config.trials, config.seed)
     if config.experiment == "vi_demo":

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -193,3 +195,53 @@ class TestCli:
                          "--out", out]) == 0
         lines = open(os.path.join(out, "tv.csv")).read().strip().split("\n")
         assert len(lines) == 4  # header + 3 steps
+
+
+class TestStrictConfig:
+    VI = {"r": 1, "det_gamma": 3.0, "elbo_floors": [-2.0], "evidences": [0.2]}
+
+    @pytest.mark.parametrize("command,body", [
+        ("reproduce", {"experiment": "reproduce_case2", "stepz": 3}),
+        ("reproduce", {"experiment": "reproduce_case2", "steps": "3"}),
+        ("reproduce", [{"experiment": "reproduce_case2"}]),
+        ("reproduce", {"experiment": "reproduce_case2", "theorem": "w1-dyn"}),
+        ("reproduce", {"experiment": "vi_demo"}),
+        ("vi-bound", dict(VI, metrc="w1")),
+        ("vi-bound", {"r": 1, "det_gamma": 3.0, "elbo_floors": [-2.0]}),
+        ("vi-bound", dict(VI, elbo_floors=["-2.0"])),
+        ("vi-bound", dict(VI, bound_type=2, beta_inputs=[
+            {"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 0.2, "zhat": 0.2}])),
+    ])
+    def test_malformed_config_is_one_line_error(self, tmp_path, capsys, command, body):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(body))
+        assert cli.main([command, "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bslcert: config error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_from_json_needs_experiment(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"steps": 4}))
+        with pytest.raises(ValueError, match="missing key 'experiment'"):
+            ExperimentConfig.from_json(str(p))
+
+    def test_vi_bound_closes_its_config(self, tmp_path):
+        p = tmp_path / "vi.json"
+        p.write_text(json.dumps(self.VI))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "bslcert", "vi-bound",
+             "--config", str(p)],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert float(proc.stdout) == 0.5156332623392678
+
+
+class TestViDemoCommand:
+    def test_writes_outputs(self, tmp_path, capsys):
+        out = str(tmp_path / "vd")
+        assert cli.main(["vi-demo", "--steps", "2", "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["run_meta.json", "tv.csv", "tv.svg"]
+        assert "vi_demo: 2 rows, 0 violations" in capsys.readouterr().out
