@@ -21,8 +21,8 @@ from .domains import (Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
 from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
                      DomainTooSmall, NonFinite, UnsupportedRepresentation,
                      ZeroEvidence)
-from .models import (EVIDENCE_FLOOR, SystemSpec, kernel_matvec, lik_values,
-                     lik_values_ps)
+from .models import (EVIDENCE_FLOOR, SystemSpec, kernel_matrix, kernel_matvec,
+                     lik_values, lik_values_ps)
 
 BOUNDARY_MASS_LIMIT = 1e-8
 
@@ -57,7 +57,7 @@ def predicted_values(s: SystemSpec, k: int, prior) -> np.ndarray:
     if isinstance(prior, ParticleSet):
         return kernel_matvec(s.transition.kernel, xs, prior.points, prior.weights)
     p = prior_values(s, prior)
-    return kernel_matvec(s.transition.kernel, xs, xs, s.domain.trapezoid_weights * p)
+    return kernel_matvec(s.transition_kernel(s.domain), xs, xs, s.domain.trapezoid_weights * p)
 
 
 def _ps_prior_values(s: SystemSpec, prior) -> np.ndarray:
@@ -68,27 +68,33 @@ def _ps_prior_values(s: SystemSpec, prior) -> np.ndarray:
     return prior.values
 
 
-def _ps_predicted_values(s: SystemSpec, k: int, prior) -> np.ndarray:
-    pv = _ps_prior_values(s, prior)
+def _ps_predicted_values(s: SystemSpec, priors) -> list:
+    """Pushforward of each joint prior; each per-parameter kernel is evaluated once."""
+    pvs = [_ps_prior_values(s, prior) for prior in priors]
     xs = s.domain.nodes
     wquad = s.domain.trapezoid_weights
-    out = np.empty_like(pv)
+    outs = [np.empty_like(pv) for pv in pvs]
     for j, w in enumerate(s.w_domain.nodes):
-        out[:, j] = kernel_matvec(s.transition.kernel, xs, xs, wquad * pv[:, j], w)
-    return out
+        kernel = kernel_matrix(s.transition.kernel, xs, xs, w)
+        for pv, out in zip(pvs, outs):
+            out[:, j] = kernel_matvec(kernel, xs, xs, wquad * pv[:, j])
+    return outs
 
 
-def _unnormalized_posterior(s: SystemSpec, k: int, prior):
-    """(unnormalized values, predicted values or None) on the grid."""
+def _unnormalized_posteriors(s: SystemSpec, k: int, priors) -> list:
+    """(unnormalized values, predicted values or None) on the grid, per prior."""
     if s.variant == "ip":
-        if isinstance(prior, ParticleSet):
+        if any(isinstance(prior, ParticleSet) for prior in priors):
             raise UnsupportedRepresentation("inverse-problem grid updates need a density prior")
-        return lik_values(s, k) * prior_values(s, prior), None
+        h = lik_values(s, k)
+        return [(h * prior_values(s, prior), None) for prior in priors]
     if s.variant == "se":
-        predicted = predicted_values(s, k, prior)
-        return lik_values(s, k) * predicted, predicted
-    predicted = _ps_predicted_values(s, k, prior)
-    return lik_values_ps(s, k) * predicted, predicted
+        predicted = [predicted_values(s, k, prior) for prior in priors]
+        h = lik_values(s, k)
+    else:
+        predicted = _ps_predicted_values(s, priors)
+        h = lik_values_ps(s, k)
+    return [(h * pred, pred) for pred in predicted]
 
 
 def _mass(s: SystemSpec, values: np.ndarray) -> float:
@@ -102,7 +108,7 @@ def evidence(s: SystemSpec, k: int, prior) -> float:
     if s.variant == "ip" and isinstance(prior, ParticleSet):
         h = np.asarray(s.likelihood.evaluator(s.y(k), prior.points), dtype=float)
         return float(prior.weights @ h)
-    unnorm, _ = _unnormalized_posterior(s, k, prior)
+    unnorm = _unnormalized_posteriors(s, k, [prior])[0][0]
     return _mass(s, unnorm)
 
 
@@ -120,7 +126,16 @@ def _check_boundary(s: SystemSpec, values: np.ndarray) -> None:
 
 def grid_update(s: SystemSpec, k: int, prior) -> UpdateResult:
     """Exact Bayes update on the grid; evidence is the pre-normalization mass."""
-    unnorm, predicted = _unnormalized_posterior(s, k, prior)
+    return grid_updates(s, k, [prior])[0]
+
+
+def grid_updates(s: SystemSpec, k: int, priors) -> list[UpdateResult]:
+    """grid_update of each prior at step k, evaluating each transition kernel once."""
+    return [_normalize(s, unnorm, predicted)
+            for unnorm, predicted in _unnormalized_posteriors(s, k, priors)]
+
+
+def _normalize(s: SystemSpec, unnorm: np.ndarray, predicted) -> UpdateResult:
     if not np.all(np.isfinite(unnorm)):
         raise NonFinite("unnormalized posterior contains non-finite values")
     z = _mass(s, unnorm)

@@ -191,8 +191,8 @@ def reproduce(case: int, steps: int, seed: int, trials: int = 1,
     Trials run serially; ``threads`` is validated and has no effect."""
     if case not in (1, 2, 3):
         raise ValueError("case must be 1, 2, or 3")
-    if steps < 1 or threads < 1:
-        raise ValueError("steps and threads must be >= 1")
+    if steps < 1 or trials < 1 or threads < 1:
+        raise ValueError("steps, trials and threads must be >= 1")
     results = [_reproduce_trial(case, steps, ts, domain) for ts in _trial_seeds(seed, trials)]
     rows = tuple(r for chunk, _ in results for r in chunk)
     meta = {
@@ -470,9 +470,8 @@ def vi_demo(steps: int, seed: int, elbo_samples: int = 4000) -> RunRecord:
 
     evidences, floors, rows = [], [], []
     for k in range(1, steps + 1):
-        exact_p = bayes.grid_update(system, k, p_joint)
         q_prev_joint = discretize_product(q_pair.x, q_pair.w, xd, wd)
-        exact_q = bayes.grid_update(system, k, q_prev_joint)
+        exact_p, exact_q = bayes.grid_updates(system, k, [p_joint, q_prev_joint])
         next_pair = _joint_factor_moments(exact_q.posterior)
         elbo = onlinevi.elbo_mc(next_pair, system, k, q_pair, elbo_samples, elbo_seeds[k - 1])
         evidences.append(exact_q.evidence)

@@ -197,19 +197,9 @@ def scaled_hellinger(a: GridDensity, b: GridDensity) -> float:
 # -- joint-grid variants (parameter-state posteriors) ----------------------
 
 
-def _joint_pair(a: JointGrid2D, b: JointGrid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tv_joint(a: JointGrid2D, b: JointGrid2D) -> float:
     if a.x_domain != b.x_domain or a.w_domain != b.w_domain:
         raise DomainMismatch("joint grids live on different domains")
     weights = np.outer(a.x_domain.trapezoid_weights, a.w_domain.trapezoid_weights)
-    return a.values / a.mass(), b.values / b.mass(), weights
-
-
-def tv_joint(a: JointGrid2D, b: JointGrid2D) -> float:
-    p, q, weights = _joint_pair(a, b)
+    p, q = a.values / a.mass(), b.values / b.mass()
     return min(1.0, 0.5 * float((weights * np.abs(p - q)).sum()))
-
-
-def hellinger_joint(a: JointGrid2D, b: JointGrid2D) -> float:
-    p, q, weights = _joint_pair(a, b)
-    raw = float((weights * (np.sqrt(p) - np.sqrt(q)) ** 2).sum())
-    return min(1.0, math.sqrt(max(0.0, 0.5 * raw)))

@@ -11,7 +11,7 @@ Every returned constant is checked against a brute-force grid estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,8 @@ from .errors import MissingConstant, NonFinite, UnboundedConstant, ZeroEvidence
 
 EVIDENCE_FLOOR = 1e-300
 CUSTOM_LIP_SAFETY = 2.0
-_KERNEL_BLOCK = 1024
+_KERNEL_BLOCK = 256  # rows per kernel block: 4 MB temporaries at 2001 columns
+_KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SLOPE = math.exp(-0.5)  # max of |u * exp(-u^2/2)|
 
@@ -131,6 +132,7 @@ class SystemSpec:
     domain: DomainSpec
     transition: Optional[TransitionModel] = None
     w_domain: Optional[DomainSpec] = None
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ("ip", "se", "ps"):
@@ -162,6 +164,23 @@ class SystemSpec:
         if self.variant == "ps":
             d += self.w_domain.diameter()
         return d
+
+    def transition_kernel(self, domain: DomainSpec):
+        """The SE transition kernel on ``domain``'s nodes, for kernel_matvec/rmatvec.
+
+        The dense matrix K[i, j] = T(x_i, x_j) is built on first use and kept
+        for the life of the system, unless it is larger than
+        _KERNEL_CACHE_BYTES; then the density callable is returned, and each
+        product streams it in blocks.
+        """
+        if 8 * domain.grid_points ** 2 > _KERNEL_CACHE_BYTES:
+            return self.transition.kernel
+        matrix = self._kernels.get(domain)
+        if matrix is None:
+            matrix = kernel_matrix(self.transition.kernel, domain.nodes, domain.nodes)
+            matrix.setflags(write=False)
+            self._kernels[domain] = matrix
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -212,23 +231,46 @@ def lik_values_ps(s: SystemSpec, k: int) -> np.ndarray:
     return out
 
 
-def kernel_matvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
-    """Chunked K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra)."""
-    out = np.empty(xs_next.shape[0])
+def _kernel_rows(kernel, xs_next, xs_prev, *extra):
+    """Yield (rows, K[rows]) of K[i, j] = kernel(xs_next[i], xs_prev[j], *extra), block by block."""
     for start in range(0, xs_next.shape[0], _KERNEL_BLOCK):
-        block = xs_next[start:start + _KERNEL_BLOCK, None]
-        out[start:start + _KERNEL_BLOCK] = np.asarray(
-            kernel(block, xs_prev[None, :], *extra), dtype=float) @ vec
+        rows = slice(start, start + _KERNEL_BLOCK)
+        yield rows, np.asarray(kernel(xs_next[rows, None], xs_prev[None, :], *extra), dtype=float)
+
+
+def kernel_matrix(kernel, xs_next, xs_prev, *extra) -> np.ndarray:
+    """Dense K[i, j] = kernel(xs_next[i], xs_prev[j], *extra)."""
+    out = np.empty((xs_next.shape[0], xs_prev.shape[0]))
+    for rows, block in _kernel_rows(kernel, xs_next, xs_prev, *extra):
+        out[rows] = block
+    return out
+
+
+def kernel_matvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
+    """K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra).
+
+    ``kernel`` is the density callable, streamed in row blocks, or K itself.
+    """
+    if not callable(kernel):
+        return kernel @ vec
+    out = np.empty(xs_next.shape[0])
+    for rows, block in _kernel_rows(kernel, xs_next, xs_prev, *extra):
+        out[rows] = block @ vec
     return out
 
 
 def kernel_rmatvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
-    """Chunked vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra)."""
+    """vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra).
+
+    ``kernel`` is the density callable, streamed in column blocks, or K itself.
+    """
+    if not callable(kernel):
+        return vec @ kernel
     out = np.empty(xs_prev.shape[0])
     for start in range(0, xs_prev.shape[0], _KERNEL_BLOCK):
-        block = xs_prev[None, start:start + _KERNEL_BLOCK]
-        out[start:start + _KERNEL_BLOCK] = vec @ np.asarray(
-            kernel(xs_next[:, None], block, *extra), dtype=float)
+        cols = slice(start, start + _KERNEL_BLOCK)
+        block = kernel(xs_next[:, None], xs_prev[None, cols], *extra)
+        out[cols] = vec @ np.asarray(block, dtype=float)
     return out
 
 
@@ -237,7 +279,7 @@ def se_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
     d = domain if domain is not None else s.domain
     xs = d.nodes
     h = np.asarray(s.likelihood.evaluator(s.y(k), xs), dtype=float)
-    return kernel_rmatvec(s.transition.kernel, xs, xs, d.trapezoid_weights * h)
+    return kernel_rmatvec(s.transition_kernel(d), xs, xs, d.trapezoid_weights * h)
 
 
 def ps_g_values(s: SystemSpec, k: int) -> np.ndarray:
@@ -283,10 +325,8 @@ def _grid_c_th_star(s: SystemSpec, k: int, n: int) -> float:
     h = np.asarray(s.likelihood.evaluator(s.y(k), xs), dtype=float)
     # T_lip(x_next) = sup of adjacent difference quotients in x_prev
     t_lip = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], _KERNEL_BLOCK):
-        block = xs[start:start + _KERNEL_BLOCK, None]
-        rows = np.asarray(s.transition.kernel(block, xs[None, :]), dtype=float)
-        t_lip[start:start + _KERNEL_BLOCK] = np.max(np.abs(np.diff(rows, axis=1)), axis=1) / d.spacing
+    for rows, block in _kernel_rows(s.transition.kernel, xs, xs):
+        t_lip[rows] = np.max(np.abs(np.diff(block, axis=1)), axis=1) / d.spacing
     return float(d.integrate(h * t_lip))
 
 

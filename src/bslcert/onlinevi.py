@@ -251,8 +251,9 @@ def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -
     """Grid estimate of the transition parameter-Lipschitz integral.
 
     sup over previous states and parameter pairs of the transition difference
-    quotient in the parameter, integrated against the observation density.
-    Over-approximates custom families by the usual safety factor.
+    quotient in the parameter, integrated against the observation density's
+    sup over the parameter grid.  Over-approximates custom families by the
+    usual safety factor.
     """
     if s.variant != "ps" or s.transition.kernel is None:
         raise NonFinite("the estimator needs a parameter-state system with a kernel")
@@ -263,7 +264,8 @@ def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -
     for i, xn in enumerate(xs):
         t = np.asarray(s.transition.kernel(xn, xs[:, None], ws[None, :]), dtype=float)
         g_lip[i] = np.max(np.abs(np.diff(t, axis=1))) / wd.spacing
-    h = np.asarray(s.likelihood.evaluator(s.y(k), xs, np.full_like(xs, ws[0])), dtype=float)
+    h = np.asarray(s.likelihood.evaluator(s.y(k), xs[:, None], ws[None, :]), dtype=float)
+    h = np.broadcast_to(h, (xs.shape[0], ws.shape[0])).max(axis=1)
     value = float(xd.integrate(h * g_lip))
     if s.transition.family == "custom":
         value *= CUSTOM_LIP_SAFETY

@@ -7,6 +7,7 @@ report.  Tolerances are pinned here and nowhere else.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -224,7 +225,7 @@ def test_criterion_9_determinism(tmp_path):
     def run(threads, tag):
         rec = reproduce(3, 10, seed=55, trials=8, threads=threads)
         out = str(tmp_path / tag)
-        return {os.path.basename(p): open(p, "rb").read() for p in emit(rec, "csv", out)}
+        return {os.path.basename(p): Path(p).read_bytes() for p in emit(rec, "csv", out)}
 
     first = run(1, "a")
     second = run(1, "b")

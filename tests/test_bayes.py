@@ -5,13 +5,14 @@ import pytest
 
 from bslcert import metrics
 from bslcert.bayes import (conjugate_update_ip, conjugate_update_se,
-                           gaussian_projection_step, grid_update, particle_step)
+                           gaussian_projection_step, grid_update, grid_updates,
+                           particle_step)
 from bslcert.domains import (DomainSpec, Gaussian1D, ParticleSet, discretize,
-                             moments)
+                             discretize_product, moments)
 from bslcert.errors import (AllWeightsZero, DegenerateVariance,
                             UnsupportedRepresentation)
-from bslcert.models import (LikelihoodModel, SystemSpec, TransitionModel,
-                            validate_admissible)
+from bslcert.models import (_KERNEL_BLOCK, LikelihoodModel, SystemSpec,
+                            TransitionModel, kernel_matvec, validate_admissible)
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 DSE = DomainSpec(-25.0, 25.0, 2001)
@@ -186,3 +187,48 @@ class TestParticleStep:
                 errors[n].append(abs(out.points.mean() - exact_mean))
         ratio = np.mean(errors[2000]) / np.mean(errors[500])
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
+
+
+def _same_update(a, b):
+    assert a.evidence == b.evidence
+    assert a.posterior.values.tobytes() == b.posterior.values.tobytes()
+    assert a.predicted.values.tobytes() == b.predicted.values.tobytes()
+
+
+class TestKernelReuse:
+    def test_se_kernel_is_evaluated_once_per_system(self):
+        blocks = []
+        base = TransitionModel.linear_gaussian(1.0, 1.0)
+
+        def counting_kernel(x_next, x_prev):
+            blocks.append(1)
+            return base.kernel(x_next, x_prev)
+
+        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 3.0), np.zeros(10), DSE,
+                       transition=TransitionModel.custom(counting_kernel))
+        prior = discretize(Gaussian1D(0.0, 1.0), DSE)
+        for k in range(1, 11):
+            prior = grid_update(s, k, prior).posterior
+        assert len(blocks) == math.ceil(DSE.grid_points / _KERNEL_BLOCK) == 8
+
+    def test_paired_se_updates_match_single_updates(self):
+        priors = [discretize(Gaussian1D(0.0, 1.0), DSE), discretize(Gaussian1D(1.5, 2.0), DSE)]
+        for pair, prior in zip(grid_updates(SE, 1, priors), priors):
+            _same_update(pair, grid_update(SE, 1, prior))
+
+    def test_paired_ps_updates_match_single_updates(self):
+        xd, wd = DomainSpec(-15.0, 15.0, 241), DomainSpec(-0.25, 1.45, 241)
+        s = SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 0.5), [0.5], xd,
+                       transition=TransitionModel.parametric_linear_gaussian(0.25),
+                       w_domain=wd)
+        priors = [discretize_product(Gaussian1D(0.0, 1.0), Gaussian1D(0.6, 0.01), xd, wd),
+                  discretize_product(Gaussian1D(0.5, 1.5), Gaussian1D(0.7, 0.005), xd, wd)]
+        paired = grid_updates(s, 1, priors)
+        for pair, prior in zip(paired, priors):
+            _same_update(pair, grid_update(s, 1, prior))
+        # each column is the streamed product with that parameter's kernel
+        xs, wquad = xd.nodes, xd.trapezoid_weights
+        for j in (0, 120, 240):
+            w = wd.nodes[j]
+            streamed = kernel_matvec(s.transition.kernel, xs, xs, wquad * priors[1].values[:, j], w)
+            assert paired[1].predicted.values[:, j].tobytes() == streamed.tobytes()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,10 @@ class TestReproduce:
             reproduce(2, 0, 0)
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="reproduce_case2", steps=0)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            reproduce(3, 4, 7, trials=0)
 
     def test_thread_count_does_not_change_results(self):
         serial = reproduce(3, 3, 5, trials=6, threads=1)
@@ -83,14 +88,14 @@ class TestEmit:
     def test_csv_shape(self, tmp_path):
         paths = emit(self._record(), "csv", str(tmp_path))
         assert [os.path.basename(p) for p in paths] == ["tv.csv"]
-        lines = open(paths[0], "rb").read().decode().split("\n")
+        lines = Path(paths[0]).read_bytes().decode().split("\n")
         assert lines[0] == "step,metric,distance,bound,evidence_p,evidence_q"
         assert len(lines) == 22 and lines[-1] == ""  # header + 20 rows + trailing LF
 
     def test_emit_is_byte_deterministic(self, tmp_path):
         a = emit(self._record(), "csv", str(tmp_path / "a"))
         b = emit(self._record(), "csv", str(tmp_path / "b"))
-        assert open(a[0], "rb").read() == open(b[0], "rb").read()
+        assert Path(a[0]).read_bytes() == Path(b[0]).read_bytes()
 
     def test_svg_is_well_formed(self, tmp_path):
         paths = emit(self._record(), "svg", str(tmp_path))
@@ -113,7 +118,7 @@ class TestEmit:
 
     def test_meta_roundtrip(self, tmp_path):
         path = write_meta(self._record(), str(tmp_path))
-        meta = json.loads(open(path).read())
+        meta = json.loads(Path(path).read_text())
         assert meta["seed"] == 0 and meta["violations"] == 0
 
 
@@ -193,7 +198,7 @@ class TestCli:
         out = str(tmp_path / "o")
         assert cli.main(["reproduce", "--config", str(p), "--steps", "3",
                          "--out", out]) == 0
-        lines = open(os.path.join(out, "tv.csv")).read().strip().split("\n")
+        lines = Path(out, "tv.csv").read_text().strip().split("\n")
         assert len(lines) == 4  # header + 3 steps
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from bslcert import models
+from bslcert.bayes import predicted_values
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import NonFinite, UnboundedConstant, ZeroEvidence
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
-                            TransitionModel, grid_constant_estimates,
+                            TransitionModel, grid_constant_estimates, kernel_matrix,
                             se_g_values, system_constants, validate_admissible)
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
@@ -173,3 +175,26 @@ class TestSystemSpec:
             SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], D40)
         with pytest.raises(ValueError):
             SystemSpec("xx", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], D40)
+
+
+class TestTransitionCache:
+    def test_cached_matrix_is_the_dense_kernel(self):
+        s = se_system()
+        xs = s.domain.nodes
+        matrix = s.transition_kernel(s.domain)
+        dense = s.transition.kernel(xs[:, None], xs[None, :])
+        assert matrix.tobytes() == dense.tobytes()
+        assert kernel_matrix(s.transition.kernel, xs, xs).tobytes() == dense.tobytes()
+        assert s.transition_kernel(s.domain) is matrix
+        assert not matrix.flags.writeable
+
+    def test_grid_over_the_cap_streams(self, monkeypatch):
+        d = DomainSpec(-30.0, 30.0, 3001)  # a 72 MB matrix
+        prior = discretize(Gaussian1D(0.0, 1.0), d)
+        streamed_system = se_system(domain=d)
+        assert streamed_system.transition_kernel(d) is streamed_system.transition.kernel
+        streamed = predicted_values(streamed_system, 1, prior)
+        monkeypatch.setattr(models, "_KERNEL_CACHE_BYTES", 8 * d.grid_points ** 2)
+        cached_system = se_system(domain=d)
+        assert isinstance(cached_system.transition_kernel(d), np.ndarray)
+        assert predicted_values(cached_system, 1, prior).tobytes() == streamed.tobytes()

@@ -208,3 +208,26 @@ class TestParameterLipschitzEstimate:
         bound = 15.0 * math.exp(-0.5) / (math.sqrt(2 * math.pi) * q) * 1.0
         assert 0.0 < est <= bound * 1.001
         assert est > 0.2 * bound
+
+    def test_w_dependent_likelihood_takes_the_sup_over_w(self):
+        # observation gain = parameter: h(0, x, w) = N(0; w x, 0.5)
+        xd = DomainSpec(-15.0, 15.0, 241)
+        wd = DomainSpec(-0.25, 1.45, 241)
+
+        def gain_lik(w_fixed=None):
+            def evaluator(y, x, w=None):
+                gain = np.asarray(w if w_fixed is None else w_fixed, dtype=float)
+                return np.exp(-(y - gain * np.asarray(x, dtype=float)) ** 2) / math.sqrt(math.pi)
+            return LikelihoodModel.custom(evaluator)
+
+        def system(lik):
+            return SystemSpec("ps", lik, [0.0], xd, w_domain=wd,
+                              transition=TransitionModel.parametric_linear_gaussian(0.25))
+
+        est = c_vi_tilde_estimate(system(gain_lik()), 1, n_x=241, n_w=241)
+        fixed = [c_vi_tilde_estimate(system(gain_lik(w0)), 1, n_x=241, n_w=241)
+                 for w0 in wd.nodes[::20]]
+        # the sup over w dominates every fixed-parameter likelihood, including
+        # gains near 0 that are far larger than h at ws[0] = -0.25
+        assert est >= max(fixed) * (1.0 - 1e-12)
+        assert max(fixed) > 2.0 * fixed[0]
