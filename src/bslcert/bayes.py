@@ -188,9 +188,9 @@ def gaussian_projection_step(s: SystemSpec, k: int, prior: Gaussian1D):
     exact = grid_update(s, k, prior)
     approx = Gaussian1D(*moments(exact.posterior))
     eps = {
-        "tv": metrics.tv(exact.posterior, approx, s.domain).value,
-        "hellinger": metrics.hellinger(exact.posterior, approx, s.domain).value,
-        "w1": metrics.w1(exact.posterior, approx, s.domain).value,
+        "tv": metrics.tv(exact.posterior, approx, s.domain),
+        "hellinger": metrics.hellinger(exact.posterior, approx, s.domain),
+        "w1": metrics.w1(exact.posterior, approx, s.domain),
     }
     return approx, exact, eps
 

@@ -144,7 +144,7 @@ def _cmd_metric(args) -> int:
     b = _parse_gaussian(args.b)
     domain = _metric_domain(a, b)
     fn = {"tv": tv, "hellinger": hellinger, "w1": w1}[args.kind]
-    print(repr(fn(a, b, domain).value))
+    print(repr(fn(a, b, domain)))
     return 0
 
 

@@ -171,7 +171,7 @@ def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec)
         np.full(steps, y), domain)
 
     rows = []
-    dist = {m: getattr(metrics, m)(mu, mu_prime, domain).value for m in ("tv", "hellinger")}
+    dist = {m: getattr(metrics, m)(mu, mu_prime, domain) for m in ("tv", "hellinger")}
     for k in range(1, steps + 1):
         up_p = bayes.conjugate_update_ip(mu, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
         up_q = bayes.conjugate_update_ip(mu_prime, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
@@ -179,7 +179,7 @@ def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec)
         bound = {m: bounds.pointwise_K(system, k, m, z) * dist[m] for m in dist}
         mu, mu_prime = up_p.posterior, up_q.posterior
         for m in dist:
-            dist[m] = getattr(metrics, m)(mu, mu_prime, domain).value
+            dist[m] = getattr(metrics, m)(mu, mu_prime, domain)
             rows.append(Row(k, m, dist[m], bound[m], up_p.evidence, up_q.evidence))
     return rows, {"y": y, "x_star": x_star}
 
@@ -244,9 +244,9 @@ def _ledger_rows(metric: str, distances, eps, z1, z2, system) -> list[Row]:
     led1 = bounds.recursion_set1(metric, system, z1, eps)
     led2 = bounds.recursion_set2(metric, system, z2, eps)
     rows = []
-    for i, dist in enumerate(distances):
-        rows.append(Row(i + 1, metric, dist, led1.bounds()[i], z1[i], z2[i], series="set1"))
-        rows.append(Row(i + 1, metric, dist, led2.bounds()[i], z1[i], z2[i], series="set2"))
+    for i, (dist, b1, b2) in enumerate(zip(distances, led1.bounds(), led2.bounds())):
+        rows.append(Row(i + 1, metric, dist, b1, z1[i], z2[i], series="set1"))
+        rows.append(Row(i + 1, metric, dist, b2, z1[i], z2[i], series="set2"))
     return rows
 
 
@@ -275,7 +275,7 @@ def bound_validate(filter_kind: str, steps: int, seed: int,
             q_gauss = approx
             for m in ("tv", "hellinger"):
                 eps[m].append(inc[m])
-                dist[m].append(getattr(metrics, m)(p_seq, q_gauss, domain).value)
+                dist[m].append(getattr(metrics, m)(p_seq, q_gauss, domain))
         rows = []
         for m in ("tv", "hellinger"):
             rows.extend(_ledger_rows(m, dist[m], eps[m], z1, z2, system))
@@ -299,9 +299,9 @@ def bound_validate(filter_kind: str, steps: int, seed: int,
         z2.append(exact_of_q.evidence)
         cloud = bayes.particle_step(system, k, cloud, n_particles, step_seeds[k - 1])
         q_prev = cloud
-        eps.append(metrics.w1(exact_of_q.posterior, cloud, domain).value)
+        eps.append(metrics.w1(exact_of_q.posterior, cloud, domain))
         p_seq = exact_p.posterior
-        dist.append(metrics.w1(p_seq, cloud, domain).value)
+        dist.append(metrics.w1(p_seq, cloud, domain))
     rows = tuple(_ledger_rows("w1", dist, eps, z1, z2, system))
     meta = {"experiment": "bound_validate", "filter": filter_kind, "steps": steps,
             "seed": seed, "n_particles": n_particles, "data": list(map(float, system.data))}

@@ -11,13 +11,12 @@ same integral to unnormalized densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .domains import DomainSpec, Gaussian1D, GridDensity, JointGrid2D, ParticleSet
+from .domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
+                      discretize)
 from .errors import DomainMismatch, NonFinite, Unnormalized, UnsupportedRepresentation
 
 Distribution = Union[Gaussian1D, GridDensity, ParticleSet]
@@ -25,18 +24,19 @@ Distribution = Union[Gaussian1D, GridDensity, ParticleSet]
 _UNIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    metric: str  # "tv" | "hellinger" | "w1"
-    value: float
-    method: str  # "closed_form" | "quadrature" | "cdf_l1" | "empirical"
-    est_numerical_error: float
+def _checked(value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFinite(f"distance value {value!r} is not finite")
+    if value < 0.0:
+        raise ValueError(f"distance value must be nonnegative, got {value!r}")
+    return value
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NonFinite(f"distance value {self.value!r} is not finite")
-        if self.value < 0.0:
-            raise ValueError(f"distance value must be nonnegative, got {self.value!r}")
+
+def _unit_distance(metric: str, value: float) -> float:
+    """Clamp a TV or Hellinger value to 1, rejecting overshoot beyond roundoff."""
+    if value > 1.0 + _UNIT_TOL:
+        raise NonFinite(f"{metric} value {value!r} exceeds 1 beyond tolerance")
+    return _checked(min(value, 1.0))
 
 
 def _normalized_values(dist: Distribution, d: DomainSpec) -> np.ndarray:
@@ -44,8 +44,6 @@ def _normalized_values(dist: Distribution, d: DomainSpec) -> np.ndarray:
     if isinstance(dist, ParticleSet):
         raise UnsupportedRepresentation("particle sets have no density on the grid")
     if isinstance(dist, Gaussian1D):
-        from .domains import discretize
-
         return discretize(dist, d).values
     if isinstance(dist, GridDensity):
         if dist.domain != d:
@@ -56,21 +54,17 @@ def _normalized_values(dist: Distribution, d: DomainSpec) -> np.ndarray:
     raise UnsupportedRepresentation(f"unsupported distribution type {type(dist).__name__}")
 
 
-def _quadrature_pair(d: DomainSpec, integrand: np.ndarray) -> tuple[float, float]:
-    value = d.integrate(integrand)
-    est = abs(value - float(simpson(integrand, x=d.nodes)))
-    return value, est
+def _root_gap(d: DomainSpec, p: np.ndarray, q: np.ndarray) -> float:
+    """sqrt(0.5 * integral (sqrt p - sqrt q)^2) by trapezoid quadrature."""
+    raw = d.integrate((np.sqrt(p) - np.sqrt(q)) ** 2)
+    return math.sqrt(max(0.0, 0.5 * raw))
 
 
-def tv(a: Distribution, b: Distribution, d: DomainSpec) -> DistanceReport:
+def tv(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Total variation distance: half the L1 distance between densities."""
     p = _normalized_values(a, d)
     q = _normalized_values(b, d)
-    raw, est = _quadrature_pair(d, np.abs(p - q))
-    value = 0.5 * raw
-    if value > 1.0 + _UNIT_TOL:
-        raise NonFinite(f"tv value {value!r} exceeds 1 beyond tolerance")
-    return DistanceReport("tv", min(value, 1.0), "quadrature", 0.5 * est)
+    return _unit_distance("tv", 0.5 * d.integrate(np.abs(p - q)))
 
 
 def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
@@ -82,19 +76,10 @@ def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
     return math.sqrt(max(0.0, 1.0 - bc))
 
 
-def hellinger(a: Distribution, b: Distribution, d: DomainSpec) -> DistanceReport:
+def hellinger(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Hellinger distance sqrt(0.5 * integral (sqrt p - sqrt q)^2)."""
-    p = _normalized_values(a, d)
-    q = _normalized_values(b, d)
-    raw, est_raw = _quadrature_pair(d, (np.sqrt(p) - np.sqrt(q)) ** 2)
-    value = math.sqrt(max(0.0, 0.5 * raw))
-    # derivative of sqrt propagates the quadrature error estimate
-    est = 0.5 * est_raw / max(value, 1e-12) if value > 0 else est_raw
-    if isinstance(a, Gaussian1D) and isinstance(b, Gaussian1D):
-        est = max(est, abs(value - gaussian_hellinger(a, b)))
-    if value > 1.0 + _UNIT_TOL:
-        raise NonFinite(f"hellinger value {value!r} exceeds 1 beyond tolerance")
-    return DistanceReport("hellinger", min(value, 1.0), "quadrature", est)
+    return _unit_distance("hellinger", _root_gap(d, _normalized_values(a, d),
+                                                 _normalized_values(b, d)))
 
 
 # -- 1-Wasserstein ---------------------------------------------------------
@@ -147,7 +132,7 @@ def _check_particles_in(ps: ParticleSet, d: DomainSpec) -> None:
         raise DomainMismatch("particles fall outside the domain")
 
 
-def w1(a: Distribution, b: Distribution, d: DomainSpec) -> DistanceReport:
+def w1(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """1-Wasserstein distance as the L1 distance between CDFs on the domain."""
     a_emp = isinstance(a, ParticleSet)
     b_emp = isinstance(b, ParticleSet)
@@ -161,7 +146,6 @@ def w1(a: Distribution, b: Distribution, d: DomainSpec) -> DistanceReport:
         fa = _empirical_cdf(a, xs)
         fb = _empirical_cdf(b, xs)
         value = float(np.abs(fa - fb)[:-1] @ np.diff(xs))
-        report = DistanceReport("w1", value, "empirical", 0.0)
     elif a_emp or b_emp:
         emp, cont = (a, b) if a_emp else (b, a)
         xs = np.unique(np.concatenate((d.nodes, emp.points)))
@@ -171,17 +155,14 @@ def w1(a: Distribution, b: Distribution, d: DomainSpec) -> DistanceReport:
         g_left = f_cont[:-1] - f_step[:-1]
         g_right = f_cont[1:] - f_step[:-1]
         value = _l1_piecewise_linear(xs, g_left, g_right)
-        report = DistanceReport("w1", value, "cdf_l1", 0.0)
     else:
         xs = d.nodes
         diff = _continuous_cdf(a, d, xs) - _continuous_cdf(b, d, xs)
         value = _l1_piecewise_linear(xs, diff[:-1], diff[1:])
-        est = abs(value - float(simpson(np.abs(diff), x=xs)))
-        report = DistanceReport("w1", value, "cdf_l1", est)
 
-    if report.value > d.diameter() + _UNIT_TOL:
-        raise NonFinite(f"w1 value {report.value!r} exceeds the domain diameter")
-    return report
+    if _checked(value) > d.diameter() + _UNIT_TOL:
+        raise NonFinite(f"w1 value {value!r} exceeds the domain diameter")
+    return value
 
 
 def scaled_hellinger(a: GridDensity, b: GridDensity) -> float:
@@ -190,8 +171,7 @@ def scaled_hellinger(a: GridDensity, b: GridDensity) -> float:
         raise DomainMismatch("scaled densities live on different domains")
     if not (np.all(np.isfinite(a.values)) and np.all(np.isfinite(b.values))):
         raise NonFinite("scaled densities must be finite")
-    raw = a.domain.integrate((np.sqrt(a.values) - np.sqrt(b.values)) ** 2)
-    return math.sqrt(max(0.0, 0.5 * raw))
+    return _root_gap(a.domain, a.values, b.values)
 
 
 # -- joint-grid variants (parameter-state posteriors) ----------------------

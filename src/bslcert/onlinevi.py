@@ -62,6 +62,8 @@ class VIBoundInputs:
             raise ValueError("data dimension r must be a positive integer")
         if not (self.det_gamma > 0.0 and math.isfinite(self.det_gamma)):
             raise ValueError("det_gamma must be positive and finite")
+        if self.d is not None and not (self.d > 0.0 and math.isfinite(self.d)):
+            raise ValueError("d must be positive and finite")
         if len(self.elbo_floors) == 0:
             raise ValueError("need at least one step")
         if len(self.evidences) != len(self.elbo_floors):
@@ -70,6 +72,8 @@ class VIBoundInputs:
             raise ZeroEvidence("all evidences must be positive and finite")
         cap = log_sup_likelihood(self.r, self.det_gamma)
         for eps in self.elbo_floors:
+            if math.isnan(eps) or eps == -math.inf:
+                raise NonFinite(f"ELBO floor {eps!r} is not a finite number")
             if cap - eps < 0.0:
                 raise VacuousBound(
                     f"ELBO floor {eps!r} exceeds the log likelihood peak {cap!r}; "

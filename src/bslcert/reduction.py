@@ -141,8 +141,8 @@ def check_tv(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) ->
     post_q = bayes.grid_update(s, k, q_prev).posterior
     return ReductionVerdict(
         "tv", vals, tv_conditions_hold(vals),
-        measured_prior_dist=metrics.tv(p_prev, q_prev, s.domain).value,
-        measured_post_dist=metrics.tv(post_p, post_q, s.domain).value)
+        measured_prior_dist=metrics.tv(p_prev, q_prev, s.domain),
+        measured_post_dist=metrics.tv(post_p, post_q, s.domain))
 
 
 def check_hellinger(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) -> ReductionVerdict:
@@ -154,8 +154,8 @@ def check_hellinger(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDens
     post_q = bayes.grid_update(s, k, q_prev).posterior
     return ReductionVerdict(
         "h_er1" if branch in (None, "er1") else "h_er2", vals, branch is not None,
-        measured_prior_dist=metrics.hellinger(p_prev, q_prev, s.domain).value,
-        measured_post_dist=metrics.hellinger(post_p, post_q, s.domain).value)
+        measured_prior_dist=metrics.hellinger(p_prev, q_prev, s.domain),
+        measured_post_dist=metrics.hellinger(post_p, post_q, s.domain))
 
 
 def _abs_gap_matvec(xs: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -172,7 +172,7 @@ def _atomic(s: SystemSpec, masses: np.ndarray) -> ParticleSet:
 
 
 def _w1_atomic(s: SystemSpec, a: np.ndarray, b: np.ndarray) -> float:
-    return metrics.w1(_atomic(s, a), _atomic(s, b), s.domain).value
+    return metrics.w1(_atomic(s, a), _atomic(s, b), s.domain)
 
 
 def check_w1(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity,

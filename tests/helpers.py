@@ -5,16 +5,9 @@ import math
 import numpy as np
 
 from bslcert.domains import DomainSpec, Gaussian1D, GridDensity
+from bslcert.harness import _mixture_density as mixture_density
 from bslcert.models import (LikelihoodModel, SystemSpec, TransitionModel,
                             system_constants)
-
-
-def mixture_density(d: DomainSpec, comps) -> GridDensity:
-    """Normalized mixture of Gaussians evaluated on the grid."""
-    vals = np.zeros(d.grid_points)
-    for weight, g in comps:
-        vals += weight * g.pdf(d.nodes)
-    return GridDensity(d, vals / d.integrate(vals), normalized=True)
 
 
 def random_density(d: DomainSpec, rng, max_components: int = 3) -> GridDensity:

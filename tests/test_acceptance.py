@@ -69,8 +69,8 @@ def test_criterion_3_one_step_lipschitz_suite():
         b = Gaussian1D(rng.uniform(-10, 10), rng.uniform(0.01, 5.0))
         pa, pb = bayes.grid_update(s, 1, a), bayes.grid_update(s, 1, b)
         for metric, fn in (("tv", metrics.tv), ("hellinger", metrics.hellinger)):
-            d_prior = fn(a, b, D40).value
-            d_post = fn(pa.posterior, pb.posterior, D40).value
+            d_prior = fn(a, b, D40)
+            d_post = fn(pa.posterior, pb.posterior, D40)
             for z in (pa.evidence, pb.evidence, max(pa.evidence, pb.evidence)):
                 assert d_post <= pointwise_K(s, 1, metric, z) * d_prior + SLACK
             checked[metric] += 1
@@ -79,8 +79,8 @@ def test_criterion_3_one_step_lipschitz_suite():
         mb = w * discretize(b, D40).values
         za = float((ma / ma.sum()) @ h)
         zb = float((mb / mb.sum()) @ h)
-        d_prior = metrics.w1(atomic(ma), atomic(mb), D40).value
-        d_post = metrics.w1(atomic(ma * h), atomic(mb * h), D40).value
+        d_prior = metrics.w1(atomic(ma), atomic(mb), D40)
+        d_post = metrics.w1(atomic(ma * h), atomic(mb * h), D40)
         for z in (za, zb, max(za, zb)):
             assert d_post <= table_constant(c_w1, "w1", z) * d_prior + SLACK
         checked["w1"] += 1
@@ -124,9 +124,9 @@ def test_criterion_6_metric_suite():
     d = DomainSpec(-10.0, 10.0, 501)
     # axioms on 300 random triples for all four distances
     fns = {
-        "tv": lambda a, b: metrics.tv(a, b, d).value,
-        "hellinger": lambda a, b: metrics.hellinger(a, b, d).value,
-        "w1": lambda a, b: metrics.w1(a, b, d).value,
+        "tv": lambda a, b: metrics.tv(a, b, d),
+        "hellinger": lambda a, b: metrics.hellinger(a, b, d),
+        "w1": lambda a, b: metrics.w1(a, b, d),
         "scaled_hellinger": metrics.scaled_hellinger,
     }
     for _ in range(300):
@@ -141,11 +141,11 @@ def test_criterion_6_metric_suite():
     for _ in range(500):
         a = Gaussian1D(rng.uniform(-5, 5), rng.uniform(0.01, 9.0))
         b = Gaussian1D(rng.uniform(-5, 5), rng.uniform(0.01, 9.0))
-        d_tv = metrics.tv(a, b, big).value
-        d_h = metrics.hellinger(a, b, big).value
+        d_tv = metrics.tv(a, b, big)
+        d_h = metrics.hellinger(a, b, big)
         assert d_h ** 2 <= d_tv + SLACK
         assert d_tv <= math.sqrt(2.0) * d_h + SLACK
-        assert metrics.w1(a, b, big).value <= big.diameter() * d_tv + SLACK
+        assert metrics.w1(a, b, big) <= big.diameter() * d_tv + SLACK
 
     # scaled-measure mass-gap inequalities on 200 pairs, plus the tight scale-4 case
     for _ in range(200):
@@ -155,7 +155,7 @@ def test_criterion_6_metric_suite():
         sq = GridDensity(d, cq * q.values, normalized=False)
         dist = metrics.scaled_hellinger(sp, sq)
         assert abs(math.sqrt(sp.mass()) - math.sqrt(sq.mass())) <= math.sqrt(2.0) * dist + SLACK
-        assert metrics.hellinger(p, q, d).value <= 2.0 / math.sqrt(sp.mass()) * dist + SLACK
+        assert metrics.hellinger(p, q, d) <= 2.0 / math.sqrt(sp.mass()) * dist + SLACK
     base = discretize(Gaussian1D(0.0, 1.0), d).values
     tight = metrics.scaled_hellinger(GridDensity(d, 4.0 * base, normalized=False),
                                      GridDensity(d, base, normalized=False))

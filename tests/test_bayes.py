@@ -70,7 +70,7 @@ class TestGridUpdate:
     def test_matches_conjugate(self):
         r_grid = grid_update(IP, 1, Gaussian1D(0.0, 1.0))
         r_conj = conjugate_update_ip(Gaussian1D(0.0, 1.0), 1.1, 3.0, 1.0)
-        assert metrics.tv(r_grid.posterior, r_conj.posterior, D40).value < 1e-7
+        assert metrics.tv(r_grid.posterior, r_conj.posterior, D40) < 1e-7
         assert abs(r_grid.evidence - r_conj.evidence) < 1e-12
 
     def test_evidence_equals_admissibility_certificate(self):
@@ -149,7 +149,7 @@ class TestParticleStep:
         out = particle_step(s, 1, cloud, 2000, 0)
         exact = grid_update(s, 1, Gaussian1D(0.0, 1.0))
         # oracle run at seed 0 gave 0.1073; frozen threshold just above it
-        assert metrics.w1(exact.posterior, out, DSE).value < 0.12
+        assert metrics.w1(exact.posterior, out, DSE) < 0.12
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(2)

@@ -60,8 +60,8 @@ class TestStepBoundSymmetric:
         s = ip_system(y=0.0)
         z_a = bayes.conjugate_update_ip(Gaussian1D(0, 1), 1.1, 3.0, 0.0).evidence
         z_b = bayes.conjugate_update_ip(Gaussian1D(2, 1), 1.1, 3.0, 0.0).evidence
-        d_tv = tv(Gaussian1D(0, 1), Gaussian1D(2, 1), D40).value
-        d_h = hellinger(Gaussian1D(0, 1), Gaussian1D(2, 1), D40).value
+        d_tv = tv(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
+        d_h = hellinger(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
         b_tv = step_bound_symmetric("tv", system_constants(s, 1, "tv"), z_a, z_b, d_tv)
         b_h = step_bound_symmetric("hellinger", system_constants(s, 1, "hellinger"), z_a, z_b, d_h)
         assert abs(b_tv - 0.808725381256378) < 1e-9
@@ -147,8 +147,8 @@ class TestTvToW1:
         for _ in range(40):
             a = Gaussian1D(rng.uniform(-5, 5), rng.uniform(0.05, 9.0))
             b = Gaussian1D(rng.uniform(-5, 5), rng.uniform(0.05, 9.0))
-            w = metrics.w1(a, b, d).value
-            assert w <= tv_to_w1_bound(tv(a, b, d).value, d.diameter()) + 1e-9
+            w = metrics.w1(a, b, d)
+            assert w <= tv_to_w1_bound(tv(a, b, d), d.diameter()) + 1e-9
 
 
 class TestInaccuratePrior:
@@ -165,7 +165,7 @@ class TestInaccuratePrior:
 
     def test_three_step_replay(self):
         s = ip_system(3)
-        d0 = tv(Gaussian1D(0, 1), Gaussian1D(0.5, 1), D40).value
+        d0 = tv(Gaussian1D(0, 1), Gaussian1D(0.5, 1), D40)
         evid, eps = [0.21, 0.26, 0.19], [0.015, 0.03, 0.01]
         led = inaccurate_prior_bound("tv", s, evid, eps, d0)
         oracle = double_sum_bound("tv", s, evid, eps, initial=d0)
@@ -212,9 +212,9 @@ class TestTwoOutput:
             exact_b = bayes.grid_update(s, k, qb_prev)
             cloud = bayes.particle_step(s, k, cloud, 1000, 100 + k)
             qb_prev = cloud
-            eps_b.append(metrics.w1(exact_b.posterior, cloud, domain).value)
+            eps_b.append(metrics.w1(exact_b.posterior, cloud, domain))
         bound = two_output_bound("w1", s, eps_a, eps_b, z1)
-        measured = metrics.w1(qa, cloud, domain).value
+        measured = metrics.w1(qa, cloud, domain)
         assert measured <= bound + 1e-9
 
 
@@ -242,8 +242,8 @@ class TestOneStepDominance:
             pa = bayes.grid_update(s, 1, a)
             pb = bayes.grid_update(s, 1, b)
             for metric, fn in (("tv", tv), ("hellinger", hellinger)):
-                d_prior = fn(a, b, D40).value
-                d_post = fn(pa.posterior, pb.posterior, D40).value
+                d_prior = fn(a, b, D40)
+                d_post = fn(pa.posterior, pb.posterior, D40)
                 for z in (pa.evidence, pb.evidence, max(pa.evidence, pb.evidence)):
                     assert d_post <= pointwise_K(s, 1, metric, z) * d_prior + 1e-9
 
@@ -261,7 +261,7 @@ class TestUnnormalizedLipschitz:
             fa = GridDensity(D40, h * a.values, normalized=False)
             fb = GridDensity(D40, h * b.values, normalized=False)
             lhs = scaled_hellinger(fa, fb)
-            rhs = root_sup * hellinger(a, b, D40).value
+            rhs = root_sup * hellinger(a, b, D40)
             assert lhs <= rhs + 1e-9
 
 

@@ -181,6 +181,25 @@ class TestCli:
                                  "evidences": [0.2]}))
         assert cli.main(["vi-bound", "--config", str(p)]) == 3
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("-inf")])
+    def test_vi_bound_non_finite_floor_is_numerical_failure(self, tmp_path, capsys, floor):
+        p = tmp_path / "vi.json"
+        p.write_text(json.dumps({"r": 1, "det_gamma": 0.5, "elbo_floors": [floor, -1.0],
+                                 "evidences": [0.2, 0.3]}))
+        assert cli.main(["vi-bound", "--config", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bslcert: NonFinite: ")
+        assert captured.err.count("\n") == 1
+
+    def test_cli_import_skips_scipy_integrate(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bslcert.cli; assert 'scipy.integrate' not in sys.modules"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         # no genuine violation is reachable, so patch in a violating record
         bad = RunRecord("reproduce_case2", (Row(1, "tv", 0.5, 0.1, 0.2, 0.2),))
@@ -216,6 +235,8 @@ class TestStrictConfig:
         ("vi-bound", dict(VI, elbo_floors=["-2.0"])),
         ("vi-bound", dict(VI, bound_type=2, beta_inputs=[
             {"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 0.2, "zhat": 0.2}])),
+        ("vi-bound", dict(VI, metric="w1", d=-5.0)),
+        ("vi-bound", dict(VI, metric="w1", d=float("nan"))),
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, command, body):
         p = tmp_path / "c.json"

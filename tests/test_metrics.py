@@ -18,19 +18,18 @@ D10 = DomainSpec(-10.0, 10.0, 1001)
 
 class TestTV:
     def test_identical(self):
-        assert tv(Gaussian1D(0, 1), Gaussian1D(0, 1), D40).value == 0.0
+        assert tv(Gaussian1D(0, 1), Gaussian1D(0, 1), D40) == 0.0
 
     def test_unit_shift_pair(self):
         # equal variances cross at the midpoint; closed form 2*Phi(1) - 1
         r = tv(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
-        assert abs(r.value - gauss_tv_equal_var(0.0, 2.0, 1.0)) < 1e-5
-        assert r.method == "quadrature"
+        assert abs(r - gauss_tv_equal_var(0.0, 2.0, 1.0)) < 1e-5
 
     def test_near_disjoint_pair(self):
         # oracle: 2*Phi(18 / (2*sqrt(5))) - 1 = 0.9999430058837666
         r = tv(Gaussian1D(-10, 5), Gaussian1D(8, 5), D40)
-        assert abs(r.value - 0.9999430058837666) < 1e-7
-        assert 1.0 - r.value < 1e-4
+        assert abs(r - 0.9999430058837666) < 1e-7
+        assert 1.0 - r < 1e-4
 
     def test_rejects_particles(self):
         ps = ParticleSet(np.array([0.0]), np.array([1.0]))
@@ -45,35 +44,34 @@ class TestTV:
 
 class TestHellinger:
     def test_identical(self):
-        assert hellinger(Gaussian1D(3, 2), Gaussian1D(3, 2), D40).value == 0.0
+        assert hellinger(Gaussian1D(3, 2), Gaussian1D(3, 2), D40) == 0.0
 
     def test_unit_shift_pair(self):
         r = hellinger(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
-        assert abs(r.value - math.sqrt(1.0 - math.exp(-0.5))) < 1e-9
+        assert abs(r - math.sqrt(1.0 - math.exp(-0.5))) < 1e-9
 
     def test_variance_pair(self):
         # closed form sqrt(1 - sqrt(4/5)) = 0.3249196962329063
         r = hellinger(Gaussian1D(0, 1), Gaussian1D(0, 4), D40)
-        assert abs(r.value - 0.3249196962329063) < 1e-9
-        assert abs(r.value - gaussian_hellinger(Gaussian1D(0, 1), Gaussian1D(0, 4))) < 1e-9
+        assert abs(r - 0.3249196962329063) < 1e-9
+        assert abs(r - gaussian_hellinger(Gaussian1D(0, 1), Gaussian1D(0, 4))) < 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(v1=st.floats(0.01, 25.0), v2=st.floats(0.01, 25.0), dm=st.floats(-4.0, 4.0))
     def test_closed_form_matches_quadrature(self, v1, v2, dm):
         a, b = Gaussian1D(0.0, v1), Gaussian1D(dm, v2)
         r = hellinger(a, b, DomainSpec(-60.0, 60.0, 8001))
-        assert abs(r.value - gaussian_hellinger(a, b)) < 1e-7
+        assert abs(r - gaussian_hellinger(a, b)) < 1e-7
 
 
 class TestW1:
     def test_mean_shift(self):
         r = w1(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
-        assert abs(r.value - 2.0) < 1e-9
-        assert r.method == "cdf_l1"
+        assert abs(r - 2.0) < 1e-9
 
     def test_particle_self(self):
         ps = ParticleSet(np.array([0.0, 1.0, 2.5]), np.array([0.2, 0.3, 0.5]))
-        assert w1(ps, ps, D10).value == 0.0
+        assert w1(ps, ps, D10) == 0.0
 
     def test_uniform_translation(self):
         d = DomainSpec(-2.0, 3.0, 501)  # spacing 0.01 makes 0.5 an exact shift
@@ -81,21 +79,20 @@ class TestW1:
         shifted = ((d.nodes >= 0.5) & (d.nodes <= 1.5)).astype(float)
         a = GridDensity(d, base / d.integrate(base))
         b = GridDensity(d, shifted / d.integrate(shifted))
-        assert abs(w1(a, b, d).value - 0.5) < 1e-12
+        assert abs(w1(a, b, d) - 0.5) < 1e-12
 
     def test_empirical_matches_scipy(self):
         rng = np.random.default_rng(3)
         a = ParticleSet(rng.uniform(-5, 5, 400), np.full(400, 1 / 400))
         b = ParticleSet(rng.uniform(-4, 6, 300), np.full(300, 1 / 300))
         mine = w1(a, b, D10)
-        assert mine.method == "empirical"
-        assert abs(mine.value - wasserstein_distance(a.points, b.points)) < 1e-10
+        assert abs(mine - wasserstein_distance(a.points, b.points)) < 1e-10
 
     def test_mixed_continuous_empirical(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal(2000)
         cloud = ParticleSet(pts, np.full(2000, 5e-4))
-        value = w1(Gaussian1D(0.0, 1.0), cloud, D10).value
+        value = w1(Gaussian1D(0.0, 1.0), cloud, D10)
         # dense-grid oracle for the CDF gap integral
         xs = np.linspace(-10, 10, 200001)
         fg = Gaussian1D(0.0, 1.0).cdf(xs)
@@ -107,21 +104,6 @@ class TestW1:
         ps = ParticleSet(np.array([50.0]), np.array([1.0]))
         with pytest.raises(DomainMismatch):
             w1(ps, Gaussian1D(0, 1), D10)
-
-
-class TestNumericalErrorDiagnostic:
-    def test_tv_reports_rule_disagreement(self):
-        r = tv(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
-        assert 0.0 < r.est_numerical_error < 1e-4
-
-    def test_hellinger_diagnostic_covers_closed_form_gap(self):
-        a, b = Gaussian1D(0, 1), Gaussian1D(1, 2)
-        r = hellinger(a, b, D40)
-        assert r.est_numerical_error >= abs(r.value - gaussian_hellinger(a, b))
-
-    def test_particle_w1_has_no_quadrature_error(self):
-        ps = ParticleSet(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        assert w1(ps, ps, D10).est_numerical_error == 0.0
 
 
 class TestScaledHellinger:
@@ -141,7 +123,7 @@ class TestScaledHellinger:
     def test_normalized_case_reduces_to_hellinger(self):
         a = discretize(Gaussian1D(0, 1), D10)
         b = discretize(Gaussian1D(2, 1), D10)
-        assert abs(scaled_hellinger(a, b) - hellinger(a, b, D10).value) < 1e-12
+        assert abs(scaled_hellinger(a, b) - hellinger(a, b, D10)) < 1e-12
 
 
 class TestMetricProperties:
@@ -150,9 +132,9 @@ class TestMetricProperties:
         d = DomainSpec(-10.0, 10.0, 501)
         for _ in range(40):
             g1, g2, g3 = (random_density(d, rng) for _ in range(3))
-            for fn in (lambda a, b: tv(a, b, d).value,
-                       lambda a, b: hellinger(a, b, d).value,
-                       lambda a, b: w1(a, b, d).value,
+            for fn in (lambda a, b: tv(a, b, d),
+                       lambda a, b: hellinger(a, b, d),
+                       lambda a, b: w1(a, b, d),
                        scaled_hellinger):
                 d12, d21 = fn(g1, g2), fn(g2, g1)
                 assert abs(d12 - d21) <= 1e-12
@@ -164,11 +146,11 @@ class TestMetricProperties:
         for _ in range(60):
             a = Gaussian1D(rng.uniform(-5, 5), rng.uniform(0.01, 9.0))
             b = Gaussian1D(rng.uniform(-5, 5), rng.uniform(0.01, 9.0))
-            d_tv = tv(a, b, d).value
-            d_h = hellinger(a, b, d).value
+            d_tv = tv(a, b, d)
+            d_h = hellinger(a, b, d)
             assert d_h ** 2 <= d_tv + 1e-9
             assert d_tv <= math.sqrt(2.0) * d_h + 1e-9
-            assert w1(a, b, d).value <= d.diameter() * d_tv + 1e-9
+            assert w1(a, b, d) <= d.diameter() * d_tv + 1e-9
 
     def test_mass_gap_inequalities_on_scaled_pairs(self):
         rng = np.random.default_rng(11)
@@ -182,4 +164,4 @@ class TestMetricProperties:
             dist = scaled_hellinger(sp, sq)
             kp, kq = sp.mass(), sq.mass()
             assert abs(math.sqrt(kp) - math.sqrt(kq)) <= math.sqrt(2.0) * dist + 1e-9
-            assert hellinger(p, q, d).value <= 2.0 / math.sqrt(kp) * dist + 1e-9
+            assert hellinger(p, q, d) <= 2.0 / math.sqrt(kp) * dist + 1e-9
