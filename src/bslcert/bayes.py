@@ -55,7 +55,7 @@ def predicted_values(s: SystemSpec, k: int, prior) -> np.ndarray:
     """Pushforward of the prior through the transition, on the grid (SE only)."""
     xs = s.domain.nodes
     if isinstance(prior, ParticleSet):
-        return kernel_matvec(s.transition.kernel, xs, prior.points, prior.weights)
+        return kernel_matvec(s.transition_density(), xs, prior.points, prior.weights)
     p = prior_values(s, prior)
     return kernel_matvec(s.transition_kernel(s.domain), xs, xs, s.domain.trapezoid_weights * p)
 
@@ -73,9 +73,10 @@ def _ps_predicted_values(s: SystemSpec, priors) -> list:
     pvs = [_ps_prior_values(s, prior) for prior in priors]
     xs = s.domain.nodes
     wquad = s.domain.trapezoid_weights
+    density = s.transition_density()
     outs = [np.empty_like(pv) for pv in pvs]
     for j, w in enumerate(s.w_domain.nodes):
-        kernel = kernel_matrix(s.transition.kernel, xs, xs, w)
+        kernel = kernel_matrix(density, xs, xs, w)
         for pv, out in zip(pvs, outs):
             out[:, j] = kernel_matvec(kernel, xs, xs, wquad * pv[:, j])
     return outs

@@ -23,6 +23,7 @@ WEIGHT_SUM_TOL = 1e-12
 TAIL_MASS_LIMIT = 1e-10
 MIN_SIGMA_COVERAGE = 8.0
 VARIANCE_FLOOR = 1e-3
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,23 @@ class DomainSpec:
         return float(self.trapezoid_weights @ np.asarray(values, dtype=float))
 
 
+def gauss_pdf(x, mean, var):
+    """Normal density with the given mean and variance at x (broadcasting).
+
+    Evaluated in one buffer; the bits equal exp(-0.5 * z * z) / (sd * sqrt(2 pi))
+    with z = (x - mean) / sd, because scaling by -0.5 is exact (when z * z is
+    subnormal, exp gives 1.0 either way).  Scalar inputs give a numpy scalar.
+    """
+    sd = math.sqrt(var)
+    z = np.asarray(np.subtract(x, mean, dtype=float))
+    z /= sd
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    z /= sd * _SQRT_2PI
+    return z if z.ndim else z[()]
+
+
 @dataclass(frozen=True)
 class Gaussian1D:
     mean: float
@@ -83,9 +101,7 @@ class Gaussian1D:
         return math.sqrt(self.variance)
 
     def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) / self.std
-        return np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
+        return gauss_pdf(x, self.mean, self.variance)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -161,6 +161,13 @@ def _case_priors(case: int, rng) -> tuple[Gaussian1D, Gaussian1D]:
     return Gaussian1D(means[0], variances[0]), Gaussian1D(means[1], variances[1])
 
 
+def _gaussian_distances(mu: Gaussian1D, mu_prime: Gaussian1D, domain: DomainSpec) -> dict:
+    """metrics.tv and metrics.hellinger of the pair, discretizing each Gaussian once."""
+    p = discretize(mu, domain).values
+    q = discretize(mu_prime, domain).values
+    return {m: metrics.grid_distance(m, p, q, domain) for m in ("tv", "hellinger")}
+
+
 def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec):
     rng = np.random.default_rng(trial_seed)
     mu, mu_prime = _case_priors(case, rng)
@@ -171,15 +178,15 @@ def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec)
         np.full(steps, y), domain)
 
     rows = []
-    dist = {m: getattr(metrics, m)(mu, mu_prime, domain) for m in ("tv", "hellinger")}
+    dist = _gaussian_distances(mu, mu_prime, domain)
     for k in range(1, steps + 1):
         up_p = bayes.conjugate_update_ip(mu, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
         up_q = bayes.conjugate_update_ip(mu_prime, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
         z = max(up_p.evidence, up_q.evidence)
         bound = {m: bounds.pointwise_K(system, k, m, z) * dist[m] for m in dist}
         mu, mu_prime = up_p.posterior, up_q.posterior
+        dist = _gaussian_distances(mu, mu_prime, domain)
         for m in dist:
-            dist[m] = getattr(metrics, m)(mu, mu_prime, domain)
             rows.append(Row(k, m, dist[m], bound[m], up_p.evidence, up_q.evidence))
     return rows, {"y": y, "x_star": x_star}
 

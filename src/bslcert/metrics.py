@@ -60,11 +60,22 @@ def _root_gap(d: DomainSpec, p: np.ndarray, q: np.ndarray) -> float:
     return math.sqrt(max(0.0, 0.5 * raw))
 
 
+def grid_distance(metric: str, p: np.ndarray, q: np.ndarray, d: DomainSpec) -> float:
+    """TV or Hellinger distance between unit-mass density values on the nodes of d.
+
+    ``tv`` and ``hellinger`` evaluate through here, so a caller that already
+    holds the discretized pair gets the same bits without discretizing again.
+    """
+    if metric == "tv":
+        return _unit_distance("tv", 0.5 * d.integrate(np.abs(p - q)))
+    if metric == "hellinger":
+        return _unit_distance("hellinger", _root_gap(d, p, q))
+    raise ValueError(f"unknown grid distance {metric!r}")
+
+
 def tv(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Total variation distance: half the L1 distance between densities."""
-    p = _normalized_values(a, d)
-    q = _normalized_values(b, d)
-    return _unit_distance("tv", 0.5 * d.integrate(np.abs(p - q)))
+    return grid_distance("tv", _normalized_values(a, d), _normalized_values(b, d), d)
 
 
 def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
@@ -78,8 +89,7 @@ def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
 
 def hellinger(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Hellinger distance sqrt(0.5 * integral (sqrt p - sqrt q)^2)."""
-    return _unit_distance("hellinger", _root_gap(d, _normalized_values(a, d),
-                                                 _normalized_values(b, d)))
+    return grid_distance("hellinger", _normalized_values(a, d), _normalized_values(b, d), d)
 
 
 # -- 1-Wasserstein ---------------------------------------------------------

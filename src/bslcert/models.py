@@ -16,8 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import DomainSpec
-from .errors import MissingConstant, NonFinite, UnboundedConstant, ZeroEvidence
+from .domains import DomainSpec, gauss_pdf
+from .errors import (MissingConstant, NonFinite, UnboundedConstant, UnsupportedRepresentation,
+                     ZeroEvidence)
 
 EVIDENCE_FLOOR = 1e-300
 CUSTOM_LIP_SAFETY = 2.0
@@ -25,12 +26,6 @@ _KERNEL_BLOCK = 256  # rows per kernel block: 4 MB temporaries at 2001 columns
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SLOPE = math.exp(-0.5)  # max of |u * exp(-u^2/2)|
-
-
-def _gauss_pdf(x, mean, var):
-    sd = math.sqrt(var)
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ class LikelihoodModel:
             raise ValueError("noise_var must be positive")
 
         def evaluator(y, x, w=None):
-            return _gauss_pdf(y, a * np.asarray(x, dtype=float), noise_var)
+            return gauss_pdf(y, a * np.asarray(x, dtype=float), noise_var)
 
         return LikelihoodModel(evaluator, "linear_gaussian", a=a, noise_var=noise_var)
 
@@ -84,7 +79,7 @@ class TransitionModel:
         kernel = None
         if q > 0:
             def kernel(x_next, x_prev):
-                return _gauss_pdf(x_next, a * np.asarray(x_prev, dtype=float), q)
+                return gauss_pdf(x_next, a * np.asarray(x_prev, dtype=float), q)
 
         def sampler(rng, x_prev):
             x_prev = np.asarray(x_prev, dtype=float)
@@ -104,7 +99,7 @@ class TransitionModel:
 
         def kernel(x_next, x_prev, w):
             coef = np.asarray(drift(np.asarray(w, dtype=float)), dtype=float)
-            return _gauss_pdf(x_next, coef * np.asarray(x_prev, dtype=float), q)
+            return gauss_pdf(x_next, coef * np.asarray(x_prev, dtype=float), q)
 
         def sampler(rng, x_prev, w):
             x_prev = np.asarray(x_prev, dtype=float)
@@ -165,6 +160,16 @@ class SystemSpec:
             d += self.w_domain.diameter()
         return d
 
+    def transition_density(self) -> Callable:
+        """The transition density T; UnsupportedRepresentation when it has none.
+
+        A zero-noise linear-Gaussian transition is deterministic: it has a
+        sampler (enough for particle steps) but no density on the grid.
+        """
+        if self.transition.kernel is None:
+            raise UnsupportedRepresentation("transition has no density")
+        return self.transition.kernel
+
     def transition_kernel(self, domain: DomainSpec):
         """The SE transition kernel on ``domain``'s nodes, for kernel_matvec/rmatvec.
 
@@ -174,10 +179,10 @@ class SystemSpec:
         product streams it in blocks.
         """
         if 8 * domain.grid_points ** 2 > _KERNEL_CACHE_BYTES:
-            return self.transition.kernel
+            return self.transition_density()
         matrix = self._kernels.get(domain)
         if matrix is None:
-            matrix = kernel_matrix(self.transition.kernel, domain.nodes, domain.nodes)
+            matrix = kernel_matrix(self.transition_density(), domain.nodes, domain.nodes)
             matrix.setflags(write=False)
             self._kernels[domain] = matrix
         return matrix
@@ -287,9 +292,10 @@ def ps_g_values(s: SystemSpec, k: int) -> np.ndarray:
     xs = s.domain.nodes
     hw = lik_values_ps(s, k)  # (nx, nw)
     wquad = s.domain.trapezoid_weights
+    kernel = s.transition_density()
     out = np.empty((xs.shape[0], s.w_domain.grid_points))
     for j, w in enumerate(s.w_domain.nodes):
-        out[:, j] = kernel_rmatvec(s.transition.kernel, xs, xs, wquad * hw[:, j], w)
+        out[:, j] = kernel_rmatvec(kernel, xs, xs, wquad * hw[:, j], w)
     return out
 
 
@@ -325,7 +331,7 @@ def _grid_c_th_star(s: SystemSpec, k: int, n: int) -> float:
     h = np.asarray(s.likelihood.evaluator(s.y(k), xs), dtype=float)
     # T_lip(x_next) = sup of adjacent difference quotients in x_prev
     t_lip = np.empty(xs.shape[0])
-    for rows, block in _kernel_rows(s.transition.kernel, xs, xs):
+    for rows, block in _kernel_rows(s.transition_density(), xs, xs):
         t_lip[rows] = np.max(np.abs(np.diff(block, axis=1)), axis=1) / d.spacing
     return float(d.integrate(h * t_lip))
 
@@ -356,10 +362,11 @@ def _ps_star_estimate(s: SystemSpec, k: int, n: int = 161) -> float:
     xd = DomainSpec(s.domain.lower, s.domain.upper, max(101, n))
     wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, max(101, n))
     xs, ws = xd.nodes, wd.nodes
+    kernel = s.transition_density()
     lip = np.zeros(xs.shape[0])
     for i, xn in enumerate(xs):
         h_row = np.asarray(s.likelihood.evaluator(s.y(k), xn, ws[None, :]), dtype=float)
-        t_row = np.asarray(s.transition.kernel(xn, xs[:, None], ws[None, :]), dtype=float)
+        t_row = np.asarray(kernel(xn, xs[:, None], ws[None, :]), dtype=float)
         f = np.broadcast_to(h_row, t_row.shape) * t_row  # (x_prev, w)
         dx = np.max(np.abs(np.diff(f, axis=0))) / xd.spacing
         dw = np.max(np.abs(np.diff(f, axis=1))) / wd.spacing
@@ -406,7 +413,7 @@ def system_constants(s: SystemSpec, k: int, metric: str) -> ConstantsReport:
             if trans.a != 0 and lik.a != 0:
                 c_th = 1.0 / math.sqrt(2.0 * math.pi * mixed_var)
             else:
-                c_th = float(_gauss_pdf(s.y(k), 0.0, mixed_var)) if lik.a != 0 \
+                c_th = float(gauss_pdf(s.y(k), 0.0, mixed_var)) if lik.a != 0 \
                     else 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
             c_th_star = None
             if want_w1:

@@ -26,8 +26,6 @@ from .domains import GridDensity, ParticleSet
 from .errors import DomainMismatch, UnsupportedRepresentation
 from .models import SystemSpec, lik_values, se_g_values, ps_g_values
 
-_W1_BLOCK = 512
-
 
 @dataclass(frozen=True)
 class GFunction:
@@ -159,12 +157,14 @@ def check_hellinger(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDens
 
 
 def _abs_gap_matvec(xs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """(|x_i - x_j|)_ij @ vec, blocked to bound memory."""
-    out = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], _W1_BLOCK):
-        block = np.abs(xs[start:start + _W1_BLOCK, None] - xs[None, :])
-        out[start:start + _W1_BLOCK] = block @ vec
-    return out
+    """(|x_i - x_j|)_ij @ vec for ascending xs, in O(n) without the matrix.
+
+    With c and s the prefix sums of vec and xs * vec, and C and S their
+    totals, the i-th entry is x_i (2 c_i - C) - 2 s_i + S.
+    """
+    c = np.cumsum(vec)
+    s = np.cumsum(xs * vec)
+    return xs * (2.0 * c - c[-1]) - 2.0 * s + s[-1]
 
 
 def _atomic(s: SystemSpec, masses: np.ndarray) -> ParticleSet:

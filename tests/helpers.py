@@ -22,6 +22,23 @@ def random_density(d: DomainSpec, rng, max_components: int = 3) -> GridDensity:
     return mixture_density(d, comps)
 
 
+def two_temporary_pdf(x, mean, var):
+    """The expression domains.gauss_pdf evaluates in one buffer; it must keep its bits."""
+    sd = math.sqrt(var)
+    z = (np.asarray(x, dtype=float) - mean) / sd
+    return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+
+XS = np.linspace(-40.0, 40.0, 8001)
+# (x, mean) pairs: Python floats, 0-d arrays, a grid, and a broadcast (n, 1) x (1, m) pair
+PDF_INPUTS = {
+    "float": (0.3, 1.7),
+    "0-d": (np.array(0.3), np.array(1.7)),
+    "1-D": (XS, 1.7),
+    "broadcast": (XS[::40, None], XS[None, ::50]),
+}
+
+
 def gauss_tv_equal_var(m1: float, m2: float, var: float) -> float:
     """Closed-form TV distance for equal-variance Gaussians (crossing at midpoint)."""
     from scipy.special import ndtr

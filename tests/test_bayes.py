@@ -6,13 +6,14 @@ import pytest
 from bslcert import metrics
 from bslcert.bayes import (conjugate_update_ip, conjugate_update_se,
                            gaussian_projection_step, grid_update, grid_updates,
-                           particle_step)
+                           particle_step, predicted_values)
 from bslcert.domains import (DomainSpec, Gaussian1D, ParticleSet, discretize,
                              discretize_product, moments)
 from bslcert.errors import (AllWeightsZero, DegenerateVariance,
                             UnsupportedRepresentation)
 from bslcert.models import (_KERNEL_BLOCK, LikelihoodModel, SystemSpec,
-                            TransitionModel, kernel_matvec, validate_admissible)
+                            TransitionModel, kernel_matvec, se_g_values,
+                            system_constants, validate_admissible)
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 DSE = DomainSpec(-25.0, 25.0, 2001)
@@ -140,6 +141,20 @@ class TestParticleStep:
         means = [particle_step(s, 1, prior, 500, sd).points.mean() for sd in range(200)]
         se_mean = np.std(means, ddof=1) / math.sqrt(len(means))
         assert abs(np.mean(means) - prior.mean()) < 4 * se_mean + 1e-12
+
+    def test_zero_noise_transition_needs_no_density(self):
+        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], DSE,
+                       transition=TransitionModel.linear_gaussian(0.9, 0.0))
+        cloud = ParticleSet(np.linspace(-1.0, 1.0, 50), np.full(50, 1 / 50))
+        out = particle_step(s, 1, cloud, 50, 0)
+        assert set(out.points).issubset(set(0.9 * cloud.points))
+        grid_prior = discretize(Gaussian1D(0.0, 1.0), DSE)
+        for use in (lambda: grid_update(s, 1, grid_prior),
+                    lambda: se_g_values(s, 1),
+                    lambda: system_constants(s, 1, "tv"),
+                    lambda: predicted_values(s, 1, cloud)):
+            with pytest.raises(UnsupportedRepresentation, match="no density"):
+                use()
 
     def test_one_step_accuracy_seed0(self):
         s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], DSE,

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D,
-                             ParticleSet, discretize, discretize_product, moments)
+                             ParticleSet, discretize, discretize_product, gauss_pdf,
+                             moments)
 from bslcert.errors import DomainTooSmall, NonFinite, Unnormalized
+from helpers import PDF_INPUTS, XS, two_temporary_pdf
 
 
 class TestDomainSpec:
@@ -29,6 +31,29 @@ class TestDomainSpec:
         d = DomainSpec(0.0, 1.0, 101)
         with pytest.raises(ValueError):
             d.nodes[0] = 3.0
+
+
+class TestGaussPdf:
+    @pytest.mark.parametrize("var", [1e-3, 0.7, 25.0])
+    @pytest.mark.parametrize("shape", PDF_INPUTS)
+    def test_bits_and_type_unchanged(self, shape, var):
+        x, mean = PDF_INPUTS[shape]
+        new, old = gauss_pdf(x, mean, var), two_temporary_pdf(x, mean, var)
+        assert type(new) is type(old)
+        assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("x", [0.3, np.array(0.3), XS, np.add.outer(XS[::40], XS[::50])],
+                             ids=["float", "0-d", "1-D", "2-D"])
+    def test_gaussian1d_pdf(self, x):
+        g = Gaussian1D(1.7, 0.7)
+        new, old = g.pdf(x), two_temporary_pdf(x, g.mean, g.variance)
+        assert type(new) is type(old)
+        assert np.array_equal(new, old)
+
+    def test_input_is_not_written(self):
+        x = XS.copy()
+        gauss_pdf(x, 0.0, 1.0)
+        assert np.array_equal(x, XS)
 
 
 class TestDiscretize:

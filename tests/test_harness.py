@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from bslcert import cli
-from bslcert.domains import DomainSpec
+from bslcert import cli, domains, harness, metrics
+from bslcert.bayes import conjugate_update_ip
+from bslcert.domains import DomainSpec, Gaussian1D
 from bslcert.errors import IOFailure
 from bslcert.harness import (ExperimentConfig, Row, RunRecord, bound_validate,
                              emit, reduction_fuzz, reproduce, run_config,
@@ -38,6 +39,38 @@ class TestReproduce:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             reproduce(3, 4, 7, trials=0)
+
+    @pytest.mark.parametrize("case, priors", [
+        (1, (Gaussian1D(-10.0, 5.0), Gaussian1D(8.0, 5.0))),
+        (2, (Gaussian1D(0.0, 1.0), Gaussian1D(2.0, 1.0))),
+    ])
+    def test_distances_are_the_metric_values(self, case, priors):
+        rec = reproduce(case, 5, 3)
+        y = rec.meta["realized_y"][0]
+        mu, mu_prime = priors
+        for k in range(1, 6):
+            mu, mu_prime = (conjugate_update_ip(g, harness.OBSERVATION_GAIN,
+                                                harness.OBSERVATION_NOISE_VAR, y).posterior
+                            for g in (mu, mu_prime))
+            for r in rec.rows[2 * k - 2: 2 * k]:
+                assert r.step == k
+                assert r.distance == getattr(metrics, r.metric)(mu, mu_prime,
+                                                                harness.DEFAULT_DOMAIN)
+
+    def test_discretizes_each_gaussian_once_per_step(self, monkeypatch):
+        calls = []
+        real = domains.discretize
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bslcert") and getattr(module, "discretize", None) is real:
+                monkeypatch.setattr(module, "discretize", counting)
+        steps = 7
+        reproduce(3, steps, 11)
+        assert len(calls) == 2 * steps + 2
 
     def test_thread_count_does_not_change_results(self):
         serial = reproduce(3, 3, 5, trials=6, threads=1)

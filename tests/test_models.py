@@ -10,6 +10,7 @@ from bslcert.errors import NonFinite, UnboundedConstant, ZeroEvidence
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
                             TransitionModel, grid_constant_estimates, kernel_matrix,
                             se_g_values, system_constants, validate_admissible)
+from helpers import PDF_INPUTS, two_temporary_pdf
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 
@@ -153,6 +154,16 @@ class TestTransitionModel:
         for idx in (0, 500, 1000, 1999):
             direct = d.integrate(h * s.transition.kernel(d.nodes, d.nodes[idx]))
             assert abs(g[idx] - direct) < 1e-12
+
+    @pytest.mark.parametrize("shape", PDF_INPUTS)
+    def test_linear_gaussian_densities_keep_their_bits(self, shape):
+        y, x = PDF_INPUTS[shape]
+        lik = LikelihoodModel.linear_gaussian(1.1, 3.0).evaluator(y, x)
+        trans = TransitionModel.linear_gaussian(0.9, 0.5).kernel(y, x)
+        for new, old in ((lik, two_temporary_pdf(y, 1.1 * np.asarray(x, dtype=float), 3.0)),
+                         (trans, two_temporary_pdf(y, 0.9 * np.asarray(x, dtype=float), 0.5))):
+            assert type(new) is type(old)
+            assert np.array_equal(new, old)
 
     def test_sampler_is_seeded(self):
         t = TransitionModel.linear_gaussian(0.9, 1.0)

@@ -1,13 +1,16 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import UnsupportedRepresentation
+from bslcert.harness import reduction_fuzz
 from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, se_g_values
-from bslcert.reduction import (check_hellinger, check_tv, check_w1, g_function,
-                               hellinger_branch, hellinger_condition_values,
+from bslcert.reduction import (_abs_gap_matvec, check_hellinger, check_tv, check_w1,
+                               g_function, hellinger_branch, hellinger_condition_values,
                                tv_condition_values, tv_conditions_hold)
 from helpers import mixture_density, random_density, reduction_fixtures
 
@@ -149,6 +152,49 @@ class TestGFunction:
         g = g_function(s, 1)
         assert g.values.shape == (121, 111)
         assert np.all(g.values >= 0.0) and np.all(np.isfinite(g.values))
+
+
+class TestGapProduct:
+    """The O(n) prefix-sum product against the dense |x_i - x_j| matrix."""
+
+    @pytest.mark.parametrize("n", [201, 401, 2001])
+    @pytest.mark.parametrize("signed", [True, False], ids=["zero-sum", "nonnegative"])
+    def test_matches_dense_matrix(self, n, signed):
+        d = DomainSpec(-10.0, 10.0, n)
+        xs = d.nodes
+        rng = np.random.default_rng(n)
+        w = d.trapezoid_weights
+        p = discretize(Gaussian1D(rng.uniform(-2, 2), rng.uniform(0.2, 0.8)), d).values
+        q = discretize(Gaussian1D(rng.uniform(-2, 2), rng.uniform(0.2, 0.8)), d).values
+        v = w * (p - q) if signed else w * p * rng.uniform(0.0, 2.0, n)
+        dense = np.abs(xs[:, None] - xs[None, :]) @ v
+        tol = 1e-12 * d.diameter() * np.abs(v).sum()
+        assert np.max(np.abs(_abs_gap_matvec(xs, v) - dense)) <= tol
+
+    def test_w1_check_builds_no_square_matrix(self):
+        d = DomainSpec(-10.0, 10.0, 8001)
+        s = SystemSpec("ip", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], d)
+        p = discretize(Gaussian1D(-1.0, 0.5), d)
+        q = discretize(Gaussian1D(1.0, 0.8), d)
+        check_w1(s, 1, p, q, "ip")  # fills the lazy grid properties
+        tracemalloc.start()
+        try:
+            check_w1(s, 1, p, q, "ip")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20  # 512 rows of the 8001-node gap matrix alone take 31 MB
+
+
+class TestFuzzVerdictsPinned:
+    """FuzzRecords of the W1 sweeps as computed with the dense gap matrix."""
+
+    @pytest.mark.parametrize("expected", [
+        ("w1-ip", 250, 209, 0, -0.3443602928386138),
+        ("w1-dyn", 250, 3, 0, -0.08610432240100324),
+    ], ids=lambda e: e[0])
+    def test_seed0(self, expected):
+        assert dataclasses.astuple(reduction_fuzz(expected[0], 250, 0)) == expected
 
 
 class TestVariantGuards:
