@@ -115,9 +115,10 @@ def _build_ledger(metric: str, s: SystemSpec, evidences: Sequence[float],
     rows = []
     cum = initial
     for k in range(window_start, k_total + 1):
-        constants = system_constants(s, k, metric)
         if k == window_start and first_step_constants is not None:
             constants = first_step_constants
+        else:
+            constants = system_constants(s, k, metric)
         factor = table_constant(constants, metric, evidences[k - 1])
         nxt = factor * cum + eps[k - 1]
         if math.isnan(nxt):

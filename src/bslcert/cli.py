@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import Optional
 
 from .domains import DomainSpec, Gaussian1D
@@ -132,10 +133,13 @@ def _cmd_vi_demo(args) -> int:
 def _cmd_reduction_fuzz(args) -> int:
     config = ExperimentConfig(experiment="reduction_fuzz", theorem=args.theorem,
                               trials=args.trials, seed=args.seed)
-    record: FuzzRecord = run_config(config)
+    skips = Counter()
+    record: FuzzRecord = run_config(config, fuzz_skips=skips)
+    by_reason = ", ".join(f"{name} {n}" for name, n in sorted(skips.items()))
     print(f"reduction_fuzz[{record.theorem}]: {record.trials} trials, "
           f"{record.guaranteed} guaranteed, {record.violations} violations, "
-          f"worst excess {record.worst_excess:.3g}")
+          f"worst excess {record.worst_excess:.3g}, skipped {skips.total()}"
+          + (f" ({by_reason})" if by_reason else ""))
     return VIOLATION_ERROR if record.violations else 0
 
 

@@ -24,6 +24,7 @@ TAIL_MASS_LIMIT = 1e-10
 MIN_SIGMA_COVERAGE = 8.0
 VARIANCE_FLOOR = 1e-3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_UNDERFLOW_Z = math.sqrt(2.0 * 746.0)  # exp(-z * z / 2) is exactly 0.0 beyond this |z|
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,14 @@ def discretize(g: Gaussian1D, d: DomainSpec) -> GridDensity:
     tail = float(ndtr((d.lower - g.mean) / sigma) + ndtr((g.mean - d.upper) / sigma))
     if tail > TAIL_MASS_LIMIT:
         raise DomainTooSmall(f"tail mass {tail!r} beyond the domain exceeds {TAIL_MASS_LIMIT}")
-    values = g.pdf(d.nodes)
+    # nodes beyond _UNDERFLOW_Z standard deviations have density exactly 0.0:
+    # evaluate only the window between, with one node of slack on each side,
+    # so the values keep the bits of a full-grid evaluation
+    reach = sigma * _UNDERFLOW_Z
+    lo = max(0, math.floor((g.mean - reach - d.lower) / d.spacing) - 1)
+    hi = min(d.grid_points, math.ceil((g.mean + reach - d.lower) / d.spacing) + 2)
+    values = np.zeros(d.grid_points)
+    values[lo:hi] = g.pdf(d.nodes[lo:hi])
     values = values / d.integrate(values)
     return GridDensity(d, values, normalized=True)
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import typing
+from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from typing import Optional, Sequence
 
@@ -396,8 +397,13 @@ def _fuzz_se_instance(rng, d: DomainSpec):
     return system, p, q
 
 
-def reduction_fuzz(theorem: str, trials: int, seed: int) -> FuzzRecord:
-    """Randomized soundness sweep: no GUARANTEED verdict may see the distance grow."""
+def reduction_fuzz(theorem: str, trials: int, seed: int,
+                   skips: Optional[Counter] = None) -> FuzzRecord:
+    """Randomized soundness sweep: no GUARANTEED verdict may see the distance grow.
+
+    A trial whose draw or check raises a ``BslError`` is skipped; ``skips``,
+    when given, counts the skipped trials by exception class name.
+    """
     rng = np.random.default_rng(seed)
     guaranteed = violations = 0
     worst = -math.inf
@@ -416,7 +422,9 @@ def reduction_fuzz(theorem: str, trials: int, seed: int) -> FuzzRecord:
                 d = DomainSpec(0.0, 1.0, 201)
                 system, p, q = _fuzz_se_instance(rng, d)
                 v = reduction.check_w1(system, 1, p, q, "dyn")
-        except BslError:
+        except BslError as exc:
+            if skips is not None:
+                skips[type(exc).__name__] += 1
             continue
         if v.guaranteed:
             guaranteed += 1
@@ -601,8 +609,11 @@ def write_meta(record: RunRecord, out_dir: str) -> str:
         raise IOFailure(f"failed to write run metadata: {exc}") from exc
 
 
-def run_config(config: ExperimentConfig):
-    """Dispatch a config to its experiment; returns RunRecord or FuzzRecord."""
+def run_config(config: ExperimentConfig, fuzz_skips: Optional[Counter] = None):
+    """Dispatch a config to its experiment; returns RunRecord or FuzzRecord.
+
+    ``fuzz_skips`` receives a reduction fuzz's skipped trials by exception class.
+    """
     if config.experiment.startswith("reproduce_case"):
         case = int(config.experiment[-1])
         return reproduce(case, config.steps, config.seed, trials=config.trials,
@@ -611,7 +622,7 @@ def run_config(config: ExperimentConfig):
         return bound_validate(config.filter_kind, config.steps, config.seed,
                               domain=config.domain(FILTER_DOMAINS[config.filter_kind]))
     if config.experiment == "reduction_fuzz":
-        return reduction_fuzz(config.theorem, config.trials, config.seed)
+        return reduction_fuzz(config.theorem, config.trials, config.seed, fuzz_skips)
     if config.experiment == "vi_demo":
         return vi_demo(config.steps, config.seed)
     raise ValueError(f"unknown experiment {config.experiment!r}")

@@ -127,7 +127,8 @@ class SystemSpec:
     domain: DomainSpec
     transition: Optional[TransitionModel] = None
     w_domain: Optional[DomainSpec] = None
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # transition matrices keyed by DomainSpec, ConstantsReports keyed by ("constants", y, w1)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ("ip", "se", "ps"):
@@ -180,11 +181,11 @@ class SystemSpec:
         """
         if 8 * domain.grid_points ** 2 > _KERNEL_CACHE_BYTES:
             return self.transition_density()
-        matrix = self._kernels.get(domain)
+        matrix = self._cache.get(domain)
         if matrix is None:
             matrix = kernel_matrix(self.transition_density(), domain.nodes, domain.nodes)
             matrix.setflags(write=False)
-            self._kernels[domain] = matrix
+            self._cache[domain] = matrix
         return matrix
 
 
@@ -376,10 +377,24 @@ def _ps_star_estimate(s: SystemSpec, k: int, n: int = 161) -> float:
 
 
 def system_constants(s: SystemSpec, k: int, metric: str) -> ConstantsReport:
-    """Constants for step k and the given metric ("tv", "hellinger", "w1")."""
+    """Constants for step k and the given metric ("tv", "hellinger", "w1").
+
+    They depend on k only through y_k, and on the metric only through whether
+    it is w1, so each system keeps them per (y_k, metric == "w1"): tv and
+    hellinger share one entry, as do the steps of a repeated observation.  A
+    computation that raises stores nothing, so the next call raises again.
+    """
     if metric not in ("tv", "hellinger", "w1"):
         raise ValueError(f"unknown metric {metric!r}")
     want_w1 = metric == "w1"
+    key = ("constants", s.y(k), want_w1)
+    report = s._cache.get(key)
+    if report is None:
+        report = s._cache[key] = _compute_constants(s, k, want_w1)
+    return report
+
+
+def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
     lik = s.likelihood
     trans = s.transition
     diam = s.diameter()

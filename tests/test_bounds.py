@@ -11,10 +11,10 @@ from bslcert.bounds import (BoundLedger, inaccurate_prior_bound,
                             table_constant, tv_to_w1_bound, two_output_bound)
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet,
                              discretize)
-from bslcert.errors import MissingConstant, ZeroEvidence
+from bslcert.errors import MissingConstant, UnboundedConstant, ZeroEvidence
 from bslcert.metrics import hellinger, scaled_hellinger, tv
-from bslcert.models import (LikelihoodModel, SystemSpec, TransitionModel,
-                            system_constants)
+from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
+                            TransitionModel, system_constants)
 from helpers import double_sum_bound
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
@@ -170,6 +170,20 @@ class TestInaccuratePrior:
         led = inaccurate_prior_bound("tv", s, evid, eps, d0)
         oracle = double_sum_bound("tv", s, evid, eps, initial=d0)
         assert abs(led.final_bound - oracle) <= 1e-12 * max(1.0, oracle)
+        assert led.replay_consistent()
+
+    def test_supplied_first_step_constants_are_used_alone(self):
+        def ev(y, x, w=None):
+            return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
+
+        # the declared sup is below the true sup 1, so the system's own constants raise
+        s = SystemSpec("ip", LikelihoodModel.custom(ev, declared_sup=0.5), [0.0], D40)
+        with pytest.raises(UnboundedConstant):
+            inaccurate_prior_bound("tv", s, [0.25], [0.01], 0.1)
+        led = inaccurate_prior_bound("tv", s, [0.25], [0.01], 0.1,
+                                     first_step_constants=ConstantsReport("ip", 20.0, c_h=1.0))
+        assert led.rows[0].factor == 1.0 / 0.25
+        assert led.final_bound == 4.0 * 0.1 + 0.01
         assert led.replay_consistent()
 
 

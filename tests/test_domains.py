@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,24 @@ class TestDiscretize:
         mean, var = moments(g)
         assert abs(mean + 10.0) < 1e-5
         assert abs(var - 5.0) < 1e-4
+
+    @pytest.mark.parametrize("d", [DomainSpec(-40.0, 40.0, 8001), DomainSpec(-10.0, 10.0, 401),
+                                   DomainSpec(-3.0, 3.0, 101)], ids=["8001", "401", "101"])
+    def test_window_keeps_the_full_grid_bits(self, d):
+        rng = np.random.default_rng(11)
+        cases = []
+        for sd in np.geomspace(0.01, 5.0, 30):
+            lo, hi = d.lower + 8.001 * sd, d.upper - 8.001 * sd
+            if lo < hi:  # means at either end clip the window; a random one may too
+                cases += [(m, sd) for m in (lo, hi, rng.uniform(lo, hi))]
+        # wider than the grid: the window covers every node
+        wide = d.diameter() / 16.5
+        assert wide * math.sqrt(2.0 * 746.0) > d.diameter()
+        cases.append((0.5 * (d.lower + d.upper) + 0.01 * wide, wide))
+        for mean, sd in cases:
+            g = Gaussian1D(mean, sd ** 2)
+            full = g.pdf(d.nodes)
+            assert discretize(g, d).values.tobytes() == (full / d.integrate(full)).tobytes()
 
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmall):

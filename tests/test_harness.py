@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,9 @@ from bslcert import cli, domains, harness, metrics
 from bslcert.bayes import conjugate_update_ip
 from bslcert.domains import DomainSpec, Gaussian1D
 from bslcert.errors import IOFailure
-from bslcert.harness import (ExperimentConfig, Row, RunRecord, bound_validate,
-                             emit, reduction_fuzz, reproduce, run_config,
-                             vi_demo, write_meta)
+from bslcert.harness import (ExperimentConfig, FuzzRecord, Row, RunRecord,
+                             bound_validate, emit, reduction_fuzz, reproduce,
+                             run_config, vi_demo, write_meta)
 
 
 class TestReproduce:
@@ -104,6 +105,16 @@ class TestReductionFuzzDriver:
         assert rec.trials == 120
         assert rec.violations == 0
         assert rec.guaranteed >= 1
+
+    @pytest.mark.parametrize("theorem,skipped", [("tv", {"DomainTooSmall": 195}),
+                                                 ("w1-dyn", {"DomainTooSmall": 128}),
+                                                 ("w1-ip", {})])
+    def test_skips_by_reason_at_seed_97(self, theorem, skipped):
+        skips = Counter()
+        config = ExperimentConfig("reduction_fuzz", theorem=theorem, trials=1000, seed=97)
+        record = run_config(config, fuzz_skips=skips)
+        assert isinstance(record, FuzzRecord) and record.trials == 1000
+        assert skips == Counter(skipped)
 
 
 class TestViDemo:
@@ -242,7 +253,9 @@ class TestCli:
     def test_reduction_fuzz_command(self, capsys):
         assert cli.main(["reduction-fuzz", "--theorem", "tv", "--trials", "40",
                          "--seed", "1"]) == 0
-        assert "reduction_fuzz[tv]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("reduction_fuzz[tv]: 40 trials")
+        assert out.rstrip().endswith(", skipped 10 (DomainTooSmall 10)")
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         p = tmp_path / "c.json"

@@ -26,6 +26,13 @@ def se_system(trans_a=1.0, trans_q=1.0, a=1.0, noise_var=3.0, y=0.0,
                       transition=TransitionModel.linear_gaussian(trans_a, trans_q))
 
 
+def ps_system():
+    return SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 0.5), [0.3],
+                      DomainSpec(-15.0, 15.0, 241),
+                      transition=TransitionModel.parametric_linear_gaussian(0.25),
+                      w_domain=DomainSpec(-0.25, 1.45, 241))
+
+
 class TestSystemConstants:
     def test_ip_likelihood_sup(self):
         c = system_constants(ip_system(), 1, "tv")
@@ -79,8 +86,9 @@ class TestSystemConstants:
 
         lik = LikelihoodModel.custom(ev, declared_sup=0.5)  # true sup is 1
         s = SystemSpec("ip", lik, [0.0], D40)
-        with pytest.raises(UnboundedConstant):
-            system_constants(s, 1, "tv")
+        for _ in range(2):  # a failed computation is not kept
+            with pytest.raises(UnboundedConstant):
+                system_constants(s, 1, "tv")
 
     def test_divergence_guard(self):
         d = DomainSpec(-10.0, 10.0, 401)
@@ -95,20 +103,46 @@ class TestSystemConstants:
             system_constants(s, 1, "tv")
 
     def test_ps_constants(self):
-        xd = DomainSpec(-15.0, 15.0, 241)
-        wd = DomainSpec(-0.25, 1.45, 241)
-        s = SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 0.5), [0.3], xd,
-                       transition=TransitionModel.parametric_linear_gaussian(0.25),
-                       w_domain=wd)
+        s = ps_system()
         c = system_constants(s, 1, "tv")
         assert abs(c.c_th_tilde - 1.0 / math.sqrt(2 * math.pi * 0.75)) < 1e-12
-        assert c.d == xd.diameter() + wd.diameter()
+        assert c.d == s.domain.diameter() + s.w_domain.diameter()
         grid = grid_constant_estimates(s, 1, "tv", 241)
         assert c.c_th_tilde >= grid.c_th_tilde * (1 - 1e-12)
 
     def test_report_rejects_nonpositive_sup(self):
         with pytest.raises(NonFinite):
             ConstantsReport("ip", 80.0, c_h=0.0)
+
+
+class TestConstantsMemo:
+    def test_computed_once_per_observation_and_w1_flag(self):
+        calls = []
+
+        def ev(y, x, w=None):
+            calls.append(y)
+            return np.exp(-0.5 * (y - np.asarray(x, dtype=float)) ** 2)
+
+        s = SystemSpec("ip", LikelihoodModel.custom(ev), [1.0] * 20 + [2.0], D40)
+        first = system_constants(s, 1, "tv")
+        for metric in ("tv", "hellinger"):
+            for k in range(1, 21):
+                assert system_constants(s, k, metric) is first
+        assert calls == [1.0]
+        assert system_constants(s, 21, "tv") is not first
+        assert calls == [1.0, 2.0]
+        w1 = system_constants(s, 1, "w1")
+        assert w1.h_lip is not None and first.h_lip is None
+        assert system_constants(s, 20, "w1") is w1
+        assert calls == [1.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize("make", [ip_system, se_system, ps_system], ids=["ip", "se", "ps"])
+    def test_memoized_reports_equal_fresh_ones(self, make):
+        s = make()
+        memoized = {m: system_constants(s, 1, m) for m in ("tv", "hellinger", "w1")}
+        for metric, report in memoized.items():
+            assert system_constants(s, 1, metric) is report
+            assert report == system_constants(make(), 1, metric)
 
 
 class TestValidateAdmissible:
