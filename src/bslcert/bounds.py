@@ -27,29 +27,17 @@ def table_constant(constants: ConstantsReport, metric: str, z: float) -> float:
         raise ValueError(f"unknown metric {metric!r}")
     if not (math.isfinite(z) and z > EVIDENCE_FLOOR):
         raise ZeroEvidence(f"evidence {z!r} at or below the floor {EVIDENCE_FLOOR}")
-    v = constants.variant
-    if v == "ip":
-        sup_c = constants.c_h
-    elif v == "se":
-        sup_c = constants.c_th
-    else:
-        sup_c = constants.c_th_tilde
+    sup = constants.sup
     if metric == "tv":
-        return sup_c / z
+        return sup / z
     if metric == "hellinger":
-        return 2.0 * math.sqrt(sup_c / z)
+        return 2.0 * math.sqrt(sup / z)
     # 1-Wasserstein
-    if v == "ip":
-        if constants.h_lip is None:
-            raise MissingConstant("w1 factor needs the likelihood Lipschitz constant")
-        return (2.0 * constants.d * constants.h_lip + constants.c_h) / z
-    if v == "se":
-        if constants.c_th_star is None:
-            raise MissingConstant("w1 factor needs the transition Lipschitz integral")
-        return 2.0 * constants.d * constants.c_th_star / z
-    if constants.c_th_tilde_star is None:
-        raise MissingConstant("w1 factor needs the joint Lipschitz integral")
-    return (2.0 * constants.d * constants.c_th_tilde_star + constants.c_th_tilde) / z
+    if constants.lip is None:
+        raise MissingConstant(f"w1 factor needs the {constants.variant} Lipschitz term")
+    # IP and PS posteriors keep a coordinate of the prior (x, resp. w), which adds sup g
+    kept = 0.0 if constants.variant == "se" else sup
+    return (2.0 * constants.d * constants.lip + kept) / z
 
 
 def pointwise_K(s: SystemSpec, k: int, metric: str, z: float) -> float:

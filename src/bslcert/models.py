@@ -1,11 +1,16 @@
 """Likelihood/transition models and the per-step system constants.
 
-The constants computed here are the ingredients of every bound in
-:mod:`bslcert.bounds`: the likelihood supremum, the sup of the
-transition-smoothed likelihood, and the Lipschitz-type quantities needed for
-Wasserstein bounds.  Closed forms are used for the built-in linear-Gaussian
-families; custom models fall back to grid estimates with a safety factor.
-Every returned constant is checked against a brute-force grid estimate.
+Every bound in :mod:`bslcert.bounds` is built from sup g and a Lipschitz
+constant or integral of g, for the weighting function g of ``g_values``.  A
+claimed constant (a linear-Gaussian closed form, or an inverse problem's
+declared sup or Lipschitz constant) is checked against the grid values of g:
+a sup against their maximum (on at most 801 nodes for state estimation), an
+IP Lipschitz constant against their largest difference quotient, a lower
+bound by the mean value theorem.  The SE and PS closed-form Lipschitz
+integrals are not checked: their grid counterparts are quadratures, not lower
+bounds.  Any other constant is a grid estimate: sup g (and the IP slope) is
+guarded against growth on refinement from the stride-2 subgrid, and every
+Lipschitz estimate is scaled by CUSTOM_LIP_SAFETY.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domains import DomainSpec, gauss_pdf
-from .errors import (MissingConstant, NonFinite, UnboundedConstant, UnsupportedRepresentation,
-                     ZeroEvidence)
+from .errors import NonFinite, UnboundedConstant, UnsupportedRepresentation, ZeroEvidence
 
 EVIDENCE_FLOOR = 1e-300
 CUSTOM_LIP_SAFETY = 2.0
@@ -189,9 +193,14 @@ class SystemSpec:
         return matrix
 
 
+# variant -> (field holding sup g, field holding the Lipschitz constant or integral of g)
+_FIELDS = {"ip": ("c_h", "h_lip"), "se": ("c_th", "c_th_star"),
+           "ps": ("c_th_tilde", "c_th_tilde_star")}
+
+
 @dataclass(frozen=True)
 class ConstantsReport:
-    """System constants for one step; only fields defined for the variant are set."""
+    """System constants for one step; only ``d`` and the variant's ``sup`` and ``lip`` fields are set."""
 
     variant: str
     d: float
@@ -213,6 +222,14 @@ class ConstantsReport:
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise NonFinite(f"constant {name}={v!r} must be finite and nonnegative")
 
+    @property
+    def sup(self) -> float:
+        return getattr(self, _FIELDS[self.variant][0])
+
+    @property
+    def lip(self) -> Optional[float]:
+        return getattr(self, _FIELDS[self.variant][1])
+
 
 # -- grid evaluation helpers -------------------------------------------------
 
@@ -226,12 +243,13 @@ def lik_values(s: SystemSpec, k: int, xs=None) -> np.ndarray:
     return out
 
 
-def lik_values_ps(s: SystemSpec, k: int) -> np.ndarray:
-    """Likelihood h(y_k, x, w) on the joint grid, shape (nx, nw)."""
-    xs = s.domain.nodes[:, None]
+def lik_values_ps(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
+    """Likelihood h(y_k, x, w) on the joint grid, shape (nx, nw); x on ``domain``'s nodes."""
+    d = domain if domain is not None else s.domain
+    xs = d.nodes[:, None]
     ws = s.w_domain.nodes[None, :]
     out = np.asarray(s.likelihood.evaluator(s.y(k), xs, ws), dtype=float)
-    out = np.broadcast_to(out, (s.domain.grid_points, s.w_domain.grid_points)).astype(float)
+    out = np.broadcast_to(out, (d.grid_points, s.w_domain.grid_points)).astype(float)
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise NonFinite("likelihood must be finite and nonnegative on the joint grid")
     return out
@@ -288,16 +306,26 @@ def se_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
     return kernel_rmatvec(s.transition_kernel(d), xs, xs, d.trapezoid_weights * h)
 
 
-def ps_g_values(s: SystemSpec, k: int) -> np.ndarray:
-    """g(x_prev, w) = integral of h(y_k, x, w) T(x, x_prev, w) dx, shape (nx, nw)."""
-    xs = s.domain.nodes
-    hw = lik_values_ps(s, k)  # (nx, nw)
-    wquad = s.domain.trapezoid_weights
+def ps_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
+    """g(x_prev, w) = integral of h(y_k, x, w) T(x, x_prev, w) dx on ``domain``, shape (nx, nw)."""
+    d = domain if domain is not None else s.domain
+    xs = d.nodes
+    hw = lik_values_ps(s, k, d)  # (nx, nw)
+    wquad = d.trapezoid_weights
     kernel = s.transition_density()
     out = np.empty((xs.shape[0], s.w_domain.grid_points))
     for j, w in enumerate(s.w_domain.nodes):
         out[:, j] = kernel_rmatvec(kernel, xs, xs, wquad * hw[:, j], w)
     return out
+
+
+def g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
+    """g, whose integral against a prior is its evidence: h, se_g_values or ps_g_values."""
+    if s.variant == "ip":
+        return lik_values(s, k, None if domain is None else domain.nodes)
+    if s.variant == "se":
+        return se_g_values(s, k, domain)
+    return ps_g_values(s, k, domain)
 
 
 # -- constants ----------------------------------------------------------------
@@ -310,24 +338,20 @@ def _coarse_guard(fine: float, coarse: float) -> float:
     return fine
 
 
-def _grid_sup_h(s: SystemSpec, k: int, n: int) -> float:
-    d = DomainSpec(s.domain.lower, s.domain.upper, n)
-    return float(np.max(lik_values(s, k, d.nodes)))
+def _verify_floor(value: float, grid_estimate: float) -> None:
+    """Claimed constants are true bounds: they must dominate the grid's lower bound."""
+    if value < grid_estimate * (1.0 - 1e-9):
+        raise UnboundedConstant(
+            f"constant {value!r} fell below its brute-force grid estimate {grid_estimate!r}")
 
 
-def _grid_lip_h(s: SystemSpec, k: int, n: int) -> float:
-    d = DomainSpec(s.domain.lower, s.domain.upper, n)
-    h = lik_values(s, k, d.nodes)
-    return float(np.max(np.abs(np.diff(h))) / d.spacing)
+def _max_slope(values: np.ndarray, spacing: float) -> float:
+    """Largest adjacent difference quotient of nodal values."""
+    return float(np.max(np.abs(np.diff(values)))) / spacing
 
 
-def _grid_c_th(s: SystemSpec, k: int, n: int) -> float:
-    d = DomainSpec(s.domain.lower, s.domain.upper, n)
-    return float(np.max(se_g_values(s, k, d)))
-
-
-def _grid_c_th_star(s: SystemSpec, k: int, n: int) -> float:
-    d = DomainSpec(s.domain.lower, s.domain.upper, n)
+def _se_star_estimate(s: SystemSpec, k: int, d: DomainSpec) -> float:
+    """Grid estimate of the integral of h(y_k, x) sup_x_prev |dT(x, x_prev)/dx_prev| dx."""
     xs = d.nodes
     h = np.asarray(s.likelihood.evaluator(s.y(k), xs), dtype=float)
     # T_lip(x_next) = sup of adjacent difference quotients in x_prev
@@ -337,31 +361,10 @@ def _grid_c_th_star(s: SystemSpec, k: int, n: int) -> float:
     return float(d.integrate(h * t_lip))
 
 
-def grid_constant_estimates(s: SystemSpec, k: int, metric: str, n: int) -> ConstantsReport:
-    """Brute-force grid estimates of the constants at resolution n (oracle path)."""
-    want_w1 = metric == "w1"
-    if s.variant == "ip":
-        return ConstantsReport(
-            "ip", s.diameter(),
-            c_h=_grid_sup_h(s, k, n),
-            h_lip=_grid_lip_h(s, k, n) if want_w1 else None)
-    if s.variant == "se":
-        return ConstantsReport(
-            "se", s.diameter(),
-            c_th=_grid_c_th(s, k, n),
-            c_th_star=_grid_c_th_star(s, k, n) if want_w1 else None)
-    g = ps_g_values(s, k)
-    report = ConstantsReport("ps", s.diameter(), c_th_tilde=float(np.max(g)))
-    if want_w1:
-        report = ConstantsReport("ps", s.diameter(), c_th_tilde=report.c_th_tilde,
-                                 c_th_tilde_star=_ps_star_estimate(s, k))
-    return report
-
-
-def _ps_star_estimate(s: SystemSpec, k: int, n: int = 161) -> float:
-    """Grid estimate of the joint Lipschitz constant integral for PS systems."""
-    xd = DomainSpec(s.domain.lower, s.domain.upper, max(101, n))
-    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, max(101, n))
+def _ps_star_estimate(s: SystemSpec, k: int) -> float:
+    """Grid estimate of the joint Lipschitz constant integral, on 161-node x and w grids."""
+    xd = DomainSpec(s.domain.lower, s.domain.upper, 161)
+    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, 161)
     xs, ws = xd.nodes, wd.nodes
     kernel = s.transition_density()
     lip = np.zeros(xs.shape[0])
@@ -374,6 +377,31 @@ def _ps_star_estimate(s: SystemSpec, k: int, n: int = 161) -> float:
         # metric |dx| + |dw| has dual-norm max of the coordinate slopes
         lip[i] = max(dx, dw)
     return float(xd.integrate(lip))
+
+
+def _lip_estimate(s: SystemSpec, k: int, d: DomainSpec, g: np.ndarray) -> float:
+    """Grid estimate of the Lipschitz term of g = g_values(s, k, d), before any safety factor."""
+    if s.variant == "ip":
+        return _coarse_guard(_max_slope(g, d.spacing), _max_slope(g[::2], 2.0 * d.spacing))
+    if s.variant == "se":
+        return _se_star_estimate(s, k, d)
+    return _ps_star_estimate(s, k)
+
+
+def _report(s: SystemSpec, sup: float, lip: Optional[float]) -> ConstantsReport:
+    sup_field, lip_field = _FIELDS[s.variant]
+    return ConstantsReport(s.variant, float(s.diameter()), **{
+        sup_field: float(sup), lip_field: None if lip is None else float(lip)})
+
+
+def grid_constant_estimates(s: SystemSpec, k: int, metric: str, n: int) -> ConstantsReport:
+    """Brute-force grid estimates of the constants at n x-nodes (oracle path).
+
+    The PS Lipschitz estimate keeps the fixed 161-node grids that system_constants uses.
+    """
+    d = DomainSpec(s.domain.lower, s.domain.upper, n)
+    g = g_values(s, k, d)
+    return _report(s, float(np.max(g)), _lip_estimate(s, k, d, g) if metric == "w1" else None)
 
 
 def system_constants(s: SystemSpec, k: int, metric: str) -> ConstantsReport:
@@ -394,84 +422,65 @@ def system_constants(s: SystemSpec, k: int, metric: str) -> ConstantsReport:
     return report
 
 
-def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
-    lik = s.likelihood
-    trans = s.transition
-    diam = s.diameter()
+def _closed_form(s: SystemSpec, k: int, want_w1: bool) -> Optional[tuple[float, Optional[float]]]:
+    """(sup g, its Lipschitz term) for the three linear-Gaussian families, else None.
 
+    The PS Lipschitz term, which scans the drift, is None unless want_w1.
+    """
+    lik, trans = s.likelihood, s.transition
+    if lik.family != "linear_gaussian":
+        return None
     if s.variant == "ip":
-        h = lik_values(s, k)
-        if lik.family == "linear_gaussian":
-            c_h = 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
-            h_lip = abs(lik.a) * _PEAK_SLOPE / (_SQRT_2PI * lik.noise_var)
+        h_lip = abs(lik.a) * _PEAK_SLOPE / (_SQRT_2PI * lik.noise_var)
+        return 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var), h_lip
+    # integral of h(y, x) dx: 1/|a|, or the diameter times sup h when h is flat in x
+    h_mass = (1.0 / abs(lik.a)) if lik.a != 0 else \
+        s.domain.diameter() / math.sqrt(2.0 * math.pi * lik.noise_var)
+    if s.variant == "se" and trans.family == "linear_gaussian" and trans.q > 0:
+        mixed_var = lik.a ** 2 * trans.q + lik.noise_var
+        if trans.a != 0 and lik.a != 0:
+            c_th = 1.0 / math.sqrt(2.0 * math.pi * mixed_var)
         else:
-            c_h = lik.declared_sup if lik.declared_sup is not None else \
-                _coarse_guard(float(np.max(h)), float(np.max(h[::2])))
-            h_lip = None
-            if want_w1:
-                if lik.declared_lip is not None:
-                    h_lip = lik.declared_lip
-                else:
-                    quot = np.abs(np.diff(h)) / s.domain.spacing
-                    coarse = np.abs(np.diff(h[::2])) / (2.0 * s.domain.spacing)
-                    h_lip = CUSTOM_LIP_SAFETY * _coarse_guard(float(np.max(quot)), float(np.max(coarse)))
-        if lik.declared_sup is not None and float(np.max(h)) > lik.declared_sup * (1.0 + 1e-9):
-            raise UnboundedConstant("declared likelihood sup is below the grid maximum")
-        if want_w1 and h_lip is None:
-            raise MissingConstant("Lipschitz constant unavailable for this likelihood")
-        _verify_floor(c_h, float(np.max(h)))
-        return ConstantsReport("ip", diam, c_h=c_h, h_lip=h_lip if want_w1 else None)
-
-    if s.variant == "se":
-        if lik.family == "linear_gaussian" and trans.family == "linear_gaussian" and trans.q > 0:
-            mixed_var = lik.a ** 2 * trans.q + lik.noise_var
-            if trans.a != 0 and lik.a != 0:
-                c_th = 1.0 / math.sqrt(2.0 * math.pi * mixed_var)
-            else:
-                c_th = float(gauss_pdf(s.y(k), 0.0, mixed_var)) if lik.a != 0 \
-                    else 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
-            c_th_star = None
-            if want_w1:
-                t_lip = abs(trans.a) * _PEAK_SLOPE / (_SQRT_2PI * trans.q)
-                h_mass = (1.0 / abs(lik.a)) if lik.a != 0 else \
-                    diam / math.sqrt(2.0 * math.pi * lik.noise_var)
-                c_th_star = t_lip * h_mass
-            _verify_floor(c_th, _grid_c_th(s, k, min(s.domain.grid_points, 801)))
-        else:
-            g = se_g_values(s, k)
-            c_th = _coarse_guard(float(np.max(g)), float(np.max(g[::2])))
-            c_th_star = CUSTOM_LIP_SAFETY * _grid_c_th_star(s, k, s.domain.grid_points) \
-                if want_w1 else None
-        return ConstantsReport("se", diam, c_th=c_th, c_th_star=c_th_star if want_w1 else None)
-
-    # parameter-state
-    if lik.family == "linear_gaussian" and trans.family == "parametric_linear_gaussian":
+            c_th = float(gauss_pdf(s.y(k), 0.0, mixed_var)) if lik.a != 0 \
+                else 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
+        t_lip = abs(trans.a) * _PEAK_SLOPE / (_SQRT_2PI * trans.q)
+        return c_th, t_lip * h_mass
+    if s.variant == "ps" and trans.family == "parametric_linear_gaussian":
         c_th_tilde = 1.0 / math.sqrt(2.0 * math.pi * (lik.a ** 2 * trans.q + lik.noise_var)) \
             if lik.a != 0 else 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
-        c_th_tilde_star = None
-        if want_w1:
-            ws = np.linspace(s.w_domain.lower, s.w_domain.upper, 20001)
-            coefs = np.asarray(trans.drift(ws), dtype=float)
-            a_max = float(np.max(np.abs(coefs)))
-            a_slope = float(np.max(np.abs(np.diff(coefs)))) / (ws[1] - ws[0])
-            x_max = max(abs(s.domain.lower), abs(s.domain.upper))
-            h_mass = (1.0 / abs(lik.a)) if lik.a != 0 else \
-                s.domain.diameter() / math.sqrt(2.0 * math.pi * lik.noise_var)
-            c_th_tilde_star = _PEAK_SLOPE / (_SQRT_2PI * trans.q) * max(a_max, a_slope * x_max) * h_mass
-        _verify_floor(c_th_tilde, float(np.max(ps_g_values(s, k))))
+        if not want_w1:
+            return c_th_tilde, None
+        ws = np.linspace(s.w_domain.lower, s.w_domain.upper, 20001)
+        coefs = np.asarray(trans.drift(ws), dtype=float)
+        a_max = float(np.max(np.abs(coefs)))
+        a_slope = float(np.max(np.abs(np.diff(coefs)))) / (ws[1] - ws[0])
+        x_max = max(abs(s.domain.lower), abs(s.domain.upper))
+        return c_th_tilde, _PEAK_SLOPE / (_SQRT_2PI * trans.q) * max(a_max, a_slope * x_max) * h_mass
+    return None
+
+
+def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
+    """One rule for every variant and family; the module docstring states it."""
+    claim = _closed_form(s, k, want_w1)
+    if claim is None and s.variant == "ip":
+        # a declaration bounds h, which is g only in an inverse problem
+        claim = s.likelihood.declared_sup, s.likelihood.declared_lip
+    sup, lip = claim or (None, None)
+    d = s.domain
+    if s.variant == "se" and sup is not None:
+        # se_g_values costs O(n^2): an SE closed form is checked on at most 801 nodes
+        d = DomainSpec(d.lower, d.upper, min(d.grid_points, 801))
+    g = g_values(s, k, d)
+    if sup is None:
+        sup = _coarse_guard(float(np.max(g)), float(np.max(g[(slice(None, None, 2),) * g.ndim])))
     else:
-        g = ps_g_values(s, k)
-        c_th_tilde = _coarse_guard(float(np.max(g)), float(np.max(g[::2, ::2])))
-        c_th_tilde_star = CUSTOM_LIP_SAFETY * _ps_star_estimate(s, k) if want_w1 else None
-    return ConstantsReport("ps", diam, c_th_tilde=c_th_tilde,
-                           c_th_tilde_star=c_th_tilde_star if want_w1 else None)
-
-
-def _verify_floor(value: float, grid_estimate: float) -> None:
-    """Closed-form constants are true suprema: they must dominate any grid estimate."""
-    if value < grid_estimate * (1.0 - 1e-9):
-        raise UnboundedConstant(
-            f"constant {value!r} fell below its brute-force grid estimate {grid_estimate!r}")
+        _verify_floor(sup, float(np.max(g)))
+    if want_w1 and lip is None:
+        lip = CUSTOM_LIP_SAFETY * _lip_estimate(s, k, d, g)
+    elif want_w1 and s.variant == "ip":
+        # mean value theorem: no Lipschitz constant of h is below a difference quotient
+        _verify_floor(lip, _max_slope(g, d.spacing))
+    return _report(s, sup, lip if want_w1 else None)
 
 
 def validate_admissible(s: SystemSpec, k: int, prior) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from . import bayes, metrics
 from .domains import GridDensity, ParticleSet
 from .errors import DomainMismatch, UnsupportedRepresentation
-from .models import SystemSpec, lik_values, se_g_values, ps_g_values
+from .models import SystemSpec, g_values, lik_values, se_g_values, ps_g_values  # noqa: F401, re-export
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,7 @@ class GFunction:
 
 
 def g_function(s: SystemSpec, k: int) -> GFunction:
-    if s.variant == "ip":
-        return GFunction("ip", lik_values(s, k))
-    if s.variant == "se":
-        return GFunction("se", se_g_values(s, k))
-    return GFunction("ps", ps_g_values(s, k))
+    return GFunction(s.variant, g_values(s, k))
 
 
 @dataclass(frozen=True)

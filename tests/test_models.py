@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bslcert import models
+from bslcert import harness, models
 from bslcert.bayes import predicted_values
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
-from bslcert.errors import NonFinite, UnboundedConstant, ZeroEvidence
+from bslcert.errors import (NonFinite, UnboundedConstant, UnsupportedRepresentation,
+                            ZeroEvidence)
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
                             TransitionModel, grid_constant_estimates, kernel_matrix,
                             se_g_values, system_constants, validate_admissible)
@@ -90,6 +92,17 @@ class TestSystemConstants:
             with pytest.raises(UnboundedConstant):
                 system_constants(s, 1, "tv")
 
+    def test_declared_lip_validated(self):
+        def ev(y, x, w=None):
+            return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
+
+        # the grid's largest difference quotient is 0.606, far above the declaration
+        lik = LikelihoodModel.custom(ev, declared_lip=1e-3)
+        s = SystemSpec("ip", lik, [0.0], DomainSpec(-10.0, 10.0, 401))
+        assert system_constants(s, 1, "tv").c_h == 1.0
+        with pytest.raises(UnboundedConstant):
+            system_constants(s, 1, "w1")
+
     def test_divergence_guard(self):
         d = DomainSpec(-10.0, 10.0, 401)
         spike = d.nodes[1]  # present on the fine grid, absent from the stride-2 subgrid
@@ -109,6 +122,12 @@ class TestSystemConstants:
         assert c.d == s.domain.diameter() + s.w_domain.diameter()
         grid = grid_constant_estimates(s, 1, "tv", 241)
         assert c.c_th_tilde >= grid.c_th_tilde * (1 - 1e-12)
+
+    def test_ps_oracle_evaluates_g_at_n_nodes(self):
+        s = ps_system()
+        sups = {n: grid_constant_estimates(s, 1, "tv", n).c_th_tilde for n in (201, 241, 401)}
+        assert sups[201] != sups[401]
+        assert sups[241] == 0.46065886596178074  # n is the system grid
 
     def test_report_rejects_nonpositive_sup(self):
         with pytest.raises(NonFinite):
@@ -243,3 +262,232 @@ class TestTransitionCache:
         cached_system = se_system(domain=d)
         assert isinstance(cached_system.transition_kernel(d), np.ndarray)
         assert predicted_values(cached_system, 1, prior).tobytes() == streamed.tobytes()
+
+
+# -- pinned constants -----------------------------------------------------------
+
+D10 = DomainSpec(-10, 10, 401)  # integer bounds: the reported diameter is still a float
+
+
+def _bump(y, x, w=None):
+    return np.exp(-0.5 * (y - np.asarray(x, dtype=float)) ** 2)
+
+
+def _ps_bump(y, x, w):
+    return _bump(y, x) * (1.0 + 0.5 * np.asarray(w, dtype=float) ** 2)
+
+
+def _half_gain_kernel(x_next, x_prev):
+    z = np.asarray(x_next, dtype=float) - 0.5 * np.asarray(x_prev, dtype=float)
+    return np.exp(-z * z) / math.sqrt(math.pi)
+
+
+def _se(lik, trans, domain=DomainSpec(-30.0, 30.0, 601)):
+    return SystemSpec("se", lik, [0.0, 1.7], domain, transition=trans)
+
+
+PINNED_SYSTEMS = {
+    "ip-reproduce": lambda: SystemSpec(
+        "ip", LikelihoodModel.linear_gaussian(1.1, 3.0), [0.7, -2.3], D40),
+    "ip-gain-0": lambda: SystemSpec(
+        "ip", LikelihoodModel.linear_gaussian(0.0, 3.0), [0.7, -2.3], D40),
+    "ip-bimodal": lambda: harness.bimodal_ip_system(3, np.random.default_rng(0), D40),
+    "ip-custom": lambda: SystemSpec("ip", LikelihoodModel.custom(_bump), [0.0, 1.5], D10),
+    "ip-custom-declared-sup": lambda: SystemSpec(
+        "ip", LikelihoodModel.custom(_bump, declared_sup=1.0), [0.0, 1.5], D10),
+    "ip-custom-declared": lambda: SystemSpec(
+        "ip", LikelihoodModel.custom(_bump, declared_sup=1.0, declared_lip=1.0), [0.0, 1.5], D10),
+    "ip-custom-sup-too-low": lambda: SystemSpec(
+        "ip", LikelihoodModel.custom(_bump, declared_sup=0.5), [0.0, 1.5], D10),
+    "se-particle": lambda: harness.linear_se_system(
+        3, np.random.default_rng(0), harness.FILTER_DOMAINS["particle"]),
+    "se-transition-gain-0": lambda: _se(LikelihoodModel.linear_gaussian(1.0, 3.0),
+                                        TransitionModel.linear_gaussian(0.0, 1.0)),
+    "se-likelihood-gain-0": lambda: _se(LikelihoodModel.linear_gaussian(0.0, 3.0),
+                                        TransitionModel.linear_gaussian(0.9, 1.0)),
+    "se-fuzz-custom": lambda: harness._fuzz_se_instance(np.random.default_rng(3),
+                                                        DomainSpec(0.0, 1.0, 201))[0],
+    "se-custom-transition": lambda: _se(LikelihoodModel.linear_gaussian(1.0, 1.0),
+                                        TransitionModel.custom(_half_gain_kernel), domain=D10),
+    "se-zero-noise": lambda: _se(LikelihoodModel.linear_gaussian(1.0, 3.0),
+                                 TransitionModel.linear_gaussian(0.9, 0.0)),
+    "ps-vi-demo": lambda: harness.ps_toy_system(5, np.random.default_rng(0)),
+    "ps-custom": lambda: SystemSpec(
+        "ps", LikelihoodModel.custom(_ps_bump), [0.0, 0.8], DomainSpec(-5.0, 5.0, 101),
+        transition=TransitionModel.parametric_linear_gaussian(0.25),
+        w_domain=DomainSpec(0.0, 1.0, 101)),
+}
+
+CR = ConstantsReport
+# system_constants(s, k, metric) for k = 1, 2, ... as computed by the
+# per-variant closed-form and grid branches; a class is what that step raises
+PINNED_CONSTANTS = {
+    "ip-reproduce": {
+        "tv": [
+            CR("ip", d=80.0, c_h=0.23032943298089034),
+            CR("ip", d=80.0, c_h=0.23032943298089034),
+        ],
+        "w1": [
+            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.08872259899035258),
+            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.08872259899035258),
+        ],
+    },
+    "ip-gain-0": {
+        "tv": [
+            CR("ip", d=80.0, c_h=0.23032943298089034),
+            CR("ip", d=80.0, c_h=0.23032943298089034),
+        ],
+        "w1": [
+            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.0),
+            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.0),
+        ],
+    },
+    "ip-bimodal": {
+        "tv": [
+            CR("ip", d=80.0, c_h=0.39893007932437274),
+            CR("ip", d=80.0, c_h=0.3989317914661375),
+            CR("ip", d=80.0, c_h=0.39893821246606853),
+        ],
+        "w1": [
+            CR("ip", d=80.0, c_h=0.39893007932437274, h_lip=0.9678461141261752),
+            CR("ip", d=80.0, c_h=0.3989317914661375, h_lip=0.9678434199724917),
+            CR("ip", d=80.0, c_h=0.39893821246606853, h_lip=0.9678217585967097),
+        ],
+    },
+    "ip-custom": {
+        "tv": [
+            CR("ip", d=20.0, c_h=1.0),
+            CR("ip", d=20.0, c_h=1.0),
+        ],
+        "w1": [
+            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
+            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
+        ],
+    },
+    "ip-custom-declared-sup": {
+        "tv": [
+            CR("ip", d=20.0, c_h=1.0),
+            CR("ip", d=20.0, c_h=1.0),
+        ],
+        "w1": [
+            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
+            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
+        ],
+    },
+    "ip-custom-declared": {
+        "tv": [
+            CR("ip", d=20.0, c_h=1.0),
+            CR("ip", d=20.0, c_h=1.0),
+        ],
+        "w1": [
+            CR("ip", d=20.0, c_h=1.0, h_lip=1.0),
+            CR("ip", d=20.0, c_h=1.0, h_lip=1.0),
+        ],
+    },
+    "ip-custom-sup-too-low": {
+        "tv": [UnboundedConstant, UnboundedConstant],
+        "w1": [UnboundedConstant, UnboundedConstant],
+    },
+    "se-particle": {
+        "tv": [
+            CR("se", d=50.0, c_th=0.28209479177387814),
+            CR("se", d=50.0, c_th=0.28209479177387814),
+            CR("se", d=50.0, c_th=0.28209479177387814),
+        ],
+        "w1": [
+            CR("se", d=50.0, c_th=0.28209479177387814, c_th_star=0.21777365206722907),
+            CR("se", d=50.0, c_th=0.28209479177387814, c_th_star=0.21777365206722907),
+            CR("se", d=50.0, c_th=0.28209479177387814, c_th_star=0.21777365206722907),
+        ],
+    },
+    "se-transition-gain-0": {
+        "tv": [
+            CR("se", d=60.0, c_th=0.19947114020071635),
+            CR("se", d=60.0, c_th=0.13899244306549824),
+        ],
+        "w1": [
+            CR("se", d=60.0, c_th=0.19947114020071635, c_th_star=0.0),
+            CR("se", d=60.0, c_th=0.13899244306549824, c_th_star=0.0),
+        ],
+    },
+    "se-likelihood-gain-0": {
+        "tv": [
+            CR("se", d=60.0, c_th=0.23032943298089034),
+            CR("se", d=60.0, c_th=0.23032943298089034),
+        ],
+        "w1": [
+            CR("se", d=60.0, c_th=0.23032943298089034, c_th_star=3.009580907929354),
+            CR("se", d=60.0, c_th=0.23032943298089034, c_th_star=3.009580907929354),
+        ],
+    },
+    "se-fuzz-custom": {
+        "tv": [
+            CR("se", d=1.0, c_th=0.9875742462744722),
+        ],
+        "w1": [
+            CR("se", d=1.0, c_th=0.9875742462744722, c_th_star=394.64207445047003),
+        ],
+    },
+    "se-custom-transition": {
+        "tv": [
+            CR("se", d=20.0, c_th=0.32573500793528),
+            CR("se", d=20.0, c_th=0.32573500793528004),
+        ],
+        "w1": [
+            CR("se", d=20.0, c_th=0.32573500793528, c_th_star=0.4838633485437452),
+            CR("se", d=20.0, c_th=0.32573500793528004, c_th_star=0.4838614387563026),
+        ],
+    },
+    "se-zero-noise": {
+        "tv": [UnsupportedRepresentation, UnsupportedRepresentation],
+        "w1": [UnsupportedRepresentation, UnsupportedRepresentation],
+    },
+    "ps-vi-demo": {
+        "tv": [
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
+        ],
+        "w1": [
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
+        ],
+    },
+    "ps-custom": {
+        "tv": [
+            CR("ps", d=11.0, c_th_tilde=1.341640786499874),
+            CR("ps", d=11.0, c_th_tilde=1.3416407864998743),
+        ],
+        "w1": [
+            CR("ps", d=11.0, c_th_tilde=1.341640786499874, c_th_tilde_star=24.624965928988154),
+            CR("ps", d=11.0, c_th_tilde=1.3416407864998743, c_th_tilde_star=24.941830391486995),
+        ],
+    },
+}
+
+
+class TestConstantsPinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_SYSTEMS))
+    def test_reports_equal_the_recorded_ones(self, name):
+        s = PINNED_SYSTEMS[name]()
+        for metric, steps in PINNED_CONSTANTS[name].items():
+            for k, expected in enumerate(steps, start=1):
+                if isinstance(expected, type):
+                    with pytest.raises(expected):
+                        system_constants(s, k, metric)
+                else:
+                    assert system_constants(s, k, metric) == expected
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SYSTEMS))
+    def test_every_field_is_a_float(self, name):
+        s = PINNED_SYSTEMS[name]()
+        for metric, steps in PINNED_CONSTANTS[name].items():
+            for k, expected in enumerate(steps, start=1):
+                if not isinstance(expected, type):
+                    fields = dataclasses.astuple(system_constants(s, k, metric))[1:]
+                    assert all(type(v) is float for v in fields if v is not None)
