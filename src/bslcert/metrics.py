@@ -120,13 +120,14 @@ def _empirical_cdf(ps: ParticleSet, xs: np.ndarray) -> np.ndarray:
 
 
 def _continuous_cdf(dist, d: DomainSpec, xs: np.ndarray) -> np.ndarray:
+    """CDF of ``dist`` truncated to ``d``, at sorted points xs from d.lower to d.upper."""
     if isinstance(dist, Gaussian1D):
         span = 8.0 * dist.std
         if dist.mean - span < d.lower or dist.mean + span > d.upper:
             raise DomainMismatch("Gaussian mass extends beyond the truncated domain")
         f = np.asarray(dist.cdf(xs), dtype=float)
-        lo = float(dist.cdf(d.lower))
-        total = float(dist.cdf(d.upper)) - lo
+        lo = float(f[0])
+        total = float(f[-1]) - lo
         return (f - lo) / total
     if isinstance(dist, GridDensity):
         if dist.domain != d:

@@ -234,10 +234,14 @@ class ConstantsReport:
 # -- grid evaluation helpers -------------------------------------------------
 
 
-def lik_values(s: SystemSpec, k: int, xs=None) -> np.ndarray:
-    """Likelihood h(y_k, x) on the given nodes (IP and SE variants)."""
+def lik_values(s: SystemSpec, k: int, xs=None, *ws) -> np.ndarray:
+    """Likelihood h(y_k, x) on the given nodes, or h(y_k, x, w) given parameter points.
+
+    Every grid evaluation of the likelihood goes through here: NonFinite
+    unless the values are finite and nonnegative.
+    """
     xs = s.domain.nodes if xs is None else xs
-    out = np.asarray(s.likelihood.evaluator(s.y(k), xs), dtype=float)
+    out = np.asarray(s.likelihood.evaluator(s.y(k), xs, *ws), dtype=float)
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise NonFinite("likelihood must be finite and nonnegative on the grid")
     return out
@@ -246,13 +250,8 @@ def lik_values(s: SystemSpec, k: int, xs=None) -> np.ndarray:
 def lik_values_ps(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
     """Likelihood h(y_k, x, w) on the joint grid, shape (nx, nw); x on ``domain``'s nodes."""
     d = domain if domain is not None else s.domain
-    xs = d.nodes[:, None]
-    ws = s.w_domain.nodes[None, :]
-    out = np.asarray(s.likelihood.evaluator(s.y(k), xs, ws), dtype=float)
-    out = np.broadcast_to(out, (d.grid_points, s.w_domain.grid_points)).astype(float)
-    if not np.all(np.isfinite(out)) or np.any(out < 0):
-        raise NonFinite("likelihood must be finite and nonnegative on the joint grid")
-    return out
+    out = lik_values(s, k, d.nodes[:, None], s.w_domain.nodes[None, :])
+    return np.broadcast_to(out, (d.grid_points, s.w_domain.grid_points)).astype(float)
 
 
 def _kernel_rows(kernel, xs_next, xs_prev, *extra):
@@ -302,7 +301,7 @@ def se_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
     """g(x_prev) = integral of h(y_k, x) T(x, x_prev) dx, one value per node."""
     d = domain if domain is not None else s.domain
     xs = d.nodes
-    h = np.asarray(s.likelihood.evaluator(s.y(k), xs), dtype=float)
+    h = lik_values(s, k, xs)
     return kernel_rmatvec(s.transition_kernel(d), xs, xs, d.trapezoid_weights * h)
 
 
@@ -353,7 +352,7 @@ def _max_slope(values: np.ndarray, spacing: float) -> float:
 def _se_star_estimate(s: SystemSpec, k: int, d: DomainSpec) -> float:
     """Grid estimate of the integral of h(y_k, x) sup_x_prev |dT(x, x_prev)/dx_prev| dx."""
     xs = d.nodes
-    h = np.asarray(s.likelihood.evaluator(s.y(k), xs), dtype=float)
+    h = lik_values(s, k, xs)
     # T_lip(x_next) = sup of adjacent difference quotients in x_prev
     t_lip = np.empty(xs.shape[0])
     for rows, block in _kernel_rows(s.transition_density(), xs, xs):
@@ -369,7 +368,7 @@ def _ps_star_estimate(s: SystemSpec, k: int) -> float:
     kernel = s.transition_density()
     lip = np.zeros(xs.shape[0])
     for i, xn in enumerate(xs):
-        h_row = np.asarray(s.likelihood.evaluator(s.y(k), xn, ws[None, :]), dtype=float)
+        h_row = lik_values(s, k, xn, ws[None, :])
         t_row = np.asarray(kernel(xn, xs[:, None], ws[None, :]), dtype=float)
         f = np.broadcast_to(h_row, t_row.shape) * t_row  # (x_prev, w)
         dx = np.max(np.abs(np.diff(f, axis=0))) / xd.spacing

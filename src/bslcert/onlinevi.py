@@ -17,7 +17,7 @@ import numpy as np
 
 from .domains import DomainSpec, Gaussian1D, GridDensity
 from .errors import MissingD, NonFinite, VacuousBound, ZeroEvidence
-from .models import SystemSpec, CUSTOM_LIP_SAFETY
+from .models import SystemSpec, CUSTOM_LIP_SAFETY, lik_values
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -268,7 +268,7 @@ def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -
     for i, xn in enumerate(xs):
         t = np.asarray(s.transition.kernel(xn, xs[:, None], ws[None, :]), dtype=float)
         g_lip[i] = np.max(np.abs(np.diff(t, axis=1))) / wd.spacing
-    h = np.asarray(s.likelihood.evaluator(s.y(k), xs[:, None], ws[None, :]), dtype=float)
+    h = lik_values(s, k, xs[:, None], ws[None, :])
     h = np.broadcast_to(h, (xs.shape[0], ws.shape[0])).max(axis=1)
     value = float(xd.integrate(h * g_lip))
     if s.transition.family == "custom":

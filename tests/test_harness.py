@@ -236,13 +236,26 @@ class TestCli:
         assert captured.err.startswith("bslcert: NonFinite: ")
         assert captured.err.count("\n") == 1
 
-    def test_cli_import_skips_scipy_integrate(self):
+    @staticmethod
+    def _run_after_cli_import(check: str):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, bslcert.cli; assert 'scipy.integrate' not in sys.modules"],
+            [sys.executable, "-c", "import sys, bslcert.cli; " + check],
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_skips_scipy_integrate(self):
+        self._run_after_cli_import("assert 'scipy.integrate' not in sys.modules")
+
+    def test_cli_import_skips_scipy(self):
+        self._run_after_cli_import(
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+            "assert not loaded, loaded")
+
+    def test_gaussian_w1_output_is_pinned(self, capsys):
+        assert cli.main(["metric", "--kind", "w1", "--a", "gaussian:0,1",
+                         "--b", "gaussian:2,1"]) == 0
+        assert capsys.readouterr().out == "1.9999999999999996\n"
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         # no genuine violation is reachable, so patch in a violating record

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bslcert import harness, models
-from bslcert.bayes import predicted_values
+from bslcert import harness, models, onlinevi
+from bslcert.bayes import grid_update, predicted_values
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import (NonFinite, UnboundedConstant, UnsupportedRepresentation,
                             ZeroEvidence)
@@ -132,6 +132,48 @@ class TestSystemConstants:
     def test_report_rejects_nonpositive_sup(self):
         with pytest.raises(NonFinite):
             ConstantsReport("ip", 80.0, c_h=0.0)
+
+
+def _identity_lik(y, x, w=None):
+    return np.asarray(x, dtype=float)
+
+
+class TestLikelihoodChecked:
+    """Every grid evaluation of h rejects negative values, as the updates do."""
+
+    def se_negative(self):
+        return SystemSpec("se", LikelihoodModel.custom(_identity_lik), [0.0],
+                          DomainSpec(-10.0, 10.0, 401),
+                          transition=TransitionModel.linear_gaussian(0.9, 1.0))
+
+    def ps_negative(self):
+        return SystemSpec("ps", LikelihoodModel.custom(_identity_lik), [0.0],
+                          DomainSpec(-10.0, 10.0, 121),
+                          transition=TransitionModel.parametric_linear_gaussian(0.25),
+                          w_domain=DomainSpec(-0.25, 1.45, 101))
+
+    @pytest.mark.parametrize("metric", ["tv", "w1"])
+    def test_se_constants_reject_a_negative_likelihood(self, metric):
+        # h(y, x) = x: the update refuses it, so its constants must too
+        s = self.se_negative()
+        with pytest.raises(NonFinite):
+            grid_update(s, 1, discretize(Gaussian1D(0.0, 1.0), s.domain))
+        with pytest.raises(NonFinite):
+            system_constants(s, 1, metric)
+
+    @pytest.mark.parametrize("metric", ["tv", "w1"])
+    def test_ps_constants_reject_a_negative_likelihood(self, metric):
+        with pytest.raises(NonFinite):
+            system_constants(self.ps_negative(), 1, metric)
+
+    def test_lipschitz_estimates_reject_a_negative_likelihood(self):
+        se = self.se_negative()
+        with pytest.raises(NonFinite):
+            models._se_star_estimate(se, 1, se.domain)
+        with pytest.raises(NonFinite):
+            models._ps_star_estimate(self.ps_negative(), 1)
+        with pytest.raises(NonFinite):
+            onlinevi.c_vi_tilde_estimate(self.ps_negative(), 1, n_x=101, n_w=101)
 
 
 class TestConstantsMemo:
