@@ -21,8 +21,8 @@ from .domains import (Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
 from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
                      DomainTooSmall, NonFinite, UnsupportedRepresentation,
                      ZeroEvidence)
-from .models import (EVIDENCE_FLOOR, SystemSpec, kernel_matrix, kernel_matvec,
-                     lik_values, lik_values_ps)
+from .models import (EVIDENCE_FLOOR, SystemSpec, kernel_matvec, lik_values,
+                     lik_values_ps, transition_matrix)
 
 BOUNDARY_MASS_LIMIT = 1e-8
 
@@ -69,14 +69,15 @@ def _ps_prior_values(s: SystemSpec, prior) -> np.ndarray:
 
 
 def _ps_predicted_values(s: SystemSpec, priors) -> list:
-    """Pushforward of each joint prior; each per-parameter kernel is evaluated once."""
+    """Pushforward of each joint prior; each per-parameter kernel is evaluated once,
+    into one buffer that the next parameter's kernel overwrites."""
     pvs = [_ps_prior_values(s, prior) for prior in priors]
     xs = s.domain.nodes
     wquad = s.domain.trapezoid_weights
-    density = s.transition_density()
     outs = [np.empty_like(pv) for pv in pvs]
+    kernel = np.empty((xs.shape[0], xs.shape[0]))
     for j, w in enumerate(s.w_domain.nodes):
-        kernel = kernel_matrix(density, xs, xs, w)
+        transition_matrix(s, s.domain, w, out=kernel)
         for pv, out in zip(pvs, outs):
             out[:, j] = kernel_matvec(kernel, xs, xs, wquad * pv[:, j])
     return outs
@@ -107,8 +108,7 @@ def _mass(s: SystemSpec, values: np.ndarray) -> float:
 def evidence(s: SystemSpec, k: int, prior) -> float:
     """Evidence of the prior at step k: pre-normalization mass of the update."""
     if s.variant == "ip" and isinstance(prior, ParticleSet):
-        h = np.asarray(s.likelihood.evaluator(s.y(k), prior.points), dtype=float)
-        return float(prior.weights @ h)
+        return float(prior.weights @ lik_values(s, k, prior.points))
     unnorm = _unnormalized_posteriors(s, k, [prior])[0][0]
     return _mass(s, unnorm)
 
@@ -211,7 +211,7 @@ def particle_step(s: SystemSpec, k: int, prior: ParticleSet, n: int, seed: int) 
             break
         moved[outside] = s.transition.sampler(rng, prior.points[outside])
     np.clip(moved, lo, hi, out=moved)
-    weights = prior.weights * np.asarray(s.likelihood.evaluator(s.y(k), moved), dtype=float)
+    weights = prior.weights * lik_values(s, k, moved)
     total = float(weights.sum())
     if not math.isfinite(total):
         raise NonFinite("particle weights are not finite")

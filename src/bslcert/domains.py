@@ -74,6 +74,15 @@ class DomainSpec:
         return xs
 
     @cached_property
+    def symmetric(self) -> bool:
+        """Whether the nodes are symmetric about zero: nodes[::-1] == -nodes exactly.
+
+        Exact equality, under which 0.0 and -0.0 agree; a node's sign of zero
+        cannot matter where it is squared, as in the transition matrices.
+        """
+        return bool(np.array_equal(self.nodes[::-1], -self.nodes))
+
+    @cached_property
     def trapezoid_weights(self) -> np.ndarray:
         w = np.full(self.grid_points, self.spacing)
         w[0] *= 0.5
@@ -128,15 +137,16 @@ def ndtr(a):
     return y if y.ndim else y[()]
 
 
-def gauss_pdf(x, mean, var):
+def gauss_pdf(x, mean, var, out=None):
     """Normal density with the given mean and variance at x (broadcasting).
 
-    Evaluated in one buffer; the bits equal exp(-0.5 * z * z) / (sd * sqrt(2 pi))
-    with z = (x - mean) / sd, because scaling by -0.5 is exact (when z * z is
-    subnormal, exp gives 1.0 either way).  Scalar inputs give a numpy scalar.
+    Evaluated in one buffer, ``out`` when given; the bits equal
+    exp(-0.5 * z * z) / (sd * sqrt(2 pi)) with z = (x - mean) / sd, because
+    scaling by -0.5 is exact (when z * z is subnormal, exp gives 1.0 either
+    way).  Scalar inputs give a numpy scalar.
     """
     sd = math.sqrt(var)
-    z = np.asarray(np.subtract(x, mean, dtype=float))
+    z = np.asarray(np.subtract(x, mean, dtype=float, out=out))
     z /= sd
     z *= z
     z *= -0.5

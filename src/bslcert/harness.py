@@ -60,6 +60,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown filter {self.filter_kind!r}")
         if self.theorem not in ("tv", "hellinger", "w1-ip", "w1-dyn"):
             raise ValueError(f"unknown theorem tag {self.theorem!r}")
+        if self.experiment in ("reduction_fuzz", "vi_demo"):  # fixed grids: no domain keys
+            for key in ("lower", "upper", "grid_points"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{self.experiment} runs on fixed grids and takes no {key!r}")
 
     def domain(self, default: DomainSpec = DEFAULT_DOMAIN) -> DomainSpec:
         if self.lower is None and self.upper is None and self.grid_points is None:

@@ -187,7 +187,7 @@ class SystemSpec:
             return self.transition_density()
         matrix = self._cache.get(domain)
         if matrix is None:
-            matrix = kernel_matrix(self.transition_density(), domain.nodes, domain.nodes)
+            matrix = transition_matrix(self, domain)
             matrix.setflags(write=False)
             self._cache[domain] = matrix
         return matrix
@@ -261,11 +261,41 @@ def _kernel_rows(kernel, xs_next, xs_prev, *extra):
         yield rows, np.asarray(kernel(xs_next[rows, None], xs_prev[None, :], *extra), dtype=float)
 
 
-def kernel_matrix(kernel, xs_next, xs_prev, *extra) -> np.ndarray:
-    """Dense K[i, j] = kernel(xs_next[i], xs_prev[j], *extra)."""
-    out = np.empty((xs_next.shape[0], xs_prev.shape[0]))
+def kernel_matrix(kernel, xs_next, xs_prev, *extra, out=None) -> np.ndarray:
+    """Dense K[i, j] = kernel(xs_next[i], xs_prev[j], *extra), written into ``out`` if given."""
+    out = np.empty((xs_next.shape[0], xs_prev.shape[0])) if out is None else out
     for rows, block in _kernel_rows(kernel, xs_next, xs_prev, *extra):
         out[rows] = block
+    return out
+
+
+def transition_matrix(s: SystemSpec, domain: DomainSpec, *w, out=None) -> np.ndarray:
+    """K[i, j] = T(x_i, x_j[, w]) on ``domain``'s nodes, written into ``out`` if given.
+
+    The bits are those of kernel_matrix(s.transition_density(), nodes, nodes, *w).
+    A linear-Gaussian density is evaluated straight into the matrix, with the
+    coefficient its density closure uses.  On a grid symmetric about zero only
+    rows :ceil(n/2) are evaluated and the rest are their reflection: with
+    x_i = -x_{n-1-i}, fl(c * -x) = -fl(c * x) and fl(-a - -b) = -fl(a - b),
+    so z changes only its sign and T(x_i, x_j) has the bits of
+    T(x_{n-1-i}, x_{n-1-j}).  Custom densities are evaluated in row blocks.
+    """
+    density = s.transition_density()  # UnsupportedRepresentation for a zero-noise transition
+    xs = domain.nodes
+    trans = s.transition
+    if trans.family == "linear_gaussian":
+        coef = trans.a
+    elif trans.family == "parametric_linear_gaussian":
+        (param,) = w
+        coef = np.asarray(trans.drift(np.asarray(param, dtype=float)), dtype=float)
+    else:
+        return kernel_matrix(density, xs, xs, *w, out=out)
+    n = xs.shape[0]
+    out = np.empty((n, n)) if out is None else out
+    h = (n + 1) // 2 if domain.symmetric else n
+    gauss_pdf(xs[:h, None], coef * xs, trans.q, out=out[:h])
+    if h < n:
+        out[h:] = out[n - h - 1::-1, ::-1]
     return out
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from bslcert import metrics
-from bslcert.bayes import (conjugate_update_ip, conjugate_update_se,
+from bslcert.bayes import (conjugate_update_ip, conjugate_update_se, evidence,
                            gaussian_projection_step, grid_update, grid_updates,
                            particle_step, predicted_values)
 from bslcert.domains import (DomainSpec, Gaussian1D, ParticleSet, discretize,
                              discretize_product, moments)
-from bslcert.errors import (AllWeightsZero, DegenerateVariance,
+from bslcert.errors import (AllWeightsZero, DegenerateVariance, NonFinite,
                             UnsupportedRepresentation)
 from bslcert.models import (_KERNEL_BLOCK, LikelihoodModel, SystemSpec,
                             TransitionModel, kernel_matvec, se_g_values,
@@ -126,6 +126,15 @@ class TestGaussianProjection:
         assert a1[0] == a2[0] and a1[2] == a2[2]
 
 
+def _identity_likelihood(y, x, w=None):
+    return np.asarray(x, dtype=float)
+
+
+def _uniform_cloud(n=200):
+    points = np.random.default_rng(0).uniform(-3.0, 3.0, n)
+    return ParticleSet(points, np.full(n, 1.0 / n))
+
+
 class TestParticleStep:
     def test_uninformative_weights_resample_inputs(self):
         def ev(y, x, w=None):
@@ -188,6 +197,20 @@ class TestParticleStep:
         cloud = ParticleSet(np.zeros(10), np.full(10, 0.1))
         with pytest.raises(UnsupportedRepresentation):
             particle_step(IP, 1, cloud, 10, 0)
+
+    def test_negative_likelihood_is_non_finite(self):
+        # h(y, x) = x is negative on half the cloud
+        s = SystemSpec("se", LikelihoodModel.custom(_identity_likelihood), [0.0],
+                       DomainSpec(-10.0, 10.0, 401),
+                       transition=TransitionModel.linear_gaussian(0.9, 1.0))
+        with pytest.raises(NonFinite, match="likelihood"):
+            particle_step(s, 1, _uniform_cloud(), 200, 0)
+
+    def test_ip_particle_evidence_rejects_a_negative_likelihood(self):
+        s = SystemSpec("ip", LikelihoodModel.custom(_identity_likelihood), [0.0],
+                       DomainSpec(-10.0, 10.0, 401))
+        with pytest.raises(NonFinite, match="likelihood"):
+            evidence(s, 1, _uniform_cloud())
 
     def test_mean_error_halves_when_n_quadruples(self):
         s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], DSE,

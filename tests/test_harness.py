@@ -124,6 +124,49 @@ class TestViDemo:
         assert rec.violations == 0
 
 
+# (step, metric, series, distance, bound, evidence_p, evidence_q), recorded
+# before the in-place transition matrices
+PINNED_ROWS = {
+    "vi_demo": [
+        (1, "tv", "", "0.02116691939770139", "0.502804996129472", "0.3417635784639169", "0.3417635784639169"),
+        (2, "tv", "", "0.016570953934688465", "1.1871011915670062", "0.3804924666691305", "0.3812173853584211"),
+        (3, "tv", "", "0.021023650037523902", "4.247713920020145", "0.19108503135334037", "0.19077877757456857"),
+        (4, "tv", "", "0.026288603744906824", "5.858822275413458", "0.4349588955956408", "0.43583927130345884"),
+        (5, "tv", "", "0.017218001509426813", "11.157520638328052", "0.31048023238709554", "0.31148031064224047"),
+    ],
+    "particle": [
+        (1, "w1", "set1", "0.04873962986452132", "0.04873962986452132", "0.22218271828741276", "0.22218271828741276"),
+        (1, "w1", "set2", "0.04873962986452132", "0.04873962986452132", "0.22218271828741276", "0.22218271828741276"),
+        (2, "w1", "set1", "0.019057919279313645", "4.824686113516703", "0.22071278083681434", "0.22401081148365581"),
+        (2, "w1", "set2", "0.019057919279313645", "4.753884071058537", "0.22071278083681434", "0.22401081148365581"),
+        (3, "w1", "set1", "0.04011765244638788", "832.1442208491006", "0.12626879167450128", "0.12641718799822305"),
+        (3, "w1", "set2", "0.04011765244638788", "818.9706694183967", "0.12626879167450128", "0.12641718799822305"),
+        (4, "w1", "set1", "0.03745272432675159", "72565.49435289459", "0.24973188997120688", "0.2517486485147715"),
+        (4, "w1", "set2", "0.03745272432675159", "70844.60231424397", "0.24973188997120688", "0.2517486485147715"),
+        (5, "w1", "set1", "0.017148840574455305", "9003824.05294813", "0.17551267845518964", "0.17685549761058297"),
+        (5, "w1", "set2", "0.017148840574455305", "8723555.684383746", "0.17551267845518964", "0.17685549761058297"),
+        (6, "w1", "set1", "0.041891180077464465", "2073109778.7683175", "0.09458233551873116", "0.09392684927052648"),
+        (6, "w1", "set2", "0.041891180077464465", "2022595876.6839027", "0.09458233551873116", "0.09392684927052648"),
+        (7, "w1", "set1", "0.04204207639260637", "179438165193.42285", "0.251601261733859", "0.2519995805715458"),
+        (7, "w1", "set2", "0.04204207639260637", "174789215808.4741", "0.251601261733859", "0.2519995805715458"),
+        (8, "w1", "set1", "0.059325250323873056", "15585969287375.01", "0.2507184752767846", "0.25239593543954375"),
+        (8, "w1", "set2", "0.059325250323873056", "15081259451460.592", "0.2507184752767846", "0.25239593543954375"),
+        (9, "w1", "set1", "0.047150814104644084", "1411864583986841.2", "0.24040644486843774", "0.23884369503227115"),
+        (9, "w1", "set2", "0.047150814104644084", "1375083796151384.0", "0.24040644486843774", "0.23884369503227115"),
+        (10, "w1", "set1", "0.023772354665139002", "1.3509793442961629e+17", "0.22758816260020498", "0.22454938918724865"),
+        (10, "w1", "set2", "0.023772354665139002", "1.3335908918311194e+17", "0.22758816260020498", "0.22454938918724865"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name,run", [("vi_demo", lambda: vi_demo(5, 0)),
+                                      ("particle", lambda: bound_validate("particle", 10, 0))])
+def test_rows_keep_their_bits(name, run):
+    rows = [(r.step, r.metric, r.series) + tuple(
+        repr(v) for v in (r.distance, r.bound, r.evidence_p, r.evidence_q)) for r in run().rows]
+    assert rows == PINNED_ROWS[name]
+
+
 class TestEmit:
     def _record(self):
         rows = tuple(Row(k, "tv", 0.1 / k, 0.2 / k, 0.3, 0.4) for k in range(1, 21))
@@ -186,6 +229,12 @@ class TestConfig:
                                   upper=30.0, grid_points=2001)
         d = config.domain()
         assert d == DomainSpec(-30.0, 30.0, 2001)
+
+    @pytest.mark.parametrize("experiment", ["vi_demo", "reduction_fuzz"])
+    @pytest.mark.parametrize("key,value", [("lower", -3.0), ("upper", 3.0), ("grid_points", 501)])
+    def test_fixed_grid_experiments_reject_domain_keys(self, experiment, key, value):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(experiment, steps=1, **{key: value})
 
 
 class TestCli:

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from bslcert import harness, models, onlinevi
+from bslcert import domains, harness, models, onlinevi
 from bslcert.bayes import grid_update, predicted_values
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import (NonFinite, UnboundedConstant, UnsupportedRepresentation,
                             ZeroEvidence)
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
                             TransitionModel, grid_constant_estimates, kernel_matrix,
-                            se_g_values, system_constants, validate_admissible)
+                            se_g_values, system_constants, transition_matrix,
+                            validate_admissible)
 from helpers import PDF_INPUTS, two_temporary_pdf
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
@@ -533,3 +534,71 @@ class TestConstantsPinned:
                 if not isinstance(expected, type):
                     fields = dataclasses.astuple(system_constants(s, k, metric))[1:]
                     assert all(type(v) is float for v in fields if v is not None)
+
+
+# -- transition matrices ---------------------------------------------------------
+
+VI_W = DomainSpec(-0.25, 1.45, 241)  # the vi_demo parameter grid, w < 0 included
+
+
+def _falling_drift(w):
+    return 1.2 - 2.0 * np.tanh(w)  # negative for w above 0.69
+
+
+def _transition_systems(d):
+    """(system, parameter nodes) pairs covering every transition_matrix branch on ``d``."""
+    lik = LikelihoodModel.linear_gaussian(1.0, 1.0)
+    w_nodes = VI_W.nodes if d.grid_points <= 241 else VI_W.nodes[::40]
+    for a in (0.9, -0.9, 0.0):
+        yield SystemSpec("se", lik, [0.0], d,
+                         transition=TransitionModel.linear_gaussian(a, 0.5)), [()]
+    for drift in (None, _falling_drift):
+        yield SystemSpec("ps", lik, [0.0], d,
+                         transition=TransitionModel.parametric_linear_gaussian(0.25, drift),
+                         w_domain=VI_W), [(w,) for w in w_nodes]
+    yield SystemSpec("se", lik, [0.0], d,
+                     transition=TransitionModel.custom(_half_gain_kernel)), [()]
+
+
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("d", [DomainSpec(-15.0, 15.0, 241), DomainSpec(-50.5, 50.5, 102),
+                                   DomainSpec(-25.0, 25.0, 801), DomainSpec(-25.0, 25.0, 2001)])
+    def test_bits_equal_the_row_block_matrix(self, d):
+        out = np.empty((d.grid_points, d.grid_points))
+        for s, params in _transition_systems(d):
+            for w in params:
+                expected = kernel_matrix(s.transition_density(), d.nodes, d.nodes, *w)
+                assert np.array_equal(transition_matrix(s, d, *w).view(np.int64),
+                                      expected.view(np.int64))
+                assert transition_matrix(s, d, *w, out=out) is out
+                assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("d,rows", [(DomainSpec(-15.0, 15.0, 241), 121),
+                                        (DomainSpec(-50.5, 50.5, 102), 51),
+                                        (DomainSpec(-10.0, 10.0, 401), 401)])
+    def test_symmetric_grids_evaluate_half_the_entries(self, monkeypatch, d, rows):
+        entries = []
+
+        def counting_pdf(x, mean, var, out=None):
+            values = domains.gauss_pdf(x, mean, var, out=out)
+            entries.append(values.size)
+            return values
+
+        monkeypatch.setattr(models, "gauss_pdf", counting_pdf)
+        s = se_system(trans_a=0.9, domain=d)
+        s.transition_kernel(d)
+        transition_matrix(harness.ps_toy_system(1, np.random.default_rng(0), d), d, 0.7)
+        assert entries == [rows * d.grid_points] * 2
+
+    def test_shipped_domains(self):
+        vi = harness.ps_toy_system(1, np.random.default_rng(0))
+        symmetric = {
+            harness.DEFAULT_DOMAIN: False,
+            harness.FILTER_DOMAINS["particle"]: False,
+            DomainSpec(-25.0, 25.0, 801): True,  # the particle system's constants grid
+            vi.domain: True,
+            vi.w_domain: False,
+            DomainSpec(-10.0, 10.0, 401): False,  # reduction fuzz: tv, hellinger, w1-ip
+            DomainSpec(0.0, 1.0, 201): False,  # reduction fuzz: w1-dyn
+        }
+        assert {d: d.symmetric for d in symmetric} == symmetric
