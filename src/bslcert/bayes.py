@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .domains import (Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
-                      discretize, moments)
+                      discretize, finite_min, moments)
 from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
                      DomainTooSmall, NonFinite, UnsupportedRepresentation,
                      ZeroEvidence)
@@ -137,7 +137,7 @@ def grid_updates(s: SystemSpec, k: int, priors) -> list[UpdateResult]:
 
 
 def _normalize(s: SystemSpec, unnorm: np.ndarray, predicted) -> UpdateResult:
-    if not np.all(np.isfinite(unnorm)):
+    if math.isnan(finite_min(unnorm)):
         raise NonFinite("unnormalized posterior contains non-finite values")
     z = _mass(s, unnorm)
     if not math.isfinite(z):

@@ -178,6 +178,18 @@ class Gaussian1D:
         return ndtr((x - self.mean) / self.std)
 
 
+def finite_min(x: np.ndarray) -> float:
+    """The least entry of x if every entry is finite, else NaN; inf when x is empty.
+
+    One ``min`` and one ``max`` pass, each of which propagates NaN, in place of
+    ``np.all(np.isfinite(x))`` plus a separate scan for negative entries.
+    """
+    if x.size == 0:
+        return math.inf
+    lo, hi = float(x.min()), float(x.max())
+    return lo if math.isfinite(lo) and math.isfinite(hi) else math.nan
+
+
 def _as_readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -200,9 +212,10 @@ class GridDensity:
         object.__setattr__(self, "values", _as_readonly(self.values))
         if self.values.ndim != 1 or self.values.shape[0] != self.domain.grid_points:
             raise ValueError("values must be 1-D with one entry per grid node")
-        if not np.all(np.isfinite(self.values)):
+        lo = finite_min(self.values)
+        if math.isnan(lo):
             raise NonFinite("density values must be finite")
-        if np.any(self.values < 0.0):
+        if lo < 0.0:
             raise ValueError("density values must be nonnegative")
         m = self.mass()
         if self.normalized:
@@ -235,9 +248,10 @@ class ParticleSet:
             raise ValueError("points and weights must be 1-D arrays of equal length")
         if self.points.size == 0:
             raise ValueError("particle set must be nonempty")
-        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.weights))):
+        lo = finite_min(self.weights)
+        if math.isnan(finite_min(self.points)) or math.isnan(lo):
             raise NonFinite("particles and weights must be finite")
-        if np.any(self.weights < 0.0):
+        if lo < 0.0:
             raise ValueError("weights must be nonnegative")
         s = float(self.weights.sum())
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
@@ -261,9 +275,10 @@ class JointGrid2D:
         shape = (self.x_domain.grid_points, self.w_domain.grid_points)
         if self.values.shape != shape:
             raise ValueError(f"values must have shape {shape}, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        lo = finite_min(self.values)
+        if math.isnan(lo):
             raise NonFinite("joint density values must be finite")
-        if np.any(self.values < 0.0):
+        if lo < 0.0:
             raise ValueError("joint density values must be nonnegative")
         m = self.mass()
         if self.normalized and abs(m - 1.0) > JOINT_NORMALIZATION_TOL:

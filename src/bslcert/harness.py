@@ -411,11 +411,12 @@ def reduction_fuzz(theorem: str, trials: int, seed: int,
     rng = np.random.default_rng(seed)
     guaranteed = violations = 0
     worst = -math.inf
+    # one grid per sweep: a new DomainSpec would compute its nodes and weights again
+    ip_grid, se_grid = DomainSpec(-10.0, 10.0, 401), DomainSpec(0.0, 1.0, 201)
     for _ in range(trials):
         try:
             if theorem in ("tv", "hellinger", "w1-ip"):
-                d = DomainSpec(-10.0, 10.0, 401)
-                system, p, q = _fuzz_ip_instance(rng, d)
+                system, p, q = _fuzz_ip_instance(rng, ip_grid)
                 if theorem == "tv":
                     v = reduction.check_tv(system, 1, p, q)
                 elif theorem == "hellinger":
@@ -423,8 +424,7 @@ def reduction_fuzz(theorem: str, trials: int, seed: int,
                 else:
                     v = reduction.check_w1(system, 1, p, q, "ip")
             else:
-                d = DomainSpec(0.0, 1.0, 201)
-                system, p, q = _fuzz_se_instance(rng, d)
+                system, p, q = _fuzz_se_instance(rng, se_grid)
                 v = reduction.check_w1(system, 1, p, q, "dyn")
         except BslError as exc:
             if skips is not None:

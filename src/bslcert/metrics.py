@@ -143,6 +143,16 @@ def _check_particles_in(ps: ParticleSet, d: DomainSpec) -> None:
         raise DomainMismatch("particles fall outside the domain")
 
 
+def _shared_grid_support(a: ParticleSet, b: ParticleSet, d: DomainSpec) -> bool:
+    """Whether a and b have the same points, strictly increasing from d.lower to d.upper.
+
+    Node-atomic measures on the grid of ``d`` are of this kind.
+    """
+    pts = a.points
+    return (pts[0] == d.lower and pts[-1] == d.upper and np.array_equal(pts, b.points)
+            and bool((pts[1:] > pts[:-1]).all()))
+
+
 def w1(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """1-Wasserstein distance as the L1 distance between CDFs on the domain."""
     a_emp = isinstance(a, ParticleSet)
@@ -152,7 +162,12 @@ def w1(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     if b_emp:
         _check_particles_in(b, d)
 
-    if a_emp and b_emp:
+    if a_emp and b_emp and _shared_grid_support(a, b, d):
+        # the general branch below, with unique adding no point and every
+        # argsort and searchsorted the identity: the same bits
+        value = float(np.abs(np.cumsum(a.weights) - np.cumsum(b.weights))[:-1]
+                      @ np.diff(a.points))
+    elif a_emp and b_emp:
         xs = np.unique(np.concatenate((a.points, b.points, [d.lower, d.upper])))
         fa = _empirical_cdf(a, xs)
         fb = _empirical_cdf(b, xs)

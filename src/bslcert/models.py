@@ -21,12 +21,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import DomainSpec, gauss_pdf
+from .domains import DomainSpec, finite_min, gauss_pdf
 from .errors import NonFinite, UnboundedConstant, UnsupportedRepresentation, ZeroEvidence
 
 EVIDENCE_FLOOR = 1e-300
 CUSTOM_LIP_SAFETY = 2.0
-_KERNEL_BLOCK = 256  # rows per kernel block: 4 MB temporaries at 2001 columns
+# Rows per kernel block: 4 MB temporaries at 2001 columns.  Each streamed block
+# is its own BLAS call, so changing this changes the bits of streamed products:
+# with 16-row blocks, a particle prior near the upper edge of a 2001-node grid
+# predicts a different last value.
+_KERNEL_BLOCK = 256
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SLOPE = math.exp(-0.5)  # max of |u * exp(-u^2/2)|
@@ -242,7 +246,7 @@ def lik_values(s: SystemSpec, k: int, xs=None, *ws) -> np.ndarray:
     """
     xs = s.domain.nodes if xs is None else xs
     out = np.asarray(s.likelihood.evaluator(s.y(k), xs, *ws), dtype=float)
-    if not np.all(np.isfinite(out)) or np.any(out < 0):
+    if not finite_min(out) >= 0.0:  # NaN for a non-finite entry
         raise NonFinite("likelihood must be finite and nonnegative on the grid")
     return out
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from scipy.special import ndtr as scipy_ndtr
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D,
                              ParticleSet, discretize, discretize_product, gauss_pdf,
                              moments, ndtr)
+from bslcert import bayes
 from bslcert.errors import DomainTooSmall, NonFinite, Unnormalized
+from bslcert.models import LikelihoodModel, SystemSpec, lik_values
 from helpers import PDF_INPUTS, XS, two_temporary_pdf
 
 
@@ -244,3 +247,68 @@ class TestJointGrid2D:
         wd = DomainSpec(0.0, 1.0, 111)
         with pytest.raises(ValueError):
             JointGrid2D(xd, wd, np.ones((101, 101)))
+
+
+# -- the one-pass value checks: min and max in place of isfinite plus a < 0 scan
+
+_D101 = DomainSpec(-10.0, 10.0, 101)
+
+
+def _inject(base: np.ndarray, bad: tuple) -> np.ndarray:
+    """A copy of ``base`` (any shape) with the flat entries 50, 51, ... set to ``bad``."""
+    out = np.array(base, dtype=float)
+    out.flat[50:50 + len(bad)] = bad
+    return out
+
+
+def _ip_system(values) -> SystemSpec:
+    return SystemSpec("ip", LikelihoodModel.custom(lambda y, x, w=None: values), [0.0], _D101)
+
+
+_WEIGHTS = np.r_[np.full(4, 0.25), np.zeros(96)]  # zeros at the injected entries
+_UNNORM = 0.3 * discretize(Gaussian1D(0.0, 1.0), _D101).values
+
+# site -> (call with the injected entries, outcome for non-finite, outcome for -1.0)
+_VALUE_SITES = {
+    "GridDensity": (lambda bad: GridDensity(_D101, _inject(np.ones(101), bad), normalized=False),
+                    (NonFinite, "density values must be finite"),
+                    (ValueError, "density values must be nonnegative")),
+    "ParticleSet.points": (lambda bad: ParticleSet(_inject(np.arange(100.0), bad), _WEIGHTS),
+                           (NonFinite, "particles and weights must be finite"), None),
+    "ParticleSet.weights": (lambda bad: ParticleSet(np.arange(100.0), _inject(_WEIGHTS, bad)),
+                            (NonFinite, "particles and weights must be finite"),
+                            (ValueError, "weights must be nonnegative")),
+    "JointGrid2D": (lambda bad: JointGrid2D(_D101, _D101, _inject(np.ones((101, 101)), bad),
+                                            normalized=False),
+                    (NonFinite, "joint density values must be finite"),
+                    (ValueError, "joint density values must be nonnegative")),
+    "lik_values": (lambda bad: lik_values(_ip_system(_inject(np.ones(101), bad)), 1),
+                   (NonFinite, "likelihood must be finite and nonnegative on the grid"),
+                   (NonFinite, "likelihood must be finite and nonnegative on the grid")),
+    "bayes._normalize": (lambda bad: bayes._normalize(_ip_system(None), _inject(_UNNORM, bad), None),
+                         (NonFinite, "unnormalized posterior contains non-finite values"),
+                         (ValueError, "density values must be nonnegative")),
+}
+
+
+class TestValueChecks:
+    """Each site keeps its exception class and message for every kind of bad entry."""
+
+    @pytest.mark.parametrize("site", sorted(_VALUE_SITES))
+    @pytest.mark.parametrize("bad", [(math.nan,), (math.inf,), (-math.inf,), (-1.0,), (-0.0,),
+                                     (-1.0, math.nan), (math.inf, -math.inf)], ids=repr)
+    def test_outcome(self, site, bad):
+        call, nonfinite, negative = _VALUE_SITES[site]
+        if not all(math.isfinite(v) for v in bad):
+            expected = nonfinite
+        else:
+            expected = negative if min(bad) < 0.0 else None  # -0.0 is not negative
+        if expected is None:
+            call(bad)
+            return
+        with pytest.raises(expected[0], match=re.escape(expected[1])) as info:
+            call(bad)
+        assert info.type is expected[0]
+
+    def test_empty_likelihood_passes(self):
+        assert lik_values(_ip_system(np.empty(0)), 1, np.empty(0)).shape == (0,)

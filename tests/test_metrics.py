@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 from scipy.stats import wasserstein_distance
 
+from bslcert import metrics
 from bslcert.domains import DomainSpec, Gaussian1D, GridDensity, ParticleSet, discretize
 from bslcert.errors import DomainMismatch, Unnormalized, UnsupportedRepresentation
 from bslcert.metrics import (gaussian_hellinger, hellinger, scaled_hellinger,
@@ -104,6 +105,70 @@ class TestW1:
         ps = ParticleSet(np.array([50.0]), np.array([1.0]))
         with pytest.raises(DomainMismatch):
             w1(ps, Gaussian1D(0, 1), D10)
+
+
+@pytest.fixture
+def general_w1_calls(monkeypatch):
+    """Sizes of the breakpoint sets that w1's general empirical branch builds."""
+    calls = []
+    real = metrics._empirical_cdf
+
+    def spy(ps, xs):
+        calls.append(xs.size)
+        return real(ps, xs)
+
+    monkeypatch.setattr(metrics, "_empirical_cdf", spy)
+    return calls
+
+
+def _node_atomic(rng, d: DomainSpec, points=None) -> ParticleSet:
+    """Random weights on ``points`` (the nodes by default), about a third of them zero."""
+    points = d.nodes if points is None else points
+    m = rng.random(points.size) ** 4
+    m[rng.random(points.size) < 0.3] = 0.0
+    return ParticleSet(points, m / m.sum())
+
+
+class TestW1SharedSupport:
+    """Two particle sets on the grid's nodes take the prefix-sum branch of w1."""
+
+    @pytest.mark.parametrize("d, pairs", [(DomainSpec(0.0, 1.0, 101), 40),
+                                          (DomainSpec(-10.0, 10.0, 401), 40),
+                                          (D40, 8)], ids=lambda v: str(getattr(v, "grid_points", v)))
+    def test_same_bits_as_general_branch(self, d, pairs, general_w1_calls):
+        rng = np.random.default_rng(d.grid_points)
+        for _ in range(pairs):
+            a, b = _node_atomic(rng, d), _node_atomic(rng, d)
+            fast = w1(a, b, d)
+            assert general_w1_calls == []
+            perm = rng.permutation(d.grid_points)
+            general = w1(a, ParticleSet(b.points[perm], b.weights[perm]), d)
+            assert general_w1_calls == [d.grid_points] * 2
+            general_w1_calls.clear()
+            assert fast.hex() == general.hex()
+
+    @pytest.mark.parametrize("case", ["different_supports", "short_of_lower", "short_of_upper",
+                                      "unsorted", "repeated_point"])
+    def test_other_supports_take_general_branch(self, case, general_w1_calls):
+        d = DomainSpec(-10.0, 10.0, 401)
+        rng = np.random.default_rng(7)
+        pts = d.nodes.copy()
+        if case == "short_of_lower":
+            pts = pts[1:]
+        elif case == "short_of_upper":
+            pts = pts[:-1]
+        elif case == "unsorted":
+            pts = rng.permutation(pts)
+        elif case == "repeated_point":
+            pts[200] = pts[199]
+        a = _node_atomic(rng, d, pts)
+        b_pts = pts.copy()
+        if case == "different_supports":
+            b_pts[100] += d.spacing / 3
+        b = _node_atomic(rng, d, b_pts)
+        value = w1(a, b, d)
+        assert general_w1_calls
+        assert abs(value - wasserstein_distance(a.points, b.points, a.weights, b.weights)) < 1e-12
 
 
 class TestScaledHellinger:

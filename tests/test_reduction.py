@@ -187,14 +187,17 @@ class TestGapProduct:
 
 
 class TestFuzzVerdictsPinned:
-    """FuzzRecords of the W1 sweeps as computed with the dense gap matrix."""
+    """Seed-0 FuzzRecords; the W1 sweeps as computed with the dense gap matrix."""
 
     @pytest.mark.parametrize("expected", [
+        ("tv", 250, 6, 0, -0.30313284538564234),
+        ("hellinger", 250, 33, 0, -0.5505750134047515),
         ("w1-ip", 250, 209, 0, -0.3443602928386138),
         ("w1-dyn", 250, 3, 0, -0.08610432240100324),
     ], ids=lambda e: e[0])
     def test_seed0(self, expected):
-        assert dataclasses.astuple(reduction_fuzz(expected[0], 250, 0)) == expected
+        # repr, as the benchmark digests it: every bit of worst_excess counts
+        assert repr(dataclasses.astuple(reduction_fuzz(expected[0], 250, 0))) == repr(expected)
 
 
 class TestVariantGuards:
