@@ -181,18 +181,17 @@ def gaussian_projection_step(s: SystemSpec, k: int, prior: Gaussian1D):
     """One assumed-density step: exact grid update, then moment matching.
 
     Returns (approx, exact, incremental_error) where incremental_error maps
-    each metric name to the distance between the exact one-step posterior and
-    its Gaussian projection.
+    "tv" and "hellinger" to the distance between the exact one-step posterior
+    and its Gaussian projection: the bits of metrics.tv and metrics.hellinger
+    of (exact.posterior, approx), from one discretization of approx.  The W1
+    increment is metrics.w1(exact.posterior, approx, s.domain).
     """
     if s.variant not in ("ip", "se"):
         raise UnsupportedRepresentation("Gaussian projection runs on 1-D state systems")
     exact = grid_update(s, k, prior)
     approx = Gaussian1D(*moments(exact.posterior))
-    eps = {
-        "tv": metrics.tv(exact.posterior, approx, s.domain),
-        "hellinger": metrics.hellinger(exact.posterior, approx, s.domain),
-        "w1": metrics.w1(exact.posterior, approx, s.domain),
-    }
+    p, q = (metrics.normalized_values(dist, s.domain) for dist in (exact.posterior, approx))
+    eps = {m: metrics.grid_distance(m, p, q, s.domain) for m in ("tv", "hellinger")}
     return approx, exact, eps
 
 

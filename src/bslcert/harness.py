@@ -485,12 +485,12 @@ def vi_demo(steps: int, seed: int, elbo_samples: int = 4000) -> RunRecord:
     prior_pair = GaussianPair(Gaussian1D(0.0, 1.0), Gaussian1D(0.6, 0.01))
     p_joint = discretize_product(prior_pair.x, prior_pair.w, xd, wd)
     q_pair = prior_pair
+    q_joint = discretize_product(q_pair.x, q_pair.w, xd, wd)
     elbo_seeds = [int(s) for s in rng.integers(0, 2 ** 62, size=steps)]
 
     evidences, floors, rows = [], [], []
     for k in range(1, steps + 1):
-        q_prev_joint = discretize_product(q_pair.x, q_pair.w, xd, wd)
-        exact_p, exact_q = bayes.grid_updates(system, k, [p_joint, q_prev_joint])
+        exact_p, exact_q = bayes.grid_updates(system, k, [p_joint, q_joint])
         next_pair = _joint_factor_moments(exact_q.posterior)
         elbo = onlinevi.elbo_mc(next_pair, system, k, q_pair, elbo_samples, elbo_seeds[k - 1])
         evidences.append(exact_q.evidence)

@@ -39,7 +39,7 @@ def _unit_distance(metric: str, value: float) -> float:
     return _checked(min(value, 1.0))
 
 
-def _normalized_values(dist: Distribution, d: DomainSpec) -> np.ndarray:
+def normalized_values(dist: Distribution, d: DomainSpec) -> np.ndarray:
     """Unit-mass density values of `dist` on the nodes of `d`."""
     if isinstance(dist, ParticleSet):
         raise UnsupportedRepresentation("particle sets have no density on the grid")
@@ -75,7 +75,7 @@ def grid_distance(metric: str, p: np.ndarray, q: np.ndarray, d: DomainSpec) -> f
 
 def tv(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Total variation distance: half the L1 distance between densities."""
-    return grid_distance("tv", _normalized_values(a, d), _normalized_values(b, d), d)
+    return grid_distance("tv", normalized_values(a, d), normalized_values(b, d), d)
 
 
 def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
@@ -89,7 +89,7 @@ def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
 
 def hellinger(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Hellinger distance sqrt(0.5 * integral (sqrt p - sqrt q)^2)."""
-    return grid_distance("hellinger", _normalized_values(a, d), _normalized_values(b, d), d)
+    return grid_distance("hellinger", normalized_values(a, d), normalized_values(b, d), d)
 
 
 # -- 1-Wasserstein ---------------------------------------------------------
@@ -208,4 +208,4 @@ def tv_joint(a: JointGrid2D, b: JointGrid2D) -> float:
         raise DomainMismatch("joint grids live on different domains")
     weights = np.outer(a.x_domain.trapezoid_weights, a.w_domain.trapezoid_weights)
     p, q = a.values / a.mass(), b.values / b.mass()
-    return min(1.0, 0.5 * float((weights * np.abs(p - q)).sum()))
+    return _unit_distance("tv", 0.5 * float((weights * np.abs(p - q)).sum()))

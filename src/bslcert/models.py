@@ -135,7 +135,8 @@ class SystemSpec:
     domain: DomainSpec
     transition: Optional[TransitionModel] = None
     w_domain: Optional[DomainSpec] = None
-    # transition matrices keyed by DomainSpec, ConstantsReports keyed by ("constants", y, w1)
+    # transition matrices keyed by DomainSpec, ConstantsReports keyed by ("constants", y, w1),
+    # and under "lik_values" the latest observation's likelihood on the grid, as (y.hex(), values)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -242,9 +243,25 @@ def lik_values(s: SystemSpec, k: int, xs=None, *ws) -> np.ndarray:
     """Likelihood h(y_k, x) on the given nodes, or h(y_k, x, w) given parameter points.
 
     Every grid evaluation of the likelihood goes through here: NonFinite
-    unless the values are finite and nonnegative.
+    unless the values are finite and nonnegative.  Without nodes it
+    evaluates on the system grid and keeps the latest observation's values,
+    read-only, in the system's cache, so the P and Q updates of a step and
+    an IP ``g_values`` share one evaluation.  The memo is keyed by the bits
+    of y_k (0.0 and -0.0 may evaluate differently); an evaluation that
+    raises stores nothing.
     """
-    xs = s.domain.nodes if xs is None else xs
+    if xs is not None:
+        return _evaluate_lik(s, k, xs, *ws)
+    key = s.y(k).hex()
+    memo = s._cache.get("lik_values")
+    if memo is None or memo[0] != key:
+        values = _evaluate_lik(s, k, s.domain.nodes).view()
+        values.setflags(write=False)  # on a view: the evaluator's own array keeps its flags
+        memo = s._cache["lik_values"] = (key, values)
+    return memo[1]
+
+
+def _evaluate_lik(s: SystemSpec, k: int, xs, *ws) -> np.ndarray:
     out = np.asarray(s.likelihood.evaluator(s.y(k), xs, *ws), dtype=float)
     if not finite_min(out) >= 0.0:  # NaN for a non-finite entry
         raise NonFinite("likelihood must be finite and nonnegative on the grid")

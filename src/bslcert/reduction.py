@@ -28,18 +28,6 @@ from .models import SystemSpec, g_values, lik_values, se_g_values, ps_g_values  
 
 
 @dataclass(frozen=True)
-class GFunction:
-    """The variant-resolved weighting function on the prior grid."""
-
-    variant: str
-    values: np.ndarray  # 1-D for ip/se (per x), 2-D for ps (per x, w)
-
-
-def g_function(s: SystemSpec, k: int) -> GFunction:
-    return GFunction(s.variant, g_values(s, k))
-
-
-@dataclass(frozen=True)
 class ReductionVerdict:
     theorem: str  # "tv" | "h_er1" | "h_er2" | "w1_ip" | "w1_dyn"
     condition_values: Dict[str, float]
@@ -129,7 +117,7 @@ def _grid_pair(s: SystemSpec, p_prev, q_prev) -> tuple[np.ndarray, np.ndarray]:
 
 def check_tv(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) -> ReductionVerdict:
     p, q = _grid_pair(s, p_prev, q_prev)
-    g = g_function(s, k).values
+    g = g_values(s, k)
     vals = tv_condition_values(s.domain.trapezoid_weights, g, p, q)
     post_p = bayes.grid_update(s, k, p_prev).posterior
     post_q = bayes.grid_update(s, k, q_prev).posterior
@@ -141,7 +129,7 @@ def check_tv(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) ->
 
 def check_hellinger(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) -> ReductionVerdict:
     p, q = _grid_pair(s, p_prev, q_prev)
-    g = g_function(s, k).values
+    g = g_values(s, k)
     vals = hellinger_condition_values(s.domain.trapezoid_weights, g, p, q)
     branch = hellinger_branch(vals)
     post_p = bayes.grid_update(s, k, p_prev).posterior

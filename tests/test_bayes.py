@@ -111,7 +111,7 @@ class TestGaussianProjection:
         approx, exact, eps = gaussian_projection_step(IP, 1, Gaussian1D(0.0, 1.0))
         assert eps["tv"] < 1e-9 and eps["hellinger"] < 1e-9
         # the W1 floor is the cumulative-trapezoid CDF error, ~1e-5 at this spacing
-        assert eps["w1"] < 1e-4
+        assert metrics.w1(exact.posterior, approx, D40) < 1e-4
         assert abs(approx.mean - 0.2612826603325416) < 1e-6
 
     def test_bimodal_case_incurs_real_error(self):
@@ -124,6 +124,29 @@ class TestGaussianProjection:
         a1 = gaussian_projection_step(bimodal_system(), 1, Gaussian1D(0.0, 4.0))
         a2 = gaussian_projection_step(bimodal_system(), 1, Gaussian1D(0.0, 4.0))
         assert a1[0] == a2[0] and a1[2] == a2[2]
+
+    @pytest.mark.parametrize("system", [IP, bimodal_system()], ids=["conjugate", "bimodal"])
+    def test_increments_are_the_metrics_of_the_pair(self, system):
+        approx, exact, eps = gaussian_projection_step(system, 1, Gaussian1D(0.0, 4.0))
+        assert set(eps) == {"tv", "hellinger"}
+        for m in eps:
+            measured = getattr(metrics, m)(exact.posterior, approx, system.domain)
+            assert eps[m].hex() == measured.hex()
+
+    def test_discretizes_the_prior_and_the_projection_once_each(self, monkeypatch):
+        import bslcert.bayes as bayes_module
+
+        seen = []
+
+        def counting(g, d):
+            seen.append(g)
+            return discretize(g, d)
+
+        for module in (bayes_module, metrics):
+            monkeypatch.setattr(module, "discretize", counting)
+        prior = Gaussian1D(0.0, 4.0)
+        approx, _, _ = gaussian_projection_step(bimodal_system(), 1, prior)
+        assert seen == [prior, approx]
 
 
 def _identity_likelihood(y, x, w=None):

@@ -221,8 +221,8 @@ class TestTwoOutput:
         for k in range(1, 6):
             z1.append(bayes.grid_update(s, k, p).evidence)
             p = bayes.grid_update(s, k, p).posterior
-            qa, _, inc = bayes.gaussian_projection_step(s, k, qa)
-            eps_a.append(inc["w1"])
+            qa, exact_a, _ = bayes.gaussian_projection_step(s, k, qa)
+            eps_a.append(metrics.w1(exact_a.posterior, qa, domain))
             exact_b = bayes.grid_update(s, k, qb_prev)
             cloud = bayes.particle_step(s, k, cloud, 1000, 100 + k)
             qb_prev = cloud

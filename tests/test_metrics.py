@@ -7,8 +7,9 @@ from scipy.integrate import trapezoid
 from scipy.stats import wasserstein_distance
 
 from bslcert import metrics
-from bslcert.domains import DomainSpec, Gaussian1D, GridDensity, ParticleSet, discretize
-from bslcert.errors import DomainMismatch, Unnormalized, UnsupportedRepresentation
+from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet, discretize,
+                             discretize_product)
+from bslcert.errors import DomainMismatch, NonFinite, Unnormalized, UnsupportedRepresentation
 from bslcert.metrics import (gaussian_hellinger, hellinger, scaled_hellinger,
                              tv, w1)
 from helpers import gauss_tv_equal_var, random_density
@@ -189,6 +190,40 @@ class TestScaledHellinger:
         a = discretize(Gaussian1D(0, 1), D10)
         b = discretize(Gaussian1D(2, 1), D10)
         assert abs(scaled_hellinger(a, b) - hellinger(a, b, D10)) < 1e-12
+
+
+class TestTVJoint:
+    XD, WD = DomainSpec(-10.0, 10.0, 101), DomainSpec(0.0, 1.0, 101)
+
+    def pair(self):
+        return (discretize_product(Gaussian1D(0.0, 1.0), Gaussian1D(0.5, 0.003), self.XD, self.WD),
+                discretize_product(Gaussian1D(1.0, 1.0), Gaussian1D(0.5, 0.003), self.XD, self.WD))
+
+    def test_matches_the_marginal_tv_of_product_pairs(self):
+        a, b = self.pair()
+        # the w factors are equal, so the joint TV is the x marginals' TV
+        x_tv = tv(discretize(Gaussian1D(0.0, 1.0), self.XD), discretize(Gaussian1D(1.0, 1.0), self.XD),
+                  self.XD)
+        assert abs(metrics.tv_joint(a, b) - x_tv) < 1e-12
+        assert metrics.tv_joint(a, a) == 0.0
+
+    def test_nan_raises(self):
+        a, b = self.pair()
+        values = a.values.copy()
+        values[50, 50] = math.nan
+        object.__setattr__(a, "values", values)  # past the constructor's check
+        with pytest.raises(NonFinite):
+            metrics.tv_joint(a, b)
+
+    def test_overshoot_beyond_one_raises(self):
+        a, b = self.pair()
+        # signed values of unit mass: half the L1 distance to b is 2
+        values = np.zeros_like(a.values)
+        cell = self.XD.spacing * self.WD.spacing
+        values[10, 10], values[20, 20] = 2.0 / cell, -1.0 / cell
+        object.__setattr__(a, "values", values)
+        with pytest.raises(NonFinite):
+            metrics.tv_joint(a, b)
 
 
 class TestMetricProperties:

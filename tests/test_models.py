@@ -207,6 +207,81 @@ class TestConstantsMemo:
             assert report == system_constants(make(), 1, metric)
 
 
+class TestLikelihoodMemo:
+    """lik_values(s, k) on the system grid keeps the latest observation's values."""
+
+    @staticmethod
+    def counted(ys=(1.0, 1.0, 2.0), domain=DomainSpec(-10.0, 10.0, 401)):
+        calls = []
+
+        def ev(y, x, w=None):
+            calls.append(y)
+            return np.exp(-0.5 * (y - np.asarray(x, dtype=float)) ** 2)
+
+        return SystemSpec("ip", LikelihoodModel.custom(ev), list(ys), domain), calls
+
+    def test_one_evaluation_per_observation(self):
+        s, calls = self.counted()
+        p = discretize(Gaussian1D(0.0, 1.0), s.domain)
+        q = discretize(Gaussian1D(1.0, 1.0), s.domain)
+        post_p = grid_update(s, 1, p)
+        post_q = grid_update(s, 1, q)
+        g = models.g_values(s, 1)
+        assert calls == [1.0]
+        assert g is models.lik_values(s, 1)
+        fresh, _ = self.counted()
+        assert np.array_equal(grid_update(fresh, 1, p).posterior.values, post_p.posterior.values)
+        assert np.array_equal(grid_update(fresh, 1, q).posterior.values, post_q.posterior.values)
+        models.lik_values(s, 2)  # a repeated observation
+        assert calls == [1.0]
+        models.lik_values(s, 3)
+        assert calls == [1.0, 2.0]
+
+    def test_explicit_nodes_bypass_the_memo(self):
+        s, calls = self.counted()
+        held = models.lik_values(s, 1)
+        for _ in range(2):
+            assert np.array_equal(models.lik_values(s, 1, s.domain.nodes), held)
+        models.lik_values(s, 3, np.array([0.5, 1.5]))
+        assert calls == [1.0, 1.0, 1.0, 2.0]
+        key, values = s._cache["lik_values"]
+        assert key == (1.0).hex() and values is held
+        assert models.lik_values(s, 1) is held
+
+    def test_memo_is_read_only_and_leaves_the_evaluators_array_alone(self):
+        own = np.ones(401)
+        s = SystemSpec("ip", LikelihoodModel.custom(lambda y, x, w=None: own), [0.0],
+                       DomainSpec(-10.0, 10.0, 401))
+        h = models.lik_values(s, 1)
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0] = 2.0
+        assert own.flags.writeable
+
+    def test_signed_zero_observations_are_kept_apart(self):
+        s, calls = self.counted(ys=(0.0, -0.0))
+        models.lik_values(s, 1)
+        models.lik_values(s, 2)
+        assert [math.copysign(1.0, y) for y in calls] == [1.0, -1.0]
+
+    @pytest.mark.parametrize("bad", ["nan", "raise"])
+    def test_a_failed_evaluation_stores_nothing(self, bad):
+        calls = []
+
+        def ev(y, x, w=None):
+            calls.append(y)
+            if bad == "raise":
+                raise ArithmeticError("evaluator failed")
+            return np.full(np.shape(x), np.nan)
+
+        s = SystemSpec("ip", LikelihoodModel.custom(ev), [0.0], DomainSpec(-10.0, 10.0, 401))
+        for _ in range(2):
+            with pytest.raises(NonFinite if bad == "nan" else ArithmeticError):
+                models.lik_values(s, 1)
+            assert "lik_values" not in s._cache
+        assert calls == [0.0, 0.0]
+
+
 class TestValidateAdmissible:
     def test_ip_gaussian_evidence(self):
         z = validate_admissible(ip_system(), 1, Gaussian1D(0.0, 1.0))

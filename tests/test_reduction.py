@@ -8,9 +8,9 @@ import pytest
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import UnsupportedRepresentation
 from bslcert.harness import reduction_fuzz
-from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, se_g_values
+from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, g_values, se_g_values
 from bslcert.reduction import (_abs_gap_matvec, check_hellinger, check_tv, check_w1,
-                               g_function, hellinger_branch, hellinger_condition_values,
+                               hellinger_branch, hellinger_condition_values,
                                tv_condition_values, tv_conditions_hold)
 from helpers import mixture_density, random_density, reduction_fixtures
 
@@ -101,13 +101,13 @@ class TestFrozenGuaranteedFixtures:
     def test_h_er2_fixture_certifies_second_branch(self):
         system, p, q = reduction_fixtures()["h_er2"]
         vals = hellinger_condition_values(system.domain.trapezoid_weights,
-                                          g_function(system, 1).values, p.values, q.values)
+                                          g_values(system, 1), p.values, q.values)
         assert hellinger_branch(vals) == "er2"
 
     def test_h_er1_fixture_certifies_first_branch(self):
         system, p, q = reduction_fixtures()["h_er1"]
         vals = hellinger_condition_values(system.domain.trapezoid_weights,
-                                          g_function(system, 1).values, p.values, q.values)
+                                          g_values(system, 1), p.values, q.values)
         assert hellinger_branch(vals) == "er1"
 
 
@@ -127,16 +127,17 @@ class TestSwapSymmetry:
 
 
 class TestGFunction:
+    """The weighting function g of models.g_values, per variant."""
+
     def test_ip_is_the_likelihood(self):
-        g = g_function(IP, 1)
-        assert g.variant == "ip"
-        assert np.array_equal(g.values, IP.likelihood.evaluator(0.0, D.nodes))
+        g = g_values(IP, 1)
+        assert np.array_equal(g, IP.likelihood.evaluator(0.0, D.nodes))
 
     def test_se_matches_constants_integrand(self):
         dse = DomainSpec(-10.0, 10.0, 501)
         s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 2.0), [0.3], dse,
                        transition=TransitionModel.linear_gaussian(0.8, 0.5))
-        g = g_function(s, 1).values
+        g = g_values(s, 1)
         assert np.max(np.abs(g - se_g_values(s, 1))) < 1e-12
         h = s.likelihood.evaluator(0.3, dse.nodes)
         for idx in (0, 123, 250, 500):
@@ -149,9 +150,9 @@ class TestGFunction:
         s = SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 0.5), [0.0], xd,
                        transition=TransitionModel.parametric_linear_gaussian(0.25),
                        w_domain=wd)
-        g = g_function(s, 1)
-        assert g.values.shape == (121, 111)
-        assert np.all(g.values >= 0.0) and np.all(np.isfinite(g.values))
+        g = g_values(s, 1)
+        assert g.shape == (121, 111)
+        assert np.all(g >= 0.0) and np.all(np.isfinite(g))
 
 
 class TestGapProduct:
