@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ Posterior = Union[Gaussian1D, GridDensity, JointGrid2D]
 class UpdateResult:
     posterior: Posterior
     evidence: float
-    predicted: Optional[Union[GridDensity, JointGrid2D]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.evidence) and self.evidence > 0.0):
@@ -84,19 +83,19 @@ def _ps_predicted_values(s: SystemSpec, priors) -> list:
 
 
 def _unnormalized_posteriors(s: SystemSpec, k: int, priors) -> list:
-    """(unnormalized values, predicted values or None) on the grid, per prior."""
+    """Unnormalized posterior values on the grid, per prior."""
     if s.variant == "ip":
         if any(isinstance(prior, ParticleSet) for prior in priors):
             raise UnsupportedRepresentation("inverse-problem grid updates need a density prior")
         h = lik_values(s, k)
-        return [(h * prior_values(s, prior), None) for prior in priors]
+        return [h * prior_values(s, prior) for prior in priors]
     if s.variant == "se":
         predicted = [predicted_values(s, k, prior) for prior in priors]
         h = lik_values(s, k)
     else:
         predicted = _ps_predicted_values(s, priors)
         h = lik_values_ps(s, k)
-    return [(h * pred, pred) for pred in predicted]
+    return [h * pred for pred in predicted]
 
 
 def _mass(s: SystemSpec, values: np.ndarray) -> float:
@@ -109,7 +108,7 @@ def evidence(s: SystemSpec, k: int, prior) -> float:
     """Evidence of the prior at step k: pre-normalization mass of the update."""
     if s.variant == "ip" and isinstance(prior, ParticleSet):
         return float(prior.weights @ lik_values(s, k, prior.points))
-    unnorm = _unnormalized_posteriors(s, k, [prior])[0][0]
+    unnorm = _unnormalized_posteriors(s, k, [prior])[0]
     return _mass(s, unnorm)
 
 
@@ -132,11 +131,10 @@ def grid_update(s: SystemSpec, k: int, prior) -> UpdateResult:
 
 def grid_updates(s: SystemSpec, k: int, priors) -> list[UpdateResult]:
     """grid_update of each prior at step k, evaluating each transition kernel once."""
-    return [_normalize(s, unnorm, predicted)
-            for unnorm, predicted in _unnormalized_posteriors(s, k, priors)]
+    return [_normalize(s, unnorm) for unnorm in _unnormalized_posteriors(s, k, priors)]
 
 
-def _normalize(s: SystemSpec, unnorm: np.ndarray, predicted) -> UpdateResult:
+def _normalize(s: SystemSpec, unnorm: np.ndarray) -> UpdateResult:
     if math.isnan(finite_min(unnorm)):
         raise NonFinite("unnormalized posterior contains non-finite values")
     z = _mass(s, unnorm)
@@ -148,12 +146,8 @@ def _normalize(s: SystemSpec, unnorm: np.ndarray, predicted) -> UpdateResult:
     values = values / _mass(s, values)
     _check_boundary(s, values)
     if s.variant == "ps":
-        post = JointGrid2D(s.domain, s.w_domain, values, normalized=True)
-        pred = JointGrid2D(s.domain, s.w_domain, predicted, normalized=False)
-    else:
-        post = GridDensity(s.domain, values, normalized=True)
-        pred = GridDensity(s.domain, predicted, normalized=False) if predicted is not None else None
-    return UpdateResult(post, z, pred)
+        return UpdateResult(JointGrid2D(s.domain, s.w_domain, values, normalized=True), z)
+    return UpdateResult(GridDensity(s.domain, values, normalized=True), z)
 
 
 def conjugate_update_ip(prior: Gaussian1D, a: float, noise_var: float, y: float) -> UpdateResult:
@@ -173,8 +167,7 @@ def conjugate_update_se(prior: Gaussian1D, trans_a: float, trans_q: float,
                         a: float, noise_var: float, y: float) -> UpdateResult:
     """Two-stage closed form: Gaussian pushforward, then the conjugate update."""
     predicted = Gaussian1D(trans_a * prior.mean, trans_a ** 2 * prior.variance + trans_q)
-    result = conjugate_update_ip(predicted, a, noise_var, y)
-    return UpdateResult(result.posterior, result.evidence, None)
+    return conjugate_update_ip(predicted, a, noise_var, y)
 
 
 def gaussian_projection_step(s: SystemSpec, k: int, prior: Gaussian1D):
@@ -190,25 +183,26 @@ def gaussian_projection_step(s: SystemSpec, k: int, prior: Gaussian1D):
         raise UnsupportedRepresentation("Gaussian projection runs on 1-D state systems")
     exact = grid_update(s, k, prior)
     approx = Gaussian1D(*moments(exact.posterior))
-    p, q = (metrics.normalized_values(dist, s.domain) for dist in (exact.posterior, approx))
-    eps = {m: metrics.grid_distance(m, p, q, s.domain) for m in ("tv", "hellinger")}
-    return approx, exact, eps
+    return approx, exact, metrics.tv_and_hellinger(exact.posterior, approx, s.domain)
 
 
 def particle_step(s: SystemSpec, k: int, prior: ParticleSet, n: int, seed: int) -> ParticleSet:
     """Bootstrap step: propagate, weight by the likelihood, multinomial resample."""
     if s.variant != "se":
         raise UnsupportedRepresentation("the particle step is defined for state estimation")
+    sampler = s.transition.sampler
+    if sampler is None:
+        raise UnsupportedRepresentation("transition has no sampler")
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    moved = np.array(s.transition.sampler(rng, prior.points), dtype=float)
+    moved = np.array(sampler(rng, prior.points), dtype=float)
     lo, hi = s.domain.lower, s.domain.upper
     for _ in range(100):  # redraw the rare moves that leave the truncated domain
         outside = (moved < lo) | (moved > hi)
         if not outside.any():
             break
-        moved[outside] = s.transition.sampler(rng, prior.points[outside])
+        moved[outside] = sampler(rng, prior.points[outside])
     np.clip(moved, lo, hi, out=moved)
     weights = prior.weights * lik_values(s, k, moved)
     total = float(weights.sum())

@@ -166,13 +166,6 @@ def _case_priors(case: int, rng) -> tuple[Gaussian1D, Gaussian1D]:
     return Gaussian1D(means[0], variances[0]), Gaussian1D(means[1], variances[1])
 
 
-def _gaussian_distances(mu: Gaussian1D, mu_prime: Gaussian1D, domain: DomainSpec) -> dict:
-    """metrics.tv and metrics.hellinger of the pair, discretizing each Gaussian once."""
-    p = discretize(mu, domain).values
-    q = discretize(mu_prime, domain).values
-    return {m: metrics.grid_distance(m, p, q, domain) for m in ("tv", "hellinger")}
-
-
 def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec):
     rng = np.random.default_rng(trial_seed)
     mu, mu_prime = _case_priors(case, rng)
@@ -183,14 +176,14 @@ def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec)
         np.full(steps, y), domain)
 
     rows = []
-    dist = _gaussian_distances(mu, mu_prime, domain)
+    dist = metrics.tv_and_hellinger(mu, mu_prime, domain)
     for k in range(1, steps + 1):
         up_p = bayes.conjugate_update_ip(mu, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
         up_q = bayes.conjugate_update_ip(mu_prime, OBSERVATION_GAIN, OBSERVATION_NOISE_VAR, y)
         z = max(up_p.evidence, up_q.evidence)
         bound = {m: bounds.pointwise_K(system, k, m, z) * dist[m] for m in dist}
         mu, mu_prime = up_p.posterior, up_q.posterior
-        dist = _gaussian_distances(mu, mu_prime, domain)
+        dist = metrics.tv_and_hellinger(mu, mu_prime, domain)
         for m in dist:
             rows.append(Row(k, m, dist[m], bound[m], up_p.evidence, up_q.evidence))
     return rows, {"y": y, "x_star": x_star}
@@ -221,11 +214,16 @@ def reproduce(case: int, steps: int, seed: int, trials: int = 1,
 
 
 BIMODAL_PRIOR = Gaussian1D(0.0, 4.0)
+BIMODAL_OFFSET = 2.0  # the likelihood's bumps sit at x -/+ this
+BIMODAL_BUMP_VAR = 0.25
+SE_TRANS_A = 0.9
+SE_TRANS_Q = 1.0
+SE_OBS_VAR = 1.0
 
 
-def bimodal_ip_system(steps: int, rng, domain: DomainSpec,
-                      offset: float = 2.0, bump_var: float = 0.25) -> SystemSpec:
+def bimodal_ip_system(steps: int, rng, domain: DomainSpec) -> SystemSpec:
     """Inverse problem whose two-bump likelihood defeats a single Gaussian."""
+    offset, bump_var = BIMODAL_OFFSET, BIMODAL_BUMP_VAR
 
     def evaluator(y, x, w=None):
         x = np.asarray(x, dtype=float)
@@ -240,16 +238,15 @@ def bimodal_ip_system(steps: int, rng, domain: DomainSpec,
     return SystemSpec("ip", LikelihoodModel.custom(evaluator), ys, domain)
 
 
-def linear_se_system(steps: int, rng, domain: DomainSpec,
-                     trans_a: float = 0.9, trans_q: float = 1.0,
-                     obs_var: float = 1.0) -> SystemSpec:
+def linear_se_system(steps: int, rng, domain: DomainSpec) -> SystemSpec:
+    """Linear-Gaussian state estimation observed directly: the particle filter's system."""
     x = rng.standard_normal()
     ys = np.empty(steps)
     for k in range(steps):
-        x = trans_a * x + math.sqrt(trans_q) * rng.standard_normal()
-        ys[k] = x + math.sqrt(obs_var) * rng.standard_normal()
-    return SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, obs_var), ys, domain,
-                      transition=TransitionModel.linear_gaussian(trans_a, trans_q))
+        x = SE_TRANS_A * x + math.sqrt(SE_TRANS_Q) * rng.standard_normal()
+        ys[k] = x + math.sqrt(SE_OBS_VAR) * rng.standard_normal()
+    return SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, SE_OBS_VAR), ys, domain,
+                      transition=TransitionModel.linear_gaussian(SE_TRANS_A, SE_TRANS_Q))
 
 
 def _ledger_rows(metric: str, distances, eps, z1, z2, system) -> list[Row]:
@@ -411,21 +408,18 @@ def reduction_fuzz(theorem: str, trials: int, seed: int,
     rng = np.random.default_rng(seed)
     guaranteed = violations = 0
     worst = -math.inf
+    # looked up per call, so wrappers installed on the reduction module see the checks
+    check = {"tv": reduction.check_tv, "hellinger": reduction.check_hellinger}.get(
+        theorem, reduction.check_w1)
     # one grid per sweep: a new DomainSpec would compute its nodes and weights again
-    ip_grid, se_grid = DomainSpec(-10.0, 10.0, 401), DomainSpec(0.0, 1.0, 201)
+    if theorem == "w1-dyn":
+        draw, grid = _fuzz_se_instance, DomainSpec(0.0, 1.0, 201)
+    else:
+        draw, grid = _fuzz_ip_instance, DomainSpec(-10.0, 10.0, 401)
     for _ in range(trials):
         try:
-            if theorem in ("tv", "hellinger", "w1-ip"):
-                system, p, q = _fuzz_ip_instance(rng, ip_grid)
-                if theorem == "tv":
-                    v = reduction.check_tv(system, 1, p, q)
-                elif theorem == "hellinger":
-                    v = reduction.check_hellinger(system, 1, p, q)
-                else:
-                    v = reduction.check_w1(system, 1, p, q, "ip")
-            else:
-                system, p, q = _fuzz_se_instance(rng, se_grid)
-                v = reduction.check_w1(system, 1, p, q, "dyn")
+            system, p, q = draw(rng, grid)
+            v = check(system, 1, p, q)
         except BslError as exc:
             if skips is not None:
                 skips[type(exc).__name__] += 1
@@ -446,22 +440,20 @@ def reduction_fuzz(theorem: str, trials: int, seed: int,
 PS_TRUE_PARAM = 0.7
 PS_TRANS_VAR = 0.25
 PS_OBS_VAR = 0.5
+PS_X_DOMAIN = DomainSpec(-15.0, 15.0, 241)
+PS_W_DOMAIN = DomainSpec(-0.25, 1.45, 241)
 
 
-def ps_toy_system(steps: int, rng,
-                  x_domain: Optional[DomainSpec] = None,
-                  w_domain: Optional[DomainSpec] = None) -> SystemSpec:
-    """1-D linear-Gaussian parameter-state toy: unknown drift coefficient."""
-    x_domain = x_domain or DomainSpec(-15.0, 15.0, 241)
-    w_domain = w_domain or DomainSpec(-0.25, 1.45, 241)
+def ps_toy_system(steps: int, rng) -> SystemSpec:
+    """1-D linear-Gaussian parameter-state toy: the transition coefficient w is unknown."""
     x = rng.standard_normal()
     ys = np.empty(steps)
     for k in range(steps):
         x = PS_TRUE_PARAM * x + math.sqrt(PS_TRANS_VAR) * rng.standard_normal()
         ys[k] = x + math.sqrt(PS_OBS_VAR) * rng.standard_normal()
-    return SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, PS_OBS_VAR), ys, x_domain,
+    return SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, PS_OBS_VAR), ys, PS_X_DOMAIN,
                       transition=TransitionModel.parametric_linear_gaussian(PS_TRANS_VAR),
-                      w_domain=w_domain)
+                      w_domain=PS_W_DOMAIN)
 
 
 def _joint_factor_moments(j: JointGrid2D) -> GaussianPair:

@@ -63,8 +63,8 @@ def _root_gap(d: DomainSpec, p: np.ndarray, q: np.ndarray) -> float:
 def grid_distance(metric: str, p: np.ndarray, q: np.ndarray, d: DomainSpec) -> float:
     """TV or Hellinger distance between unit-mass density values on the nodes of d.
 
-    ``tv`` and ``hellinger`` evaluate through here, so a caller that already
-    holds the discretized pair gets the same bits without discretizing again.
+    ``tv``, ``hellinger`` and ``tv_and_hellinger`` evaluate through here, so
+    they give the same bits for the same pair.
     """
     if metric == "tv":
         return _unit_distance("tv", 0.5 * d.integrate(np.abs(p - q)))
@@ -90,6 +90,12 @@ def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
 def hellinger(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Hellinger distance sqrt(0.5 * integral (sqrt p - sqrt q)^2)."""
     return grid_distance("hellinger", normalized_values(a, d), normalized_values(b, d), d)
+
+
+def tv_and_hellinger(a: Distribution, b: Distribution, d: DomainSpec) -> dict:
+    """{"tv": tv(a, b, d), "hellinger": hellinger(a, b, d)}, normalizing each side once."""
+    p, q = normalized_values(a, d), normalized_values(b, d)
+    return {m: grid_distance(m, p, q, d) for m in ("tv", "hellinger")}
 
 
 # -- 1-Wasserstein ---------------------------------------------------------

@@ -76,8 +76,7 @@ class TransitionModel:
     family: str = "custom"
     a: Optional[float] = None
     q: Optional[float] = None
-    drift: Optional[Callable] = None  # parameter -> drift coefficient
-    sampler: Optional[Callable] = None  # (rng, x_prev[, w]) -> x_next
+    sampler: Optional[Callable] = None  # (rng, x_prev) -> x_next
 
     @staticmethod
     def linear_gaussian(a: float, q: float) -> "TransitionModel":
@@ -99,22 +98,15 @@ class TransitionModel:
         return TransitionModel(kernel, "linear_gaussian", a=a, q=q, sampler=sampler)
 
     @staticmethod
-    def parametric_linear_gaussian(q: float, drift: Callable = None) -> "TransitionModel":
-        """T(x_next, x_prev, w) = Gaussian pdf with mean drift(w)*x_prev, variance q."""
+    def parametric_linear_gaussian(q: float) -> "TransitionModel":
+        """T(x_next, x_prev, w) = Gaussian pdf with mean w*x_prev, variance q."""
         if q <= 0:
             raise ValueError("q must be positive")
-        drift = drift if drift is not None else (lambda w: w)
 
         def kernel(x_next, x_prev, w):
-            coef = np.asarray(drift(np.asarray(w, dtype=float)), dtype=float)
-            return gauss_pdf(x_next, coef * np.asarray(x_prev, dtype=float), q)
+            return gauss_pdf(x_next, np.asarray(w, dtype=float) * np.asarray(x_prev, dtype=float), q)
 
-        def sampler(rng, x_prev, w):
-            x_prev = np.asarray(x_prev, dtype=float)
-            coef = np.asarray(drift(np.asarray(w, dtype=float)), dtype=float)
-            return coef * x_prev + math.sqrt(q) * rng.standard_normal(x_prev.shape)
-
-        return TransitionModel(kernel, "parametric_linear_gaussian", q=q, drift=drift, sampler=sampler)
+        return TransitionModel(kernel, "parametric_linear_gaussian", q=q)
 
     @staticmethod
     def custom(kernel, sampler=None) -> "TransitionModel":
@@ -135,7 +127,7 @@ class SystemSpec:
     domain: DomainSpec
     transition: Optional[TransitionModel] = None
     w_domain: Optional[DomainSpec] = None
-    # transition matrices keyed by DomainSpec, ConstantsReports keyed by ("constants", y, w1),
+    # transition matrices keyed by DomainSpec, ConstantsReports keyed by ("constants", y.hex(), w1),
     # and under "lik_values" the latest observation's likelihood on the grid, as (y.hex(), values)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -308,7 +300,7 @@ def transition_matrix(s: SystemSpec, domain: DomainSpec, *w, out=None) -> np.nda
         coef = trans.a
     elif trans.family == "parametric_linear_gaussian":
         (param,) = w
-        coef = np.asarray(trans.drift(np.asarray(param, dtype=float)), dtype=float)
+        coef = np.asarray(param, dtype=float)
     else:
         return kernel_matrix(density, xs, xs, *w, out=out)
     n = xs.shape[0]
@@ -458,24 +450,30 @@ def system_constants(s: SystemSpec, k: int, metric: str) -> ConstantsReport:
     """Constants for step k and the given metric ("tv", "hellinger", "w1").
 
     They depend on k only through y_k, and on the metric only through whether
-    it is w1, so each system keeps them per (y_k, metric == "w1"): tv and
-    hellinger share one entry, as do the steps of a repeated observation.  A
-    computation that raises stores nothing, so the next call raises again.
+    it is w1, so each system keeps them per (bits of y_k, metric == "w1"): tv
+    and hellinger share one entry, as do the steps of a repeated observation,
+    while 0.0 and -0.0 stay apart as in the likelihood memo.  A computation
+    that raises stores nothing, so the next call raises again.
     """
     if metric not in ("tv", "hellinger", "w1"):
         raise ValueError(f"unknown metric {metric!r}")
     want_w1 = metric == "w1"
-    key = ("constants", s.y(k), want_w1)
+    key = ("constants", s.y(k).hex(), want_w1)
     report = s._cache.get(key)
     if report is None:
         report = s._cache[key] = _compute_constants(s, k, want_w1)
     return report
 
 
-def _closed_form(s: SystemSpec, k: int, want_w1: bool) -> Optional[tuple[float, Optional[float]]]:
+def _closed_form(s: SystemSpec, k: int) -> Optional[tuple[float, float]]:
     """(sup g, its Lipschitz term) for the three linear-Gaussian families, else None.
 
-    The PS Lipschitz term, which scans the drift, is None unless want_w1.
+    The SE and PS terms bound the integral over x of h(y_k, x) times the sup
+    of |grad T(x, .)|: the slope of a Gaussian pdf in its mean is at most
+    _PEAK_SLOPE / (sqrt(2 pi) q), and h integrates to h_mass.  An SE mean
+    a x' carries |a|.  A PS mean w x' carries |w| in dT/dx' and |x'| in
+    dT/dw; the dual norm of the metric |dx| + |dw| is the larger of the two,
+    so the sup is max(max |w|, max |x|) over the domains.
     """
     lik, trans = s.likelihood, s.transition
     if lik.family != "linear_gaussian":
@@ -498,20 +496,15 @@ def _closed_form(s: SystemSpec, k: int, want_w1: bool) -> Optional[tuple[float, 
     if s.variant == "ps" and trans.family == "parametric_linear_gaussian":
         c_th_tilde = 1.0 / math.sqrt(2.0 * math.pi * (lik.a ** 2 * trans.q + lik.noise_var)) \
             if lik.a != 0 else 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
-        if not want_w1:
-            return c_th_tilde, None
-        ws = np.linspace(s.w_domain.lower, s.w_domain.upper, 20001)
-        coefs = np.asarray(trans.drift(ws), dtype=float)
-        a_max = float(np.max(np.abs(coefs)))
-        a_slope = float(np.max(np.abs(np.diff(coefs)))) / (ws[1] - ws[0])
-        x_max = max(abs(s.domain.lower), abs(s.domain.upper))
-        return c_th_tilde, _PEAK_SLOPE / (_SQRT_2PI * trans.q) * max(a_max, a_slope * x_max) * h_mass
+        reach = max(abs(s.w_domain.lower), abs(s.w_domain.upper),
+                    abs(s.domain.lower), abs(s.domain.upper))
+        return c_th_tilde, _PEAK_SLOPE / (_SQRT_2PI * trans.q) * reach * h_mass
     return None
 
 
 def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
     """One rule for every variant and family; the module docstring states it."""
-    claim = _closed_form(s, k, want_w1)
+    claim = _closed_form(s, k)
     if claim is None and s.variant == "ip":
         # a declaration bounds h, which is g only in an inverse problem
         claim = s.likelihood.declared_sup, s.likelihood.declared_lip

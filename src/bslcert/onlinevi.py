@@ -227,9 +227,8 @@ def elbo_mc_stats(q, s: SystemSpec, k: int, prev_q, n: int, seed: int) -> ElboEs
         ws = q.w.mean + q.w.std * rng.standard_normal(n)
         log_q = np.log(q.x.pdf(xs)) + np.log(q.w.pdf(ws))
         log_h = _safe_log(np.asarray(s.likelihood.evaluator(y, xs, ws), dtype=float))
-        coef = np.asarray(trans.drift(ws), dtype=float)
-        pred_mean = coef * prev_q.x.mean
-        pred_var = coef ** 2 * prev_q.x.variance + trans.q
+        pred_mean = ws * prev_q.x.mean
+        pred_var = ws ** 2 * prev_q.x.variance + trans.q
         log_pred_x = -0.5 * np.log(2 * math.pi * pred_var) - 0.5 * (xs - pred_mean) ** 2 / pred_var
         log_prior = log_pred_x + np.log(prev_q.w.pdf(ws))
         terms = log_h + log_prior - log_q

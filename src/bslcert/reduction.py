@@ -159,15 +159,15 @@ def _w1_atomic(s: SystemSpec, a: np.ndarray, b: np.ndarray) -> float:
     return metrics.w1(_atomic(s, a), _atomic(s, b), s.domain)
 
 
-def check_w1(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity,
-             variant: str = "ip") -> ReductionVerdict:
-    """Wasserstein reduction check: "ip" (static) or "dyn" (predicted densities).
+def check_w1(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) -> ReductionVerdict:
+    """Wasserstein reduction check: static ("w1_ip") on an inverse problem,
+    on the predicted densities ("w1_dyn") in state estimation.
 
     Distances are measured between the node-atomic discretizations, which are
     exactly the measures the condition integrals describe.
     """
-    if variant not in ("ip", "dyn"):
-        raise ValueError(f"unknown w1 reduction variant {variant!r}")
+    if s.variant == "ps":
+        raise UnsupportedRepresentation("the w1 reduction checks run on 1-D state systems")
     p, q = _grid_pair(s, p_prev, q_prev)
     xs = s.domain.nodes
     w = s.domain.trapezoid_weights
@@ -176,9 +176,7 @@ def check_w1(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity,
     prior_slack = _abs_gap_matvec(xs, w * (p - q))
     sup_dual_prior = float(np.max(np.abs(prior_slack)))
 
-    if variant == "ip":
-        if s.variant != "ip":
-            raise UnsupportedRepresentation("the static w1 check runs on inverse problems")
+    if s.variant == "ip":
         a = w * h * p
         b = w * h * q
         z_p, z_q = float(a.sum()), float(b.sum())
@@ -194,8 +192,6 @@ def check_w1(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity,
             measured_prior_dist=_w1_atomic(s, w * p, w * q),
             measured_post_dist=_w1_atomic(s, a, b))
 
-    if s.variant != "se":
-        raise UnsupportedRepresentation("the dynamic w1 check runs on state estimation")
     p_pred = bayes.predicted_values(s, k, p_prev)
     q_pred = bayes.predicted_values(s, k, q_prev)
     a, b = w * p_pred, w * q_pred

@@ -177,8 +177,8 @@ def test_criterion_7_reduction_soundness():
     checks = {"tv": lambda s, p, q: check_tv(s, 1, p, q),
               "h_er1": lambda s, p, q: check_hellinger(s, 1, p, q),
               "h_er2": lambda s, p, q: check_hellinger(s, 1, p, q),
-              "w1_ip": lambda s, p, q: check_w1(s, 1, p, q, "ip"),
-              "w1_dyn": lambda s, p, q: check_w1(s, 1, p, q, "dyn")}
+              "w1_ip": lambda s, p, q: check_w1(s, 1, p, q),
+              "w1_dyn": lambda s, p, q: check_w1(s, 1, p, q)}
     for tag, (system, p, q) in reduction_fixtures().items():
         v = checks[tag](system, p, q)
         assert v.guaranteed and v.measured_prior_dist > 0.05

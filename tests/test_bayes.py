@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bslcert import metrics
-from bslcert.bayes import (conjugate_update_ip, conjugate_update_se, evidence,
-                           gaussian_projection_step, grid_update, grid_updates,
+from bslcert.bayes import (_ps_predicted_values, conjugate_update_ip, conjugate_update_se,
+                           evidence, gaussian_projection_step, grid_update, grid_updates,
                            particle_step, predicted_values)
 from bslcert.domains import (DomainSpec, Gaussian1D, ParticleSet, discretize,
                              discretize_product, moments)
@@ -86,7 +86,7 @@ class TestGridUpdate:
         assert abs(mean) < 1e-9
         assert abs(var - 1.2) < 1e-9
         assert abs(r.evidence - 1.0 / math.sqrt(2 * math.pi * 5.0)) < 1e-12
-        assert abs(r.predicted.mass() - 1.0) < 1e-6
+        assert abs(DSE.integrate(predicted_values(SE, 1, Gaussian1D(0.0, 1.0))) - 1.0) < 1e-6
         oracle = conjugate_update_se(Gaussian1D(0.0, 1.0), 1.0, 1.0, 1.0, 3.0, 0.0)
         assert abs(var - oracle.posterior.variance) < 1e-9
 
@@ -188,6 +188,14 @@ class TestParticleStep:
             with pytest.raises(UnsupportedRepresentation, match="no density"):
                 use()
 
+    def test_transition_without_sampler_is_unsupported(self):
+        kernel = TransitionModel.linear_gaussian(0.9, 1.0).kernel
+        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], DSE,
+                       transition=TransitionModel.custom(kernel))
+        cloud = ParticleSet(np.linspace(-1.0, 1.0, 50), np.full(50, 1 / 50))
+        with pytest.raises(UnsupportedRepresentation, match="no sampler"):
+            particle_step(s, 1, cloud, 50, 0)
+
     def test_one_step_accuracy_seed0(self):
         s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], DSE,
                        transition=TransitionModel.linear_gaussian(0.9, 1.0))
@@ -253,7 +261,6 @@ class TestParticleStep:
 def _same_update(a, b):
     assert a.evidence == b.evidence
     assert a.posterior.values.tobytes() == b.posterior.values.tobytes()
-    assert a.predicted.values.tobytes() == b.predicted.values.tobytes()
 
 
 class TestKernelReuse:
@@ -288,8 +295,9 @@ class TestKernelReuse:
         for pair, prior in zip(paired, priors):
             _same_update(pair, grid_update(s, 1, prior))
         # each column is the streamed product with that parameter's kernel
+        predicted = _ps_predicted_values(s, priors)[1]
         xs, wquad = xd.nodes, xd.trapezoid_weights
         for j in (0, 120, 240):
             w = wd.nodes[j]
             streamed = kernel_matvec(s.transition.kernel, xs, xs, wquad * priors[1].values[:, j], w)
-            assert paired[1].predicted.values[:, j].tobytes() == streamed.tobytes()
+            assert predicted[:, j].tobytes() == streamed.tobytes()

@@ -285,7 +285,7 @@ _VALUE_SITES = {
     "lik_values": (lambda bad: lik_values(_ip_system(_inject(np.ones(101), bad)), 1),
                    (NonFinite, "likelihood must be finite and nonnegative on the grid"),
                    (NonFinite, "likelihood must be finite and nonnegative on the grid")),
-    "bayes._normalize": (lambda bad: bayes._normalize(_ip_system(None), _inject(_UNNORM, bad), None),
+    "bayes._normalize": (lambda bad: bayes._normalize(_ip_system(None), _inject(_UNNORM, bad)),
                          (NonFinite, "unnormalized posterior contains non-finite values"),
                          (ValueError, "density values must be nonnegative")),
 }

@@ -246,6 +246,18 @@ class TestCli:
         assert sorted(os.listdir(out)) == ["hellinger.csv", "hellinger.svg",
                                            "run_meta.json", "tv.csv", "tv.svg"]
 
+    @pytest.mark.parametrize("filter_kind,stems", [("gauss-proj", ["hellinger", "tv"]),
+                                                   ("particle", ["w1"])])
+    def test_bound_validate_command(self, tmp_path, capsys, filter_kind, stems):
+        out = str(tmp_path / "bv")
+        assert cli.main(["bound-validate", "--filter", filter_kind, "--steps", "2",
+                         "--out", out]) == 0
+        assert sorted(os.listdir(out)) == sorted(
+            [f"{m}_{s}.{ext}" for m in stems for s in ("set1", "set2") for ext in ("csv", "svg")]
+            + ["run_meta.json"])
+        rows = 2 * 2 * len(stems)
+        assert capsys.readouterr().out == f"bound_validate: {rows} rows, 0 violations\n"
+
     def test_metric_command(self, capsys):
         assert cli.main(["metric", "--kind", "w1", "--a", "gaussian:0,1",
                          "--b", "gaussian:2,1"]) == 0
@@ -354,6 +366,12 @@ class TestStrictConfig:
         assert captured.out == ""
         assert captured.err.startswith("bslcert: config error: ")
         assert captured.err.count("\n") == 1
+
+    def test_boolean_is_not_an_int(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "reproduce_case1", "steps": True}))
+        assert cli.main(["reproduce", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == "bslcert: config error: key 'steps' must be int, got True\n"
 
     def test_from_json_needs_experiment(self, tmp_path):
         p = tmp_path / "c.json"

@@ -124,6 +124,16 @@ class TestSystemConstants:
         grid = grid_constant_estimates(s, 1, "tv", 241)
         assert c.c_th_tilde >= grid.c_th_tilde * (1 - 1e-12)
 
+    def test_ps_w1_term_is_the_exact_closed_form(self):
+        # on the vi_demo grids max(max |w|, max |x|) = 15, and h = N(y; x, 0.5) has unit mass in x
+        s = harness.ps_toy_system(5, np.random.default_rng(0))
+        exact = math.exp(-0.5) / (math.sqrt(2 * math.pi) * 0.25) * 15.0
+        for k in range(1, 6):
+            c = system_constants(s, k, "w1").c_th_tilde_star
+            assert c == 14.518243471148601
+            assert abs(c - exact) <= 1e-15 * exact
+            assert c >= models._ps_star_estimate(s, k)
+
     def test_ps_oracle_evaluates_g_at_n_nodes(self):
         s = ps_system()
         sups = {n: grid_constant_estimates(s, 1, "tv", n).c_th_tilde for n in (201, 241, 401)}
@@ -205,6 +215,20 @@ class TestConstantsMemo:
         for metric, report in memoized.items():
             assert system_constants(s, 1, metric) is report
             assert report == system_constants(make(), 1, metric)
+
+    def test_signed_zero_observations_are_kept_apart(self):
+        def ev(y, x, w=None):
+            scale = 2.0 if math.copysign(1.0, y) < 0 else 1.0
+            return scale * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
+
+        def make():
+            return SystemSpec("ip", LikelihoodModel.custom(ev), [0.0, -0.0],
+                              DomainSpec(-10.0, 10.0, 401))
+
+        s = make()
+        assert system_constants(s, 1, "tv").c_h == 1.0
+        assert system_constants(s, 2, "tv").c_h == 2.0 == models.lik_values(s, 2).max()
+        assert system_constants(s, 2, "tv") == system_constants(make(), 2, "tv")
 
 
 class TestLikelihoodMemo:
@@ -569,11 +593,11 @@ PINNED_CONSTANTS = {
             CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
         ],
         "w1": [
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471167564),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
+            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
         ],
     },
     "ps-custom": {
@@ -616,10 +640,6 @@ class TestConstantsPinned:
 VI_W = DomainSpec(-0.25, 1.45, 241)  # the vi_demo parameter grid, w < 0 included
 
 
-def _falling_drift(w):
-    return 1.2 - 2.0 * np.tanh(w)  # negative for w above 0.69
-
-
 def _transition_systems(d):
     """(system, parameter nodes) pairs covering every transition_matrix branch on ``d``."""
     lik = LikelihoodModel.linear_gaussian(1.0, 1.0)
@@ -627,10 +647,9 @@ def _transition_systems(d):
     for a in (0.9, -0.9, 0.0):
         yield SystemSpec("se", lik, [0.0], d,
                          transition=TransitionModel.linear_gaussian(a, 0.5)), [()]
-    for drift in (None, _falling_drift):
-        yield SystemSpec("ps", lik, [0.0], d,
-                         transition=TransitionModel.parametric_linear_gaussian(0.25, drift),
-                         w_domain=VI_W), [(w,) for w in w_nodes]
+    yield SystemSpec("ps", lik, [0.0], d,
+                     transition=TransitionModel.parametric_linear_gaussian(0.25),
+                     w_domain=VI_W), [(w,) for w in w_nodes]
     yield SystemSpec("se", lik, [0.0], d,
                      transition=TransitionModel.custom(_half_gain_kernel)), [()]
 
@@ -662,7 +681,10 @@ class TestTransitionMatrix:
         monkeypatch.setattr(models, "gauss_pdf", counting_pdf)
         s = se_system(trans_a=0.9, domain=d)
         s.transition_kernel(d)
-        transition_matrix(harness.ps_toy_system(1, np.random.default_rng(0), d), d, 0.7)
+        ps = SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], d,
+                        transition=TransitionModel.parametric_linear_gaussian(0.25),
+                        w_domain=VI_W)
+        transition_matrix(ps, d, 0.7)
         assert entries == [rows * d.grid_points] * 2
 
     def test_shipped_domains(self):

@@ -76,7 +76,7 @@ class TestTrivialPairs:
 
     def test_identical_priors_w1(self):
         p = discretize(Gaussian1D(0.0, 1.0), D)
-        v = check_w1(IP, 1, p, p, "ip")
+        v = check_w1(IP, 1, p, p)
         assert v.condition_values["sup_dual_prior"] <= 1e-12
         assert v.measured_post_dist <= v.measured_prior_dist + 1e-8
 
@@ -90,10 +90,8 @@ class TestFrozenGuaranteedFixtures:
         elif tag in ("h_er1", "h_er2"):
             v = check_hellinger(system, 1, p, q)
             assert v.theorem == ("h_er1" if tag == "h_er1" else v.theorem)
-        elif tag == "w1_ip":
-            v = check_w1(system, 1, p, q, "ip")
         else:
-            v = check_w1(system, 1, p, q, "dyn")
+            v = check_w1(system, 1, p, q)
         assert v.guaranteed
         assert v.measured_prior_dist > 0.05  # non-vacuous certificate
         assert v.measured_post_dist <= v.measured_prior_dist + 1e-8
@@ -177,10 +175,10 @@ class TestGapProduct:
         s = SystemSpec("ip", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], d)
         p = discretize(Gaussian1D(-1.0, 0.5), d)
         q = discretize(Gaussian1D(1.0, 0.8), d)
-        check_w1(s, 1, p, q, "ip")  # fills the lazy grid properties
+        check_w1(s, 1, p, q)  # fills the lazy grid properties
         tracemalloc.start()
         try:
-            check_w1(s, 1, p, q, "ip")
+            check_w1(s, 1, p, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,14 +201,13 @@ class TestFuzzVerdictsPinned:
 
 class TestVariantGuards:
     def test_dyn_requires_se(self):
-        p = discretize(Gaussian1D(0.0, 1.0), D)
-        with pytest.raises(UnsupportedRepresentation):
-            check_w1(IP, 1, p, p, "dyn")
-
-    def test_unknown_variant(self):
-        p = discretize(Gaussian1D(0.0, 1.0), D)
-        with pytest.raises(ValueError):
-            check_w1(IP, 1, p, p, "static")
+        xd, wd = DomainSpec(-15.0, 15.0, 121), DomainSpec(-0.25, 1.45, 111)
+        s = SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 0.5), [0.0], xd,
+                       transition=TransitionModel.parametric_linear_gaussian(0.25),
+                       w_domain=wd)
+        p = discretize(Gaussian1D(0.0, 1.0), xd)
+        with pytest.raises(UnsupportedRepresentation, match="1-D state systems"):
+            check_w1(s, 1, p, p)
 
 
 class TestSoundnessSample:

@@ -21,14 +21,6 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 from tracer import Tracer  # noqa: E402
 from workloads import EXPECTED_CALLS  # noqa: E402
 
-# Every EXPECTED_CALLS name that the configs of test_configs_reach_their_entry_points reach
-REACHED = ("harness.run_config", "harness.emit", "bayes.grid_update",
-           "bayes.gaussian_projection_step", "models.lik_values", "models.system_constants",
-           "bounds.recursion_set1", "bounds.recursion_set2", "domains.discretize",
-           "metrics.tv", "metrics.hellinger", "metrics.w1",
-           "reduction.check_tv", "reduction.check_w1")
-
-
 def _traced(run, names=None):
     tracer = Tracer() if names is None else Tracer(names)
     tracer.install()
@@ -39,18 +31,26 @@ def _traced(run, names=None):
     return tracer.totals()
 
 
+# short versions of both workloads' configs
+CONFIGS = (
+    {"experiment": "reproduce_case3", "steps": 2},
+    {"experiment": "bound_validate", "filter_kind": "gauss_proj", "steps": 40},
+    {"experiment": "bound_validate", "filter_kind": "particle", "steps": 3},
+    {"experiment": "vi_demo", "steps": 2},
+) + tuple({"experiment": "reduction_fuzz", "theorem": theorem, "trials": 10}
+          for theorem in ("tv", "hellinger", "w1-ip", "w1-dyn"))
+
+
 def test_configs_reach_their_entry_points(tmp_path):
     def run():
-        record = harness.run_config(ExperimentConfig(
-            "bound_validate", filter_kind="gauss_proj", steps=40, seed=0))
-        harness.emit(record, "csv", str(tmp_path))
-        for theorem in ("tv", "w1-ip"):
-            harness.run_config(ExperimentConfig("reduction_fuzz", theorem=theorem, trials=10, seed=0))
+        for config in CONFIGS:
+            record = harness.run_config(ExperimentConfig(seed=0, **config))
+            if config["experiment"] == "bound_validate":
+                harness.emit(record, "csv", str(tmp_path))
 
     funcs = _traced(run)
     expected = set(EXPECTED_CALLS["no-reuse"]) | set(EXPECTED_CALLS["kernel-reuse"])
-    assert set(REACHED) <= expected
-    assert [name for name in REACHED if funcs.get(name, {}).get("calls", 0) == 0] == []
+    assert sorted(name for name in expected if funcs.get(name, {}).get("calls", 0) == 0) == []
 
 
 def test_memo_hit_and_miss_each_record_one_call():
