@@ -21,7 +21,7 @@ from .domains import (Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
 from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
                      DomainTooSmall, NonFinite, UnsupportedRepresentation,
                      ZeroEvidence)
-from .models import (EVIDENCE_FLOOR, SystemSpec, kernel_matvec, lik_values,
+from .models import (SystemSpec, admissible_evidence, kernel_matvec, lik_values,
                      lik_values_ps, transition_matrix)
 
 BOUNDARY_MASS_LIMIT = 1e-8
@@ -50,7 +50,7 @@ def prior_values(s: SystemSpec, prior) -> np.ndarray:
     raise UnsupportedRepresentation(f"no grid density for {type(prior).__name__}")
 
 
-def predicted_values(s: SystemSpec, k: int, prior) -> np.ndarray:
+def predicted_values(s: SystemSpec, prior) -> np.ndarray:
     """Pushforward of the prior through the transition, on the grid (SE only)."""
     xs = s.domain.nodes
     if isinstance(prior, ParticleSet):
@@ -90,7 +90,7 @@ def _unnormalized_posteriors(s: SystemSpec, k: int, priors) -> list:
         h = lik_values(s, k)
         return [h * prior_values(s, prior) for prior in priors]
     if s.variant == "se":
-        predicted = [predicted_values(s, k, prior) for prior in priors]
+        predicted = [predicted_values(s, prior) for prior in priors]
         h = lik_values(s, k)
     else:
         predicted = _ps_predicted_values(s, priors)
@@ -137,11 +137,7 @@ def grid_updates(s: SystemSpec, k: int, priors) -> list[UpdateResult]:
 def _normalize(s: SystemSpec, unnorm: np.ndarray) -> UpdateResult:
     if math.isnan(finite_min(unnorm)):
         raise NonFinite("unnormalized posterior contains non-finite values")
-    z = _mass(s, unnorm)
-    if not math.isfinite(z):
-        raise NonFinite(f"evidence {z!r} is not finite")
-    if z <= EVIDENCE_FLOOR:
-        raise ZeroEvidence(f"evidence {z!r} at or below the floor {EVIDENCE_FLOOR}")
+    z = admissible_evidence(_mass(s, unnorm))
     values = unnorm / z
     values = values / _mass(s, values)
     _check_boundary(s, values)

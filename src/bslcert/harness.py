@@ -22,7 +22,7 @@ import numpy as np
 from . import bayes, bounds, metrics, onlinevi, reduction
 from .domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D,
                       ParticleSet, VARIANCE_FLOOR, discretize,
-                      discretize_product)
+                      discretize_product, moments)
 from .errors import BslError, IOFailure
 from .models import LikelihoodModel, SystemSpec, TransitionModel
 from .onlinevi import GaussianPair, VIBoundInputs
@@ -33,6 +33,7 @@ OBSERVATION_NOISE_VAR = 3.0
 DEFAULT_DOMAIN = DomainSpec(-40.0, 40.0, 8001)
 FILTER_DOMAINS = {"gauss_proj": DEFAULT_DOMAIN, "particle": DomainSpec(-25.0, 25.0, 2001)}
 
+FUZZ_THEOREMS = ("tv", "hellinger", "w1-ip", "w1-dyn")
 EXPERIMENTS = ("reproduce_case1", "reproduce_case2", "reproduce_case3",
                "bound_validate", "reduction_fuzz", "vi_demo")
 
@@ -58,7 +59,7 @@ class ExperimentConfig:
             raise ValueError("steps, trials and threads must be >= 1")
         if self.filter_kind not in FILTER_DOMAINS:
             raise ValueError(f"unknown filter {self.filter_kind!r}")
-        if self.theorem not in ("tv", "hellinger", "w1-ip", "w1-dyn"):
+        if self.theorem not in FUZZ_THEOREMS:
             raise ValueError(f"unknown theorem tag {self.theorem!r}")
         if self.experiment in ("reduction_fuzz", "vi_demo"):  # fixed grids: no domain keys
             for key in ("lower", "upper", "grid_points"):
@@ -262,59 +263,47 @@ def _ledger_rows(metric: str, distances, eps, z1, z2, system) -> list[Row]:
 def bound_validate(filter_kind: str, steps: int, seed: int,
                    domain: Optional[DomainSpec] = None,
                    n_particles: int = 2000) -> RunRecord:
-    """Exact and approximate sequences side by side, with both bound sets."""
+    """Exact and approximate sequences side by side, with both bound sets: each
+    step records the error against the exact update of the previous Q and d(P_k, Q_k)."""
     if filter_kind not in FILTER_DOMAINS:
         raise ValueError(f"unknown filter {filter_kind!r}")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     domain = domain or FILTER_DOMAINS[filter_kind]
     rng = np.random.default_rng(seed)
+    meta = {"experiment": "bound_validate", "filter": filter_kind, "steps": steps, "seed": seed}
     if filter_kind == "gauss_proj":
         system = bimodal_ip_system(steps, rng, domain)
-        p_prior = BIMODAL_PRIOR
-        p_seq = discretize(p_prior, domain)
-        q_gauss = p_prior
-        z1, z2 = [], []
-        eps = {"tv": [], "hellinger": []}
-        dist = {"tv": [], "hellinger": []}
-        for k in range(1, steps + 1):
-            exact_p = bayes.grid_update(system, k, p_seq)
-            z1.append(exact_p.evidence)
-            approx, exact_q, inc = bayes.gaussian_projection_step(system, k, q_gauss)
-            z2.append(exact_q.evidence)
-            p_seq = exact_p.posterior
-            q_gauss = approx
-            for m in ("tv", "hellinger"):
-                eps[m].append(inc[m])
-                dist[m].append(getattr(metrics, m)(p_seq, q_gauss, domain))
-        rows = []
-        for m in ("tv", "hellinger"):
-            rows.extend(_ledger_rows(m, dist[m], eps[m], z1, z2, system))
-        meta = {"experiment": "bound_validate", "filter": filter_kind, "steps": steps,
-                "seed": seed, "data": list(map(float, system.data))}
-        return RunRecord("bound_validate", tuple(rows), meta)
-
-    system = linear_se_system(steps, rng, domain)
-    step_seeds = [int(s) for s in rng.integers(0, 2 ** 62, size=steps)]
-    p_prior = Gaussian1D(0.0, 1.0)
-    # the initial cloud draw belongs to the first approximate step: Q_0 = P_0
-    cloud = ParticleSet(p_prior.mean + p_prior.std * rng.standard_normal(n_particles),
-                        np.full(n_particles, 1.0 / n_particles))
-    q_prev = p_prior
-    p_seq = discretize(p_prior, domain)
-    z1, z2, eps, dist = [], [], [], []
+        prior, names = BIMODAL_PRIOR, ("tv", "hellinger")
+    else:
+        system = linear_se_system(steps, rng, domain)
+        step_seeds = [int(s) for s in rng.integers(0, 2 ** 62, size=steps)]
+        prior, names = Gaussian1D(0.0, 1.0), ("w1",)
+        # the initial cloud draw belongs to the first approximate step: Q_0 = P_0
+        cloud = ParticleSet(prior.mean + prior.std * rng.standard_normal(n_particles),
+                            np.full(n_particles, 1.0 / n_particles))
+        meta["n_particles"] = n_particles
+    p, q = discretize(prior, domain), prior
+    z1, z2 = [], []
+    eps = {m: [] for m in names}
+    dist = {m: [] for m in names}
     for k in range(1, steps + 1):
-        exact_p = bayes.grid_update(system, k, p_seq)
+        exact_p = bayes.grid_update(system, k, p)
+        if filter_kind == "gauss_proj":
+            q, exact_q, inc = bayes.gaussian_projection_step(system, k, q)
+        else:
+            exact_q = bayes.grid_update(system, k, q)
+            q = cloud = bayes.particle_step(system, k, cloud, n_particles, step_seeds[k - 1])
+            inc = {"w1": metrics.w1(exact_q.posterior, cloud, domain)}
+        p = exact_p.posterior
         z1.append(exact_p.evidence)
-        exact_of_q = bayes.grid_update(system, k, q_prev)
-        z2.append(exact_of_q.evidence)
-        cloud = bayes.particle_step(system, k, cloud, n_particles, step_seeds[k - 1])
-        q_prev = cloud
-        eps.append(metrics.w1(exact_of_q.posterior, cloud, domain))
-        p_seq = exact_p.posterior
-        dist.append(metrics.w1(p_seq, cloud, domain))
-    rows = tuple(_ledger_rows("w1", dist, eps, z1, z2, system))
-    meta = {"experiment": "bound_validate", "filter": filter_kind, "steps": steps,
-            "seed": seed, "n_particles": n_particles, "data": list(map(float, system.data))}
-    return RunRecord("bound_validate", rows, meta)
+        z2.append(exact_q.evidence)
+        for m in names:
+            eps[m].append(inc[m])
+            dist[m].append(getattr(metrics, m)(p, q, domain))
+    rows = [row for m in names for row in _ledger_rows(m, dist[m], eps[m], z1, z2, system)]
+    meta["data"] = list(map(float, system.data))
+    return RunRecord("bound_validate", tuple(rows), meta)
 
 
 # -- reduction fuzzing ---------------------------------------------------------
@@ -334,6 +323,19 @@ def _random_mixture(d: DomainSpec, rng) -> GridDensity:
     return _mixture_density(d, [(wgt, Gaussian1D(rng.uniform(d.lower + 0.2 * span, d.upper - 0.2 * span),
                                                  rng.uniform(0.0005, 0.02) * span ** 2))
                                 for wgt in rng.dirichlet(np.ones(n))])
+
+
+def _bumps(centers, variances, heights) -> LikelihoodModel:
+    """The likelihood sum of heights * exp(-(x - center)^2 / (2 variance)), whatever y is."""
+
+    def evaluator(y, x, w=None):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for c, s2, h in zip(centers, variances, heights):
+            out = out + h * np.exp(-0.5 * (x - c) ** 2 / s2)
+        return out
+
+    return LikelihoodModel.custom(evaluator)
 
 
 def _fuzz_ip_instance(rng, d: DomainSpec):
@@ -358,17 +360,9 @@ def _fuzz_ip_instance(rng, d: DomainSpec):
         y = rng.uniform(-0.3, 0.3) * (d.upper - d.lower)
         return SystemSpec("ip", LikelihoodModel.linear_gaussian(a, s), [y], d), p, q
     centers = rng.uniform(d.lower + 1.0, d.upper - 1.0, size=2)
-    widths = rng.uniform(0.01, 1.0, size=2) ** 2 + 1e-4
+    variances = rng.uniform(0.01, 1.0, size=2) ** 2 + 1e-4
     heights = rng.uniform(0.1, 3.0, size=2)
-
-    def evaluator(y, x, w=None):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for c, s2, h in zip(centers, widths, heights):
-            out = out + h * np.exp(-0.5 * (x - c) ** 2 / s2)
-        return out
-
-    return SystemSpec("ip", LikelihoodModel.custom(evaluator), [0.0], d), p, q
+    return SystemSpec("ip", _bumps(centers, variances, heights), [0.0], d), p, q
 
 
 def _fuzz_se_instance(rng, d: DomainSpec):
@@ -383,15 +377,7 @@ def _fuzz_se_instance(rng, d: DomainSpec):
     else:
         centers = tuple(rng.uniform(0.1, 0.9, size=2))
         width = rng.uniform(0.02, 0.3)
-
-    def evaluator(y, x, w=None):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for c in centers:
-            out = out + np.exp(-0.5 * (x - c) ** 2 / width ** 2)
-        return out
-
-    system = SystemSpec("se", LikelihoodModel.custom(evaluator), [0.0], d,
+    system = SystemSpec("se", _bumps(centers, (width ** 2,) * 2, (1.0, 1.0)), [0.0], d,
                         transition=TransitionModel.linear_gaussian(a, q_var))
     p = discretize(Gaussian1D(mp, rng.uniform(2e-4, 1e-3)), d)
     q = discretize(Gaussian1D(mq, rng.uniform(2e-4, 1e-3)), d)
@@ -405,6 +391,10 @@ def reduction_fuzz(theorem: str, trials: int, seed: int,
     A trial whose draw or check raises a ``BslError`` is skipped; ``skips``,
     when given, counts the skipped trials by exception class name.
     """
+    if theorem not in FUZZ_THEOREMS:
+        raise ValueError(f"unknown theorem tag {theorem!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     guaranteed = violations = 0
     worst = -math.inf
@@ -457,20 +447,16 @@ def ps_toy_system(steps: int, rng) -> SystemSpec:
 
 
 def _joint_factor_moments(j: JointGrid2D) -> GaussianPair:
-    wx = j.x_domain.trapezoid_weights
-    ww = j.w_domain.trapezoid_weights
-    mass = float(wx @ j.values @ ww)
-    px = (j.values @ ww) / mass
-    pw = (wx @ j.values) / mass
-    mx = float(j.x_domain.integrate(j.x_domain.nodes * px))
-    vx = float(j.x_domain.integrate((j.x_domain.nodes - mx) ** 2 * px))
-    mw = float(j.w_domain.integrate(j.w_domain.nodes * pw))
-    vw = float(j.w_domain.integrate((j.w_domain.nodes - mw) ** 2 * pw))
+    mass = j.mass()
+    mx, vx = moments(GridDensity(j.x_domain, (j.values @ j.w_domain.trapezoid_weights) / mass))
+    mw, vw = moments(GridDensity(j.w_domain, (j.x_domain.trapezoid_weights @ j.values) / mass))
     return GaussianPair(Gaussian1D(mx, max(vx, 1e-12)), Gaussian1D(mw, max(vw, 1e-12)))
 
 
 def vi_demo(steps: int, seed: int, elbo_samples: int = 4000) -> RunRecord:
     """Type-1 bound pipeline on the parameter-state toy with factorized Gaussians."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
     system = ps_toy_system(steps, rng)
     xd, wd = system.domain, system.w_domain
@@ -560,6 +546,18 @@ def _svg_chart(rows: Sequence[Row], title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_text(out_dir: str, name: str, body: str) -> str:
+    """Write ``body`` to ``out_dir/name`` with LF line endings; returns the path."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise IOFailure(f"failed to write {path!r}: {exc}") from exc
+    return path
+
+
 def emit(record: RunRecord, fmt: str, out_dir: str) -> list[str]:
     """Write one CSV (or SVG) per metric/bound-set group; returns the paths."""
     if not record.rows:
@@ -570,39 +568,24 @@ def emit(record: RunRecord, fmt: str, out_dir: str) -> list[str]:
     for r in record.rows:
         groups.setdefault((r.metric, r.series), []).append(r)
     paths = []
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        for (metric, series) in sorted(groups):
-            stem = metric if not series else f"{metric}_{series}"
-            rows = groups[(metric, series)]
-            path = os.path.join(out_dir, f"{stem}.{fmt}")
-            if fmt == "csv":
-                lines = [CSV_HEADER]
-                lines += [f"{r.step},{r.metric},{_fmt(r.distance)},{_fmt(r.bound)},"
-                          f"{_fmt(r.evidence_p)},{_fmt(r.evidence_q)}" for r in rows]
-                body = "\n".join(lines) + "\n"
-            else:
-                body = _svg_chart(rows, f"{record.experiment}: {stem}")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(body)
-            paths.append(path)
-    except OSError as exc:
-        raise IOFailure(f"failed to write outputs under {out_dir!r}: {exc}") from exc
+    for (metric, series) in sorted(groups):
+        stem = metric if not series else f"{metric}_{series}"
+        rows = groups[(metric, series)]
+        if fmt == "csv":
+            lines = [CSV_HEADER]
+            lines += [f"{r.step},{r.metric},{_fmt(r.distance)},{_fmt(r.bound)},"
+                      f"{_fmt(r.evidence_p)},{_fmt(r.evidence_q)}" for r in rows]
+            body = "\n".join(lines) + "\n"
+        else:
+            body = _svg_chart(rows, f"{record.experiment}: {stem}")
+        paths.append(_write_text(out_dir, f"{stem}.{fmt}", body))
     return paths
 
 
 def write_meta(record: RunRecord, out_dir: str) -> str:
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "run_meta.json")
-        payload = dict(record.meta)
-        payload["violations"] = record.violations
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        return path
-    except OSError as exc:
-        raise IOFailure(f"failed to write run metadata: {exc}") from exc
+    payload = dict(record.meta, violations=record.violations)
+    return _write_text(out_dir, "run_meta.json",
+                       json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def run_config(config: ExperimentConfig, fuzz_skips: Optional[Counter] = None):

@@ -526,13 +526,18 @@ def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
     return _report(s, sup, lip if want_w1 else None)
 
 
-def validate_admissible(s: SystemSpec, k: int, prior) -> float:
-    """Return the evidence of `prior` at step k; raise if it is inadmissible."""
-    from .bayes import evidence
-
-    z = evidence(s, k, prior)
+def admissible_evidence(z: float) -> float:
+    """Return the evidence z; raise NonFinite if it is not finite and
+    ZeroEvidence if it is at or below EVIDENCE_FLOOR."""
     if not math.isfinite(z):
         raise NonFinite(f"evidence {z!r} is not finite")
     if z <= EVIDENCE_FLOOR:
         raise ZeroEvidence(f"evidence {z!r} at or below the admissibility floor {EVIDENCE_FLOOR}")
     return z
+
+
+def validate_admissible(s: SystemSpec, k: int, prior) -> float:
+    """Return the evidence of `prior` at step k; raise if it is inadmissible."""
+    from .bayes import evidence
+
+    return admissible_evidence(evidence(s, k, prior))

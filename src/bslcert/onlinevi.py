@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import DomainSpec, Gaussian1D, GridDensity
-from .errors import MissingD, NonFinite, VacuousBound, ZeroEvidence
+from .errors import MissingD, NonFinite, UnsupportedRepresentation, VacuousBound, ZeroEvidence
 from .models import SystemSpec, CUSTOM_LIP_SAFETY, lik_values
 
 _SQRT2 = math.sqrt(2.0)
@@ -86,11 +86,6 @@ class VIBoundInputs:
         return len(self.elbo_floors)
 
 
-def _sqrt_gaps(inputs: VIBoundInputs) -> list[float]:
-    cap = log_sup_likelihood(inputs.r, inputs.det_gamma)
-    return [math.sqrt(cap - eps) for eps in inputs.elbo_floors]
-
-
 def vi_coefficient(inputs: VIBoundInputs, metric: str, j: int) -> float:
     """Coefficient of the step-j error term in the k-step bound (k = inputs.steps)."""
     k = inputs.steps
@@ -126,14 +121,22 @@ def vi_alpha(inputs: VIBoundInputs, metric: str) -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _bound_sum(inputs: VIBoundInputs, metric: str, betas) -> float:
+    """alpha * (gap_k + beta_k) + sum over j < k of coefficient_j * (gap_j + beta_j),
+    where gap_j = sqrt(log peak - ELBO floor_j)."""
+    cap = log_sup_likelihood(inputs.r, inputs.det_gamma)
+    gaps = [math.sqrt(cap - eps) for eps in inputs.elbo_floors]
+    k = inputs.steps
+    total = vi_alpha(inputs, metric) * (gaps[k - 1] + betas[k - 1])
+    for j in range(1, k):
+        total += vi_coefficient(inputs, metric, j) * (gaps[j - 1] + betas[j - 1])
+    return total
+
+
 def vi_bound_type1(inputs: VIBoundInputs, metric: str) -> float:
     """Learning-error bound for joint state-parameter VI from ELBO floors."""
-    gaps = _sqrt_gaps(inputs)
-    k = inputs.steps
-    total = vi_alpha(inputs, metric) * gaps[k - 1]
-    for j in range(1, k):
-        total += vi_coefficient(inputs, metric, j) * gaps[j - 1]
-    return total
+    # gap + 0.0 is gap for the nonnegative gaps: the type-2 sum without betas
+    return _bound_sum(inputs, metric, [0.0] * inputs.steps)
 
 
 def beta_term(b: BetaInputs, metric: str) -> float:
@@ -150,13 +153,7 @@ def vi_bound_type2(inputs: VIBoundInputs, metric: str) -> float:
     """Learning-error bound for point-estimated-parameter VI."""
     if inputs.beta_inputs is None:
         raise ValueError("type-2 bounds need beta_inputs per step")
-    gaps = _sqrt_gaps(inputs)
-    betas = [beta_term(b, metric) for b in inputs.beta_inputs]
-    k = inputs.steps
-    total = vi_alpha(inputs, metric) * (gaps[k - 1] + betas[k - 1])
-    for j in range(1, k):
-        total += vi_coefficient(inputs, metric, j) * (gaps[j - 1] + betas[j - 1])
-    return total
+    return _bound_sum(inputs, metric, [beta_term(b, metric) for b in inputs.beta_inputs])
 
 
 # -- Monte Carlo ELBO ---------------------------------------------------------
@@ -183,7 +180,7 @@ def _log_density_1d(dist, xs: np.ndarray, domain: DomainSpec) -> np.ndarray:
     elif isinstance(dist, GridDensity):
         vals = np.interp(xs, domain.nodes, dist.values)
     else:
-        raise NonFinite(f"no density available for {type(dist).__name__}")
+        raise UnsupportedRepresentation(f"no density available for {type(dist).__name__}")
     if np.any(vals <= 0.0):
         raise NonFinite("sampled a point of zero density")
     return np.log(vals)
@@ -195,34 +192,29 @@ def elbo_mc_stats(q, s: SystemSpec, k: int, prev_q, n: int, seed: int) -> ElboEs
         raise ValueError("need at least 100 samples")
     rng = np.random.default_rng(seed)
     y = s.y(k)
-
+    trans = s.transition
     if s.variant in ("ip", "se"):
         if not isinstance(q, Gaussian1D):
-            raise NonFinite("1-D systems take a Gaussian variational density")
+            raise UnsupportedRepresentation("1-D systems take a Gaussian variational density")
         xs = q.mean + q.std * rng.standard_normal(n)
         log_q = np.log(q.pdf(xs))
         log_h = _safe_log(np.asarray(s.likelihood.evaluator(y, xs), dtype=float))
         if s.variant == "ip":
-            log_prior = _log_density_1d(prev_q, xs, s.domain)
+            pred = prev_q
+        elif isinstance(prev_q, Gaussian1D) and trans.family == "linear_gaussian" and trans.q > 0:
+            pred = Gaussian1D(trans.a * prev_q.mean, trans.a ** 2 * prev_q.variance + trans.q)
         else:
-            trans = s.transition
-            if isinstance(prev_q, Gaussian1D) and trans.family == "linear_gaussian" and trans.q > 0:
-                pred = Gaussian1D(trans.a * prev_q.mean,
-                                  trans.a ** 2 * prev_q.variance + trans.q)
-                log_prior = _log_density_1d(pred, xs, s.domain)
-            else:
-                from .bayes import predicted_values
+            from .bayes import predicted_values
 
-                pred_vals = predicted_values(s, k, prev_q)
-                pred = GridDensity(s.domain, pred_vals, normalized=False)
-                log_prior = _log_density_1d(pred, xs, s.domain)
-        terms = log_h + log_prior - log_q
+            pred = GridDensity(s.domain, predicted_values(s, prev_q), normalized=False)
+        log_prior = _log_density_1d(pred, xs, s.domain)
     else:
         if not (isinstance(q, GaussianPair) and isinstance(prev_q, GaussianPair)):
-            raise NonFinite("parameter-state ELBO takes GaussianPair variational densities")
-        trans = s.transition
+            raise UnsupportedRepresentation(
+                "parameter-state ELBO takes GaussianPair variational densities")
         if trans.family != "parametric_linear_gaussian":
-            raise NonFinite("parameter-state ELBO needs the parametric linear-Gaussian family")
+            raise UnsupportedRepresentation(
+                "parameter-state ELBO needs the parametric linear-Gaussian family")
         xs = q.x.mean + q.x.std * rng.standard_normal(n)
         ws = q.w.mean + q.w.std * rng.standard_normal(n)
         log_q = np.log(q.x.pdf(xs)) + np.log(q.w.pdf(ws))
@@ -231,8 +223,7 @@ def elbo_mc_stats(q, s: SystemSpec, k: int, prev_q, n: int, seed: int) -> ElboEs
         pred_var = ws ** 2 * prev_q.x.variance + trans.q
         log_pred_x = -0.5 * np.log(2 * math.pi * pred_var) - 0.5 * (xs - pred_mean) ** 2 / pred_var
         log_prior = log_pred_x + np.log(prev_q.w.pdf(ws))
-        terms = log_h + log_prior - log_q
-
+    terms = log_h + log_prior - log_q
     if not np.all(np.isfinite(terms)):
         raise NonFinite("ELBO integrand is not finite at a sampled point")
     value = float(terms.mean())
@@ -259,9 +250,10 @@ def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -
     usual safety factor.
     """
     if s.variant != "ps" or s.transition.kernel is None:
-        raise NonFinite("the estimator needs a parameter-state system with a kernel")
-    xd = DomainSpec(s.domain.lower, s.domain.upper, max(101, n_x))
-    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, max(101, n_w))
+        raise UnsupportedRepresentation(
+            "the estimator needs a parameter-state system with a kernel")
+    xd = DomainSpec(s.domain.lower, s.domain.upper, n_x)
+    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, n_w)
     xs, ws = xd.nodes, wd.nodes
     g_lip = np.zeros(xs.shape[0])
     for i, xn in enumerate(xs):

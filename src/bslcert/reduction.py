@@ -115,29 +115,28 @@ def _grid_pair(s: SystemSpec, p_prev, q_prev) -> tuple[np.ndarray, np.ndarray]:
     return p_prev.values, q_prev.values
 
 
-def check_tv(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) -> ReductionVerdict:
+def _grid_check(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity,
+                condition_values, distance) -> tuple[Dict[str, float], float, float]:
+    """Condition values, then the measured prior and posterior distances."""
     p, q = _grid_pair(s, p_prev, q_prev)
-    g = g_values(s, k)
-    vals = tv_condition_values(s.domain.trapezoid_weights, g, p, q)
+    vals = condition_values(s.domain.trapezoid_weights, g_values(s, k), p, q)
     post_p = bayes.grid_update(s, k, p_prev).posterior
     post_q = bayes.grid_update(s, k, q_prev).posterior
-    return ReductionVerdict(
-        "tv", vals, tv_conditions_hold(vals),
-        measured_prior_dist=metrics.tv(p_prev, q_prev, s.domain),
-        measured_post_dist=metrics.tv(post_p, post_q, s.domain))
+    return vals, distance(p_prev, q_prev, s.domain), distance(post_p, post_q, s.domain)
+
+
+def check_tv(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) -> ReductionVerdict:
+    vals, prior_dist, post_dist = _grid_check(s, k, p_prev, q_prev,
+                                              tv_condition_values, metrics.tv)
+    return ReductionVerdict("tv", vals, tv_conditions_hold(vals), prior_dist, post_dist)
 
 
 def check_hellinger(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) -> ReductionVerdict:
-    p, q = _grid_pair(s, p_prev, q_prev)
-    g = g_values(s, k)
-    vals = hellinger_condition_values(s.domain.trapezoid_weights, g, p, q)
+    vals, prior_dist, post_dist = _grid_check(s, k, p_prev, q_prev,
+                                              hellinger_condition_values, metrics.hellinger)
     branch = hellinger_branch(vals)
-    post_p = bayes.grid_update(s, k, p_prev).posterior
-    post_q = bayes.grid_update(s, k, q_prev).posterior
-    return ReductionVerdict(
-        "h_er1" if branch in (None, "er1") else "h_er2", vals, branch is not None,
-        measured_prior_dist=metrics.hellinger(p_prev, q_prev, s.domain),
-        measured_post_dist=metrics.hellinger(post_p, post_q, s.domain))
+    return ReductionVerdict("h_er1" if branch in (None, "er1") else "h_er2", vals,
+                            branch is not None, prior_dist, post_dist)
 
 
 def _abs_gap_matvec(xs: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -192,8 +191,8 @@ def check_w1(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) ->
             measured_prior_dist=_w1_atomic(s, w * p, w * q),
             measured_post_dist=_w1_atomic(s, a, b))
 
-    p_pred = bayes.predicted_values(s, k, p_prev)
-    q_pred = bayes.predicted_values(s, k, q_prev)
+    p_pred = bayes.predicted_values(s, p_prev)
+    q_pred = bayes.predicted_values(s, q_prev)
     a, b = w * p_pred, w * q_pred
     ah, bh = a * h, b * h
     h_mass = float(w @ h)

@@ -86,7 +86,7 @@ class TestGridUpdate:
         assert abs(mean) < 1e-9
         assert abs(var - 1.2) < 1e-9
         assert abs(r.evidence - 1.0 / math.sqrt(2 * math.pi * 5.0)) < 1e-12
-        assert abs(DSE.integrate(predicted_values(SE, 1, Gaussian1D(0.0, 1.0))) - 1.0) < 1e-6
+        assert abs(DSE.integrate(predicted_values(SE, Gaussian1D(0.0, 1.0))) - 1.0) < 1e-6
         oracle = conjugate_update_se(Gaussian1D(0.0, 1.0), 1.0, 1.0, 1.0, 3.0, 0.0)
         assert abs(var - oracle.posterior.variance) < 1e-9
 
@@ -184,9 +184,19 @@ class TestParticleStep:
         for use in (lambda: grid_update(s, 1, grid_prior),
                     lambda: se_g_values(s, 1),
                     lambda: system_constants(s, 1, "tv"),
-                    lambda: predicted_values(s, 1, cloud)):
+                    lambda: predicted_values(s, cloud)):
             with pytest.raises(UnsupportedRepresentation, match="no density"):
                 use()
+
+    def test_moves_outside_the_domain_are_redrawn(self):
+        d = DomainSpec(-10.0, 10.0, 2001)
+        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [9.9], d,
+                       transition=TransitionModel.linear_gaussian(1.0, 1.0))
+        cloud = ParticleSet(np.full(500, 9.9), np.full(500, 1 / 500))
+        out = particle_step(s, 1, cloud, 500, 0)
+        # about half the first moves leave the domain; redrawn, none is clipped to its edge
+        assert out.points.min() >= -10.0 and out.points.max() < 10.0
+        assert out.points.tobytes() == particle_step(s, 1, cloud, 500, 0).points.tobytes()
 
     def test_transition_without_sampler_is_unsupported(self):
         kernel = TransitionModel.linear_gaussian(0.9, 1.0).kernel

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,6 +99,11 @@ class TestBoundValidate:
         assert len(rec.rows) == 6
         assert all(r.metric == "w1" for r in rec.rows)
 
+    @pytest.mark.parametrize("filter_kind", ["gauss_proj", "particle"])
+    def test_rejects_zero_steps(self, filter_kind):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            bound_validate(filter_kind, 0, 0)
+
 
 class TestReductionFuzzDriver:
     def test_summary_counts(self):
@@ -105,6 +111,14 @@ class TestReductionFuzzDriver:
         assert rec.trials == 120
         assert rec.violations == 0
         assert rec.guaranteed >= 1
+
+    def test_rejects_unknown_tag(self):
+        with pytest.raises(ValueError, match="unknown theorem tag 'bogus'"):
+            reduction_fuzz("bogus", 20, 0)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            reduction_fuzz("tv", 0, 0)
 
     @pytest.mark.parametrize("theorem,skipped", [("tv", {"DomainTooSmall": 195}),
                                                  ("w1-dyn", {"DomainTooSmall": 128}),
@@ -122,6 +136,10 @@ class TestViDemo:
         rec = vi_demo(2, 0, elbo_samples=1000)
         assert len(rec.rows) == 2
         assert rec.violations == 0
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            vi_demo(0, 0)
 
 
 # (step, metric, series, distance, bound, evidence_p, evidence_q), recorded
@@ -263,6 +281,15 @@ class TestCli:
                          "--b", "gaussian:2,1"]) == 0
         out = capsys.readouterr().out.strip()
         assert abs(float(out) - 2.0) < 1e-6
+
+    @pytest.mark.parametrize("a, b", [("gaussian:0,0.0001", "gaussian:0.05,0.0001"),
+                                      ("gaussian:100,1", "gaussian:101,1")])
+    def test_metric_command_off_the_default_domain(self, capsys, a, b):
+        assert cli.main(["metric", "--kind", "tv", "--a", a, "--b", b]) == 0
+        ga, gb = cli._parse_gaussian(a), cli._parse_gaussian(b)
+        # equal variances: TV = 2 Phi(|mean gap| / (2 std)) - 1
+        exact = math.erf(abs(ga.mean - gb.mean) / (2.0 * ga.std) / math.sqrt(2.0))
+        assert abs(float(capsys.readouterr().out) - exact) < 1e-4
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -399,11 +399,11 @@ class TestTransitionCache:
         prior = discretize(Gaussian1D(0.0, 1.0), d)
         streamed_system = se_system(domain=d)
         assert streamed_system.transition_kernel(d) is streamed_system.transition.kernel
-        streamed = predicted_values(streamed_system, 1, prior)
+        streamed = predicted_values(streamed_system, prior)
         monkeypatch.setattr(models, "_KERNEL_CACHE_BYTES", 8 * d.grid_points ** 2)
         cached_system = se_system(domain=d)
         assert isinstance(cached_system.transition_kernel(d), np.ndarray)
-        assert predicted_values(cached_system, 1, prior).tobytes() == streamed.tobytes()
+        assert predicted_values(cached_system, prior).tobytes() == streamed.tobytes()
 
 
 # -- pinned constants -----------------------------------------------------------

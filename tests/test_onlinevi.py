@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bslcert.bayes import conjugate_update_ip
-from bslcert.domains import DomainSpec, Gaussian1D
-from bslcert.errors import MissingD, NonFinite, VacuousBound, ZeroEvidence
-from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel
+from bslcert.domains import DomainSpec, Gaussian1D, ParticleSet, discretize
+from bslcert.errors import (MissingD, NonFinite, UnsupportedRepresentation, VacuousBound,
+                            ZeroEvidence)
+from bslcert.models import CUSTOM_LIP_SAFETY, LikelihoodModel, SystemSpec, TransitionModel
 from bslcert.onlinevi import (BetaInputs, GaussianPair, VIBoundInputs,
                               beta_term, c_vi_tilde_estimate, elbo_mc,
                               elbo_mc_stats, log_sup_likelihood,
@@ -14,6 +15,14 @@ from bslcert.onlinevi import (BetaInputs, GaussianPair, VIBoundInputs,
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 IP = SystemSpec("ip", LikelihoodModel.linear_gaussian(1.1, 3.0), [1.0], D40)
+PS_X = DomainSpec(-15.0, 15.0, 241)
+PS_W = DomainSpec(-0.25, 1.45, 241)
+
+
+def ps_system(transition=None):
+    return SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 0.5), [0.4], PS_X,
+                      transition=transition or TransitionModel.parametric_linear_gaussian(0.25),
+                      w_domain=PS_W)
 
 
 def table_transcription(metric, r, det_gamma, evidences, j, k, d=None):
@@ -194,8 +203,62 @@ class TestElboMc:
         with pytest.raises(ValueError):
             elbo_mc(Gaussian1D(0, 1), IP, 1, Gaussian1D(0, 1), 10, 0)
 
+    @pytest.mark.parametrize("system", [
+        IP,
+        SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 3.0), [0.5],
+                   DomainSpec(-30.0, 30.0, 2001),
+                   transition=TransitionModel.linear_gaussian(0.9, 1.0)),
+    ], ids=["ip", "se"])
+    def test_grid_prior_matches_gaussian_prior(self, system):
+        q = Gaussian1D(0.2, 0.8)
+        prior = Gaussian1D(0.0, 1.0)
+        exact = elbo_mc_stats(q, system, 1, prior, 2000, 4).value
+        grid = elbo_mc_stats(q, system, 1, discretize(prior, system.domain), 2000, 4).value
+        assert abs(grid - exact) < 1e-3
+
+
+class TestWrongRepresentation:
+    """An input of the wrong kind is UnsupportedRepresentation, not a numerical failure."""
+
+    def test_non_gaussian_q_on_a_1d_system(self):
+        with pytest.raises(UnsupportedRepresentation):
+            elbo_mc(discretize(Gaussian1D(0.0, 1.0), D40), IP, 1, Gaussian1D(0.0, 1.0), 500, 0)
+
+    def test_prior_without_a_density(self):
+        cloud = ParticleSet(np.linspace(-1.0, 1.0, 50), np.full(50, 1 / 50))
+        with pytest.raises(UnsupportedRepresentation, match="no density"):
+            elbo_mc(Gaussian1D(0.0, 1.0), IP, 1, cloud, 500, 0)
+
+    def test_ps_inputs_must_be_gaussian_pairs(self):
+        pair = GaussianPair(Gaussian1D(0.0, 1.0), Gaussian1D(0.6, 0.01))
+        with pytest.raises(UnsupportedRepresentation):
+            elbo_mc(Gaussian1D(0.0, 1.0), ps_system(), 1, pair, 500, 0)
+
+    def test_ps_elbo_needs_the_parametric_family(self):
+        custom = TransitionModel.custom(TransitionModel.parametric_linear_gaussian(0.25).kernel)
+        pair = GaussianPair(Gaussian1D(0.0, 1.0), Gaussian1D(0.6, 0.01))
+        with pytest.raises(UnsupportedRepresentation):
+            elbo_mc(pair, ps_system(custom), 1, pair, 500, 0)
+
+    @pytest.mark.parametrize("system", [IP, ps_system(TransitionModel.custom(None))],
+                             ids=["ip", "ps-without-kernel"])
+    def test_c_vi_tilde_needs_a_ps_kernel(self, system):
+        with pytest.raises(UnsupportedRepresentation):
+            c_vi_tilde_estimate(system, 1)
+
 
 class TestParameterLipschitzEstimate:
+    def test_custom_family_carries_the_safety_factor(self):
+        parametric = TransitionModel.parametric_linear_gaussian(0.25)
+        custom = TransitionModel.custom(parametric.kernel)
+        base = c_vi_tilde_estimate(ps_system(parametric), 1, n_x=121, n_w=121)
+        assert c_vi_tilde_estimate(ps_system(custom), 1, n_x=121, n_w=121) == \
+            CUSTOM_LIP_SAFETY * base
+
+    def test_requested_grid_is_not_enlarged(self):
+        with pytest.raises(ValueError, match="grid_points"):
+            c_vi_tilde_estimate(ps_system(), 1, n_x=50)
+
     def test_grid_estimate_close_to_derivative_bound(self):
         xd = DomainSpec(-15.0, 15.0, 241)
         wd = DomainSpec(-0.25, 1.45, 241)
