@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from . import metrics
+from . import metrics, models
 from .domains import (Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
                       discretize, finite_min, moments)
 from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
@@ -68,17 +68,27 @@ def _ps_prior_values(s: SystemSpec, prior) -> np.ndarray:
 
 
 def _ps_predicted_values(s: SystemSpec, priors) -> list:
-    """Pushforward of each joint prior; each per-parameter kernel is evaluated once,
-    into one buffer that the next parameter's kernel overwrites."""
+    """Pushforward of each joint prior; each per-parameter kernel is evaluated once.
+
+    The parameter nodes are dealt to the kernel pool's workers (models._deal).
+    Each worker evaluates its nodes' kernels into its own n x n buffer, which
+    the next node's kernel overwrites, and writes column j of every prior's
+    output with the same ``kernel @ v`` as kernel_matvec's matrix branch.
+    """
     pvs = [_ps_prior_values(s, prior) for prior in priors]
-    xs = s.domain.nodes
+    n = s.domain.grid_points
     wquad = s.domain.trapezoid_weights
+    ws = s.w_domain.nodes
     outs = [np.empty_like(pv) for pv in pvs]
-    kernel = np.empty((xs.shape[0], xs.shape[0]))
-    for j, w in enumerate(s.w_domain.nodes):
-        transition_matrix(s, s.domain, w, out=kernel)
-        for pv, out in zip(pvs, outs):
-            out[:, j] = kernel_matvec(kernel, xs, xs, wquad * pv[:, j])
+
+    def columns(js):
+        kernel = np.empty((n, n))
+        for j in js:
+            transition_matrix(s, s.domain, ws[j], out=kernel)
+            for pv, out in zip(pvs, outs):
+                out[:, j] = kernel @ (wquad * pv[:, j])
+
+    models._run_each(columns, models._deal(ws.shape[0]))
     return outs
 
 

@@ -15,18 +15,21 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import MissingConstant, ZeroEvidence
-from .models import EVIDENCE_FLOOR, ConstantsReport, SystemSpec, system_constants
+from .errors import MissingConstant
+from .models import ConstantsReport, SystemSpec, admissible_evidence, system_constants
 
 METRICS = ("tv", "hellinger", "w1")
 
 
 def table_constant(constants: ConstantsReport, metric: str, z: float) -> float:
-    """Per-step posterior-to-prior Lipschitz factor at evidence z."""
+    """Per-step posterior-to-prior Lipschitz factor at evidence z.
+
+    z must pass models.admissible_evidence: NonFinite if it is not finite,
+    ZeroEvidence if it is at or below the floor.
+    """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if not (math.isfinite(z) and z > EVIDENCE_FLOOR):
-        raise ZeroEvidence(f"evidence {z!r} at or below the floor {EVIDENCE_FLOOR}")
+    z = admissible_evidence(z)
     sup = constants.sup
     if metric == "tv":
         return sup / z
@@ -47,10 +50,12 @@ def pointwise_K(s: SystemSpec, k: int, metric: str, z: float) -> float:
 
 def step_bound_symmetric(metric: str, constants: ConstantsReport,
                          z_a: float, z_b: float, prior_dist: float) -> float:
-    """Sharper symmetric one-step bound: factor at the larger evidence."""
-    if not (z_a > 0.0 and z_b > 0.0):
-        raise ZeroEvidence("both evidences must be positive")
-    return table_constant(constants, metric, max(z_a, z_b)) * prior_dist
+    """Sharper symmetric one-step bound: factor at the larger evidence.
+
+    Both evidences must pass models.admissible_evidence, as in table_constant.
+    """
+    z = max(admissible_evidence(z_a), admissible_evidence(z_b))
+    return table_constant(constants, metric, z) * prior_dist
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ Lipschitz estimate is scaled by CUSTOM_LIP_SAFETY.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,6 +34,8 @@ CUSTOM_LIP_SAFETY = 2.0
 # predicts a different last value.
 _KERNEL_BLOCK = 256
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
+# Threads that evaluate kernel blocks and per-parameter kernels: one per CPU this process may use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SLOPE = math.exp(-0.5)  # max of |u * exp(-u^2/2)|
 
@@ -267,18 +271,76 @@ def lik_values_ps(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarra
     return np.broadcast_to(out, (d.grid_points, s.w_domain.grid_points)).astype(float)
 
 
-def _kernel_rows(kernel, xs_next, xs_prev, *extra):
-    """Yield (rows, K[rows]) of K[i, j] = kernel(xs_next[i], xs_prev[j], *extra), block by block."""
-    for start in range(0, xs_next.shape[0], _KERNEL_BLOCK):
-        rows = slice(start, start + _KERNEL_BLOCK)
-        yield rows, np.asarray(kernel(xs_next[rows, None], xs_prev[None, :], *extra), dtype=float)
+# (process id, worker count) -> ThreadPoolExecutor, made on first use; a forked
+# child has none of its parent's threads, so it makes its own pool
+_pools: dict = {}
+_pools_lock = threading.Lock()
+_thread = threading.local()  # .worker is True on the pool's threads
+
+
+def _mark_worker() -> None:
+    _thread.worker = True
+
+
+def _executor(workers: int):
+    """This process's ThreadPoolExecutor of ``workers`` threads, created on first use.
+
+    concurrent.futures is imported here: it loads logging, which a run that
+    never needs the pool should not pay for at start-up.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    key = os.getpid(), workers
+    with _pools_lock:
+        pool = _pools.get(key)
+        if pool is None:
+            pool = _pools[key] = ThreadPoolExecutor(
+                workers, thread_name_prefix="bslcert-kernel", initializer=_mark_worker)
+        return pool
+
+
+def _run_each(fn, items) -> None:
+    """Call fn(item) for every item, on _WORKERS threads when that can help.
+
+    The items must be independent, each writing only its own output slot,
+    and fn must call nothing that benches/tracer.py traces.  Items run inline
+    when there is one worker or one item, or when the caller is itself a
+    worker, so nested calls cannot deadlock.  Either way the exception of the
+    first failing item, in item order, is raised: inline at once, on the pool
+    after every item has finished.
+    """
+    items = list(items)
+    if _WORKERS == 1 or len(items) < 2 or getattr(_thread, "worker", False):
+        for item in items:
+            fn(item)
+        return
+    pool = _executor(_WORKERS)
+    futures = [pool.submit(fn, item) for item in items]
+    for error in [future.exception() for future in futures]:  # waits for every item
+        if error is not None:
+            raise error
+
+
+def _deal(n: int) -> list:
+    """range(n) dealt round-robin into one share per worker, as items for _run_each."""
+    return [range(i, n, _WORKERS) for i in range(_WORKERS)]
+
+
+def _blocks(n: int):
+    """Slices of _KERNEL_BLOCK consecutive indices covering range(n)."""
+    return [slice(start, start + _KERNEL_BLOCK) for start in range(0, n, _KERNEL_BLOCK)]
+
+
+def _kernel_block(kernel, xs_next, xs_prev, *extra) -> np.ndarray:
+    """K[i, j] = kernel(xs_next[i], xs_prev[j], *extra) for the given node slices."""
+    return np.asarray(kernel(xs_next[:, None], xs_prev[None, :], *extra), dtype=float)
 
 
 def kernel_matrix(kernel, xs_next, xs_prev, *extra, out=None) -> np.ndarray:
     """Dense K[i, j] = kernel(xs_next[i], xs_prev[j], *extra), written into ``out`` if given."""
     out = np.empty((xs_next.shape[0], xs_prev.shape[0])) if out is None else out
-    for rows, block in _kernel_rows(kernel, xs_next, xs_prev, *extra):
-        out[rows] = block
+    for rows in _blocks(xs_next.shape[0]):
+        out[rows] = _kernel_block(kernel, xs_next[rows], xs_prev, *extra)
     return out
 
 
@@ -316,27 +378,35 @@ def kernel_matvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
     """K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra).
 
     ``kernel`` is the density callable, streamed in row blocks, or K itself.
+    Each row block is evaluated and multiplied on a pool thread (_run_each);
+    each is its own BLAS call whatever the thread, so the bits do not depend
+    on the worker count.
     """
     if not callable(kernel):
         return kernel @ vec
     out = np.empty(xs_next.shape[0])
-    for rows, block in _kernel_rows(kernel, xs_next, xs_prev, *extra):
-        out[rows] = block @ vec
+
+    def row_block(rows):
+        out[rows] = _kernel_block(kernel, xs_next[rows], xs_prev, *extra) @ vec
+
+    _run_each(row_block, _blocks(xs_next.shape[0]))
     return out
 
 
 def kernel_rmatvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
     """vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra).
 
-    ``kernel`` is the density callable, streamed in column blocks, or K itself.
+    ``kernel`` is the density callable, streamed in column blocks on pool
+    threads as in kernel_matvec, or K itself.
     """
     if not callable(kernel):
         return vec @ kernel
     out = np.empty(xs_prev.shape[0])
-    for start in range(0, xs_prev.shape[0], _KERNEL_BLOCK):
-        cols = slice(start, start + _KERNEL_BLOCK)
-        block = kernel(xs_next[:, None], xs_prev[None, cols], *extra)
-        out[cols] = vec @ np.asarray(block, dtype=float)
+
+    def column_block(cols):
+        out[cols] = vec @ _kernel_block(kernel, xs_next, xs_prev[cols], *extra)
+
+    _run_each(column_block, _blocks(xs_prev.shape[0]))
     return out
 
 
@@ -397,8 +467,10 @@ def _se_star_estimate(s: SystemSpec, k: int, d: DomainSpec) -> float:
     xs = d.nodes
     h = lik_values(s, k, xs)
     # T_lip(x_next) = sup of adjacent difference quotients in x_prev
+    density = s.transition_density()
     t_lip = np.empty(xs.shape[0])
-    for rows, block in _kernel_rows(s.transition_density(), xs, xs):
+    for rows in _blocks(xs.shape[0]):
+        block = _kernel_block(density, xs[rows], xs)
         t_lip[rows] = np.max(np.abs(np.diff(block, axis=1)), axis=1) / d.spacing
     return float(d.integrate(h * t_lip))
 

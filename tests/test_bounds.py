@@ -11,7 +11,7 @@ from bslcert.bounds import (BoundLedger, inaccurate_prior_bound,
                             table_constant, tv_to_w1_bound, two_output_bound)
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet,
                              discretize)
-from bslcert.errors import MissingConstant, UnboundedConstant, ZeroEvidence
+from bslcert.errors import MissingConstant, NonFinite, UnboundedConstant, ZeroEvidence
 from bslcert.metrics import hellinger, scaled_hellinger, tv
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
                             TransitionModel, system_constants)
@@ -66,6 +66,35 @@ class TestStepBoundSymmetric:
         b_h = step_bound_symmetric("hellinger", system_constants(s, 1, "hellinger"), z_a, z_b, d_h)
         assert abs(b_tv - 0.808725381256378) < 1e-9
         assert abs(b_h - 1.3654495369700108) < 1e-9
+
+
+# evidences every evidence check rejects, with the class models.admissible_evidence raises
+BAD_EVIDENCES = [(math.nan, NonFinite), (math.inf, NonFinite), (-math.inf, NonFinite),
+                 (0.0, ZeroEvidence), (1e-301, ZeroEvidence)]
+
+
+class TestEvidenceChecks:
+    @pytest.mark.parametrize("metric", ["tv", "hellinger", "w1"])
+    @pytest.mark.parametrize("z,error", BAD_EVIDENCES)
+    def test_table_constant(self, z, error, metric):
+        c = system_constants(ip_system(), 1, "w1")
+        with pytest.raises(error):
+            table_constant(c, metric, z)
+
+    @pytest.mark.parametrize("z,error", BAD_EVIDENCES)
+    def test_step_bound_symmetric(self, z, error):
+        c = system_constants(ip_system(), 1, "tv")
+        with pytest.raises(error):
+            step_bound_symmetric("tv", c, z, 0.2, 0.1)
+        with pytest.raises(error):
+            step_bound_symmetric("tv", c, 0.2, z, 0.1)
+
+    def test_admissible_evidences_keep_their_bits(self):
+        c = system_constants(ip_system(), 1, "tv")
+        for z in (1e-300 * (1 + 2 ** -52), 0.19443, 7.5):
+            assert table_constant(c, "tv", z) == c.c_h / z
+            assert step_bound_symmetric("tv", c, z, z, 0.3) == c.c_h / z * 0.3
+        assert step_bound_symmetric("tv", c, 0.1, 0.2, 0.3) == c.c_h / 0.2 * 0.3
 
 
 class TestRecursions:

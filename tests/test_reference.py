@@ -1,5 +1,5 @@
 """The emitted bytes of pool seed 0 of each benchmark workload equal the
-digests recorded in benches/reference.json."""
+digests recorded in benches/reference.json, also with one kernel-pool worker."""
 
 import hashlib
 import json
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bslcert import models
 from bslcert.harness import ExperimentConfig, FuzzRecord, emit, run_config, write_meta
 
 BENCHES = Path(__file__).resolve().parent.parent / "benches"
@@ -14,6 +15,15 @@ BENCHES = Path(__file__).resolve().parent.parent / "benches"
 
 @pytest.mark.parametrize("workload", ["no-reuse", "kernel-reuse"])
 def test_pool_seed_0_matches_reference(workload, tmp_path, monkeypatch):
+    _check_pool_seed_0(workload, tmp_path, monkeypatch)
+
+
+def test_kernel_reuse_with_one_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(models, "_WORKERS", 1)
+    _check_pool_seed_0("kernel-reuse", tmp_path, monkeypatch)
+
+
+def _check_pool_seed_0(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHES))
     from rep import record_digest
 
