@@ -96,27 +96,31 @@ class BoundLedger:
         return all(r.eps >= 0.0 and (r.cum_bound >= 0.0 or math.isinf(r.cum_bound)) for r in self.rows)
 
 
-def _build_ledger(metric: str, s: SystemSpec, evidences: Sequence[float],
-                  eps: Sequence[float], window_start: int, variant: str,
-                  initial: float = 0.0,
-                  first_step_constants: Optional[ConstantsReport] = None) -> BoundLedger:
+def _factors(metric: str, s: SystemSpec, evidences: Sequence[float], eps: Sequence[float],
+             window_start: int = 1,
+             first_step_constants: Optional[ConstantsReport] = None) -> list[float]:
+    """K_k = pointwise_K(s, k, metric, z_k) for k = window_start..len(eps), except that
+    first_step_constants, if given, replace the system's at step window_start."""
     if len(evidences) != len(eps):
         raise ValueError("evidences and eps must have equal length")
     k_total = len(eps)
     if not 1 <= window_start <= k_total:
         raise ValueError(f"window_start {window_start} outside 1..{k_total}")
-    rows = []
+    first = [] if first_step_constants is None else \
+        [table_constant(first_step_constants, metric, evidences[window_start - 1])]
+    return first + [pointwise_K(s, k, metric, evidences[k - 1])
+                     for k in range(window_start + len(first), k_total + 1)]
+
+
+def _build_ledger(metric: str, variant: str, factors: Sequence[float], eps: Sequence[float],
+                  window_start: int = 1, initial: float = 0.0) -> BoundLedger:
+    """Chain cum_k = K_k * cum_{k-1} + eps_k from `initial`, one factor per step from window_start."""
     cum = initial
-    for k in range(window_start, k_total + 1):
-        if k == window_start and first_step_constants is not None:
-            constants = first_step_constants
-        else:
-            constants = system_constants(s, k, metric)
-        factor = table_constant(constants, metric, evidences[k - 1])
-        nxt = factor * cum + eps[k - 1]
-        if math.isnan(nxt):
-            nxt = math.inf  # inf * 0 saturation
-        cum = nxt
+    rows = []
+    for k, factor in enumerate(factors, start=window_start):
+        cum = factor * cum + eps[k - 1]
+        if math.isnan(cum):
+            cum = math.inf  # inf * 0 saturation
         rows.append(LedgerRow(k, factor, float(eps[k - 1]), cum))
     return BoundLedger(metric, variant, window_start, tuple(rows), initial=initial)
 
@@ -124,13 +128,15 @@ def _build_ledger(metric: str, s: SystemSpec, evidences: Sequence[float],
 def recursion_set1(metric: str, s: SystemSpec, exact_evidences: Sequence[float],
                    eps: Sequence[float], window_start: int = 1) -> BoundLedger:
     """Cumulative bound with exact-sequence evidences p(y_k | data so far)."""
-    return _build_ledger(metric, s, exact_evidences, eps, window_start, "set1")
+    return _build_ledger(metric, "set1", _factors(metric, s, exact_evidences, eps, window_start),
+                         eps, window_start)
 
 
 def recursion_set2(metric: str, s: SystemSpec, approx_evidences: Sequence[float],
                    eps: Sequence[float], window_start: int = 1) -> BoundLedger:
     """Cumulative bound with approximate-sequence evidences (computable online)."""
-    return _build_ledger(metric, s, approx_evidences, eps, window_start, "set2")
+    return _build_ledger(metric, "set2", _factors(metric, s, approx_evidences, eps, window_start),
+                         eps, window_start)
 
 
 def tv_to_w1_bound(tv_bound: float, d: float) -> float:
@@ -151,8 +157,8 @@ def inaccurate_prior_bound(metric: str, s: SystemSpec, approx_evidences: Sequenc
     """
     if prior_error < 0.0:
         raise ValueError("prior_error must be nonnegative")
-    return _build_ledger(metric, s, approx_evidences, eps, 1, "set2",
-                         initial=prior_error, first_step_constants=first_step_constants)
+    factors = _factors(metric, s, approx_evidences, eps, 1, first_step_constants)
+    return _build_ledger(metric, "set2", factors, eps, initial=prior_error)
 
 
 def two_output_bound(metric: str, s: SystemSpec, eps_a: Sequence[float],
@@ -160,9 +166,9 @@ def two_output_bound(metric: str, s: SystemSpec, eps_a: Sequence[float],
     """Bound on the distance between two approximate posterior sequences."""
     if len(eps_a) != len(eps_b):
         raise ValueError("the two error sequences must have equal length")
-    led_a = recursion_set1(metric, s, exact_evidences, eps_a)
-    led_b = recursion_set1(metric, s, exact_evidences, eps_b)
-    return led_a.final_bound + led_b.final_bound
+    factors = _factors(metric, s, exact_evidences, eps_a)
+    return (_build_ledger(metric, "set1", factors, eps_a).final_bound
+            + _build_ledger(metric, "set1", factors, eps_b).final_bound)
 
 
 def literature_ratio(z_a: float, z_b: float) -> tuple[float, float, float]:

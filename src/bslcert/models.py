@@ -194,42 +194,27 @@ class SystemSpec:
         return matrix
 
 
-# variant -> (field holding sup g, field holding the Lipschitz constant or integral of g)
-_FIELDS = {"ip": ("c_h", "h_lip"), "se": ("c_th", "c_th_star"),
-           "ps": ("c_th_tilde", "c_th_tilde_star")}
-
-
 @dataclass(frozen=True)
 class ConstantsReport:
-    """System constants for one step; only ``d`` and the variant's ``sup`` and ``lip`` fields are set."""
+    """System constants of one step: the diameter d, sup g and the Lipschitz term of g.
+
+    In the paper's names, sup is C_h (ip), C_{T,h} (se) or C~_{T,h} (ps), and
+    lip, set only for w1, is Lip(h), C*_{T,h} or C~*_{T,h}.
+    """
 
     variant: str
     d: float
-    c_h: Optional[float] = None
-    c_th: Optional[float] = None
-    c_th_star: Optional[float] = None
-    c_th_tilde: Optional[float] = None
-    c_th_tilde_star: Optional[float] = None
-    h_lip: Optional[float] = None
+    sup: float
+    lip: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("d", "c_h", "c_th", "c_th_tilde"):
+        for name in ("d", "sup"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0.0):
+            if not (math.isfinite(v) and v > 0.0):
                 raise NonFinite(f"constant {name}={v!r} must be finite and positive")
-        # Lipschitz-type constants may legitimately be zero (constant models)
-        for name in ("c_th_star", "c_th_tilde_star", "h_lip"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0.0):
-                raise NonFinite(f"constant {name}={v!r} must be finite and nonnegative")
-
-    @property
-    def sup(self) -> float:
-        return getattr(self, _FIELDS[self.variant][0])
-
-    @property
-    def lip(self) -> Optional[float]:
-        return getattr(self, _FIELDS[self.variant][1])
+        # a Lipschitz-type constant may legitimately be zero (constant models)
+        if self.lip is not None and not (math.isfinite(self.lip) and self.lip >= 0.0):
+            raise NonFinite(f"constant lip={self.lip!r} must be finite and nonnegative")
 
 
 # -- grid evaluation helpers -------------------------------------------------
@@ -503,9 +488,8 @@ def _lip_estimate(s: SystemSpec, k: int, d: DomainSpec, g: np.ndarray) -> float:
 
 
 def _report(s: SystemSpec, sup: float, lip: Optional[float]) -> ConstantsReport:
-    sup_field, lip_field = _FIELDS[s.variant]
-    return ConstantsReport(s.variant, float(s.diameter()), **{
-        sup_field: float(sup), lip_field: None if lip is None else float(lip)})
+    return ConstantsReport(s.variant, float(s.diameter()), float(sup),
+                           None if lip is None else float(lip))
 
 
 def grid_constant_estimates(s: SystemSpec, k: int, metric: str, n: int) -> ConstantsReport:

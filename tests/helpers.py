@@ -54,16 +54,13 @@ def gauss_tv_equal_var(m1: float, m2: float, var: float) -> float:
 def _cells(s: SystemSpec, metric: str, evidences, i: int) -> float:
     c = system_constants(s, i, metric)
     z = evidences[i - 1]
-    sup_c = {"ip": c.c_h, "se": c.c_th, "ps": c.c_th_tilde}[c.variant]
     if metric == "tv":
-        return sup_c / z
+        return c.sup / z
     if metric == "hellinger":
-        return 2.0 * math.sqrt(sup_c) / math.sqrt(z)
-    if c.variant == "ip":
-        return (2.0 * c.d * c.h_lip + c.c_h) / z
+        return 2.0 * math.sqrt(c.sup) / math.sqrt(z)
     if c.variant == "se":
-        return 2.0 * c.d * c.c_th_star / z
-    return (2.0 * c.d * c.c_th_tilde_star + c.c_th_tilde) / z
+        return 2.0 * c.d * c.lip / z
+    return (2.0 * c.d * c.lip + c.sup) / z
 
 
 def double_sum_bound(metric: str, s: SystemSpec, evidences, eps, window_start: int = 1,

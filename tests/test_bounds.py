@@ -92,9 +92,9 @@ class TestEvidenceChecks:
     def test_admissible_evidences_keep_their_bits(self):
         c = system_constants(ip_system(), 1, "tv")
         for z in (1e-300 * (1 + 2 ** -52), 0.19443, 7.5):
-            assert table_constant(c, "tv", z) == c.c_h / z
-            assert step_bound_symmetric("tv", c, z, z, 0.3) == c.c_h / z * 0.3
-        assert step_bound_symmetric("tv", c, 0.1, 0.2, 0.3) == c.c_h / 0.2 * 0.3
+            assert table_constant(c, "tv", z) == c.sup / z
+            assert step_bound_symmetric("tv", c, z, z, 0.3) == c.sup / z * 0.3
+        assert step_bound_symmetric("tv", c, 0.1, 0.2, 0.3) == c.sup / 0.2 * 0.3
 
 
 class TestRecursions:
@@ -210,7 +210,7 @@ class TestInaccuratePrior:
         with pytest.raises(UnboundedConstant):
             inaccurate_prior_bound("tv", s, [0.25], [0.01], 0.1)
         led = inaccurate_prior_bound("tv", s, [0.25], [0.01], 0.1,
-                                     first_step_constants=ConstantsReport("ip", 20.0, c_h=1.0))
+                                     first_step_constants=ConstantsReport("ip", 20.0, sup=1.0))
         assert led.rows[0].factor == 1.0 / 0.25
         assert led.final_bound == 4.0 * 0.1 + 0.01
         assert led.replay_consistent()
@@ -297,7 +297,7 @@ class TestUnnormalizedLipschitz:
         rng = np.random.default_rng(31)
         s = ip_system()
         h = s.likelihood.evaluator(1.0, D40.nodes)
-        root_sup = math.sqrt(system_constants(s, 1, "tv").c_h)
+        root_sup = math.sqrt(system_constants(s, 1, "tv").sup)
         for _ in range(200):
             a = discretize(Gaussian1D(rng.uniform(-8, 8), rng.uniform(0.05, 5.0)), D40)
             b = discretize(Gaussian1D(rng.uniform(-8, 8), rng.uniform(0.05, 5.0)), D40)

@@ -39,20 +39,20 @@ def ps_system():
 class TestSystemConstants:
     def test_ip_likelihood_sup(self):
         c = system_constants(ip_system(), 1, "tv")
-        assert abs(c.c_h - 1.0 / math.sqrt(2 * math.pi * 3.0)) < 1e-15
-        assert abs(c.c_h - 0.23033) < 1e-5
+        assert abs(c.sup - 1.0 / math.sqrt(2 * math.pi * 3.0)) < 1e-15
+        assert abs(c.sup - 0.23033) < 1e-5
         assert c.d == 80.0
 
     def test_ip_lipschitz(self):
         c = system_constants(ip_system(), 1, "w1")
         expected = 1.1 * math.exp(-0.5) / (3.0 * math.sqrt(2 * math.pi))
-        assert abs(c.h_lip - expected) < 1e-15
-        assert abs(c.h_lip - 0.08872) < 1e-5
+        assert abs(c.lip - expected) < 1e-15
+        assert abs(c.lip - 0.08872) < 1e-5
 
     def test_se_smoothed_sup(self):
         c = system_constants(se_system(), 1, "tv")
-        assert abs(c.c_th - 1.0 / math.sqrt(2 * math.pi * 4.0)) < 1e-15
-        assert abs(c.c_th - 0.19947) < 1e-5
+        assert abs(c.sup - 1.0 / math.sqrt(2 * math.pi * 4.0)) < 1e-15
+        assert abs(c.sup - 0.19947) < 1e-5
 
     def test_closed_form_vs_grid_estimates(self):
         s = ip_system()
@@ -60,28 +60,28 @@ class TestSystemConstants:
             closed = system_constants(s, 1, metric)
             fine = grid_constant_estimates(s, 1, metric, 8001)
             finer = grid_constant_estimates(s, 1, metric, 32001)
-            assert closed.c_h >= fine.c_h
-            assert abs(closed.c_h - fine.c_h) / closed.c_h < 1e-4
-            assert abs(closed.c_h - finer.c_h) <= abs(closed.c_h - fine.c_h)
+            assert closed.sup >= fine.sup
+            assert abs(closed.sup - fine.sup) / closed.sup < 1e-4
+            assert abs(closed.sup - finer.sup) <= abs(closed.sup - fine.sup)
             if metric == "w1":
-                assert closed.h_lip >= fine.h_lip
-                assert abs(closed.h_lip - fine.h_lip) / closed.h_lip < 1e-4
-                assert abs(closed.h_lip - finer.h_lip) <= abs(closed.h_lip - fine.h_lip)
+                assert closed.lip >= fine.lip
+                assert abs(closed.lip - fine.lip) / closed.lip < 1e-4
+                assert abs(closed.lip - finer.lip) <= abs(closed.lip - fine.lip)
 
     def test_se_closed_form_vs_grid(self):
         s = se_system()
         closed = system_constants(s, 1, "tv")
         fine = grid_constant_estimates(s, 1, "tv", 2001)
         finer = grid_constant_estimates(s, 1, "tv", 8001)
-        assert closed.c_th >= fine.c_th * (1 - 1e-12)
-        assert abs(closed.c_th - fine.c_th) / closed.c_th < 1e-4
-        assert abs(closed.c_th - finer.c_th) <= abs(closed.c_th - fine.c_th) + 1e-15
+        assert closed.sup >= fine.sup * (1 - 1e-12)
+        assert abs(closed.sup - fine.sup) / closed.sup < 1e-4
+        assert abs(closed.sup - finer.sup) <= abs(closed.sup - fine.sup) + 1e-15
 
     def test_smoothed_sup_below_likelihood_sup(self):
         s = se_system()
         c = system_constants(s, 1, "tv")
         sup_h = 1.0 / math.sqrt(2 * math.pi * 3.0)
-        assert c.c_th <= sup_h
+        assert c.sup <= sup_h
 
     def test_declared_sup_validated(self):
         def ev(y, x, w=None):
@@ -100,7 +100,7 @@ class TestSystemConstants:
         # the grid's largest difference quotient is 0.606, far above the declaration
         lik = LikelihoodModel.custom(ev, declared_lip=1e-3)
         s = SystemSpec("ip", lik, [0.0], DomainSpec(-10.0, 10.0, 401))
-        assert system_constants(s, 1, "tv").c_h == 1.0
+        assert system_constants(s, 1, "tv").sup == 1.0
         with pytest.raises(UnboundedConstant):
             system_constants(s, 1, "w1")
 
@@ -119,30 +119,30 @@ class TestSystemConstants:
     def test_ps_constants(self):
         s = ps_system()
         c = system_constants(s, 1, "tv")
-        assert abs(c.c_th_tilde - 1.0 / math.sqrt(2 * math.pi * 0.75)) < 1e-12
+        assert abs(c.sup - 1.0 / math.sqrt(2 * math.pi * 0.75)) < 1e-12
         assert c.d == s.domain.diameter() + s.w_domain.diameter()
         grid = grid_constant_estimates(s, 1, "tv", 241)
-        assert c.c_th_tilde >= grid.c_th_tilde * (1 - 1e-12)
+        assert c.sup >= grid.sup * (1 - 1e-12)
 
     def test_ps_w1_term_is_the_exact_closed_form(self):
         # on the vi_demo grids max(max |w|, max |x|) = 15, and h = N(y; x, 0.5) has unit mass in x
         s = harness.ps_toy_system(5, np.random.default_rng(0))
         exact = math.exp(-0.5) / (math.sqrt(2 * math.pi) * 0.25) * 15.0
         for k in range(1, 6):
-            c = system_constants(s, k, "w1").c_th_tilde_star
+            c = system_constants(s, k, "w1").lip
             assert c == 14.518243471148601
             assert abs(c - exact) <= 1e-15 * exact
             assert c >= models._ps_star_estimate(s, k)
 
     def test_ps_oracle_evaluates_g_at_n_nodes(self):
         s = ps_system()
-        sups = {n: grid_constant_estimates(s, 1, "tv", n).c_th_tilde for n in (201, 241, 401)}
+        sups = {n: grid_constant_estimates(s, 1, "tv", n).sup for n in (201, 241, 401)}
         assert sups[201] != sups[401]
         assert sups[241] == 0.46065886596178074  # n is the system grid
 
     def test_report_rejects_nonpositive_sup(self):
         with pytest.raises(NonFinite):
-            ConstantsReport("ip", 80.0, c_h=0.0)
+            ConstantsReport("ip", 80.0, sup=0.0)
 
 
 def _identity_lik(y, x, w=None):
@@ -204,7 +204,7 @@ class TestConstantsMemo:
         assert system_constants(s, 21, "tv") is not first
         assert calls == [1.0, 2.0]
         w1 = system_constants(s, 1, "w1")
-        assert w1.h_lip is not None and first.h_lip is None
+        assert w1.lip is not None and first.lip is None
         assert system_constants(s, 20, "w1") is w1
         assert calls == [1.0, 2.0, 1.0]
 
@@ -226,8 +226,8 @@ class TestConstantsMemo:
                               DomainSpec(-10.0, 10.0, 401))
 
         s = make()
-        assert system_constants(s, 1, "tv").c_h == 1.0
-        assert system_constants(s, 2, "tv").c_h == 2.0 == models.lik_values(s, 2).max()
+        assert system_constants(s, 1, "tv").sup == 1.0
+        assert system_constants(s, 2, "tv").sup == 2.0 == models.lik_values(s, 2).max()
         assert system_constants(s, 2, "tv") == system_constants(make(), 2, "tv")
 
 
@@ -466,64 +466,64 @@ CR = ConstantsReport
 PINNED_CONSTANTS = {
     "ip-reproduce": {
         "tv": [
-            CR("ip", d=80.0, c_h=0.23032943298089034),
-            CR("ip", d=80.0, c_h=0.23032943298089034),
+            CR("ip", d=80.0, sup=0.23032943298089034),
+            CR("ip", d=80.0, sup=0.23032943298089034),
         ],
         "w1": [
-            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.08872259899035258),
-            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.08872259899035258),
+            CR("ip", d=80.0, sup=0.23032943298089034, lip=0.08872259899035258),
+            CR("ip", d=80.0, sup=0.23032943298089034, lip=0.08872259899035258),
         ],
     },
     "ip-gain-0": {
         "tv": [
-            CR("ip", d=80.0, c_h=0.23032943298089034),
-            CR("ip", d=80.0, c_h=0.23032943298089034),
+            CR("ip", d=80.0, sup=0.23032943298089034),
+            CR("ip", d=80.0, sup=0.23032943298089034),
         ],
         "w1": [
-            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.0),
-            CR("ip", d=80.0, c_h=0.23032943298089034, h_lip=0.0),
+            CR("ip", d=80.0, sup=0.23032943298089034, lip=0.0),
+            CR("ip", d=80.0, sup=0.23032943298089034, lip=0.0),
         ],
     },
     "ip-bimodal": {
         "tv": [
-            CR("ip", d=80.0, c_h=0.39893007932437274),
-            CR("ip", d=80.0, c_h=0.3989317914661375),
-            CR("ip", d=80.0, c_h=0.39893821246606853),
+            CR("ip", d=80.0, sup=0.39893007932437274),
+            CR("ip", d=80.0, sup=0.3989317914661375),
+            CR("ip", d=80.0, sup=0.39893821246606853),
         ],
         "w1": [
-            CR("ip", d=80.0, c_h=0.39893007932437274, h_lip=0.9678461141261752),
-            CR("ip", d=80.0, c_h=0.3989317914661375, h_lip=0.9678434199724917),
-            CR("ip", d=80.0, c_h=0.39893821246606853, h_lip=0.9678217585967097),
+            CR("ip", d=80.0, sup=0.39893007932437274, lip=0.9678461141261752),
+            CR("ip", d=80.0, sup=0.3989317914661375, lip=0.9678434199724917),
+            CR("ip", d=80.0, sup=0.39893821246606853, lip=0.9678217585967097),
         ],
     },
     "ip-custom": {
         "tv": [
-            CR("ip", d=20.0, c_h=1.0),
-            CR("ip", d=20.0, c_h=1.0),
+            CR("ip", d=20.0, sup=1.0),
+            CR("ip", d=20.0, sup=1.0),
         ],
         "w1": [
-            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
-            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
+            CR("ip", d=20.0, sup=1.0, lip=1.2120634416333598),
+            CR("ip", d=20.0, sup=1.0, lip=1.2120634416333598),
         ],
     },
     "ip-custom-declared-sup": {
         "tv": [
-            CR("ip", d=20.0, c_h=1.0),
-            CR("ip", d=20.0, c_h=1.0),
+            CR("ip", d=20.0, sup=1.0),
+            CR("ip", d=20.0, sup=1.0),
         ],
         "w1": [
-            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
-            CR("ip", d=20.0, c_h=1.0, h_lip=1.2120634416333598),
+            CR("ip", d=20.0, sup=1.0, lip=1.2120634416333598),
+            CR("ip", d=20.0, sup=1.0, lip=1.2120634416333598),
         ],
     },
     "ip-custom-declared": {
         "tv": [
-            CR("ip", d=20.0, c_h=1.0),
-            CR("ip", d=20.0, c_h=1.0),
+            CR("ip", d=20.0, sup=1.0),
+            CR("ip", d=20.0, sup=1.0),
         ],
         "w1": [
-            CR("ip", d=20.0, c_h=1.0, h_lip=1.0),
-            CR("ip", d=20.0, c_h=1.0, h_lip=1.0),
+            CR("ip", d=20.0, sup=1.0, lip=1.0),
+            CR("ip", d=20.0, sup=1.0, lip=1.0),
         ],
     },
     "ip-custom-sup-too-low": {
@@ -532,52 +532,52 @@ PINNED_CONSTANTS = {
     },
     "se-particle": {
         "tv": [
-            CR("se", d=50.0, c_th=0.28209479177387814),
-            CR("se", d=50.0, c_th=0.28209479177387814),
-            CR("se", d=50.0, c_th=0.28209479177387814),
+            CR("se", d=50.0, sup=0.28209479177387814),
+            CR("se", d=50.0, sup=0.28209479177387814),
+            CR("se", d=50.0, sup=0.28209479177387814),
         ],
         "w1": [
-            CR("se", d=50.0, c_th=0.28209479177387814, c_th_star=0.21777365206722907),
-            CR("se", d=50.0, c_th=0.28209479177387814, c_th_star=0.21777365206722907),
-            CR("se", d=50.0, c_th=0.28209479177387814, c_th_star=0.21777365206722907),
+            CR("se", d=50.0, sup=0.28209479177387814, lip=0.21777365206722907),
+            CR("se", d=50.0, sup=0.28209479177387814, lip=0.21777365206722907),
+            CR("se", d=50.0, sup=0.28209479177387814, lip=0.21777365206722907),
         ],
     },
     "se-transition-gain-0": {
         "tv": [
-            CR("se", d=60.0, c_th=0.19947114020071635),
-            CR("se", d=60.0, c_th=0.13899244306549824),
+            CR("se", d=60.0, sup=0.19947114020071635),
+            CR("se", d=60.0, sup=0.13899244306549824),
         ],
         "w1": [
-            CR("se", d=60.0, c_th=0.19947114020071635, c_th_star=0.0),
-            CR("se", d=60.0, c_th=0.13899244306549824, c_th_star=0.0),
+            CR("se", d=60.0, sup=0.19947114020071635, lip=0.0),
+            CR("se", d=60.0, sup=0.13899244306549824, lip=0.0),
         ],
     },
     "se-likelihood-gain-0": {
         "tv": [
-            CR("se", d=60.0, c_th=0.23032943298089034),
-            CR("se", d=60.0, c_th=0.23032943298089034),
+            CR("se", d=60.0, sup=0.23032943298089034),
+            CR("se", d=60.0, sup=0.23032943298089034),
         ],
         "w1": [
-            CR("se", d=60.0, c_th=0.23032943298089034, c_th_star=3.009580907929354),
-            CR("se", d=60.0, c_th=0.23032943298089034, c_th_star=3.009580907929354),
+            CR("se", d=60.0, sup=0.23032943298089034, lip=3.009580907929354),
+            CR("se", d=60.0, sup=0.23032943298089034, lip=3.009580907929354),
         ],
     },
     "se-fuzz-custom": {
         "tv": [
-            CR("se", d=1.0, c_th=0.9875742462744722),
+            CR("se", d=1.0, sup=0.9875742462744722),
         ],
         "w1": [
-            CR("se", d=1.0, c_th=0.9875742462744722, c_th_star=394.64207445047003),
+            CR("se", d=1.0, sup=0.9875742462744722, lip=394.64207445047003),
         ],
     },
     "se-custom-transition": {
         "tv": [
-            CR("se", d=20.0, c_th=0.32573500793528),
-            CR("se", d=20.0, c_th=0.32573500793528004),
+            CR("se", d=20.0, sup=0.32573500793528),
+            CR("se", d=20.0, sup=0.32573500793528004),
         ],
         "w1": [
-            CR("se", d=20.0, c_th=0.32573500793528, c_th_star=0.4838633485437452),
-            CR("se", d=20.0, c_th=0.32573500793528004, c_th_star=0.4838614387563026),
+            CR("se", d=20.0, sup=0.32573500793528, lip=0.4838633485437452),
+            CR("se", d=20.0, sup=0.32573500793528004, lip=0.4838614387563026),
         ],
     },
     "se-zero-noise": {
@@ -586,28 +586,28 @@ PINNED_CONSTANTS = {
     },
     "ps-vi-demo": {
         "tv": [
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807),
+            CR("ps", d=31.7, sup=0.4606588659617807),
+            CR("ps", d=31.7, sup=0.4606588659617807),
+            CR("ps", d=31.7, sup=0.4606588659617807),
+            CR("ps", d=31.7, sup=0.4606588659617807),
+            CR("ps", d=31.7, sup=0.4606588659617807),
         ],
         "w1": [
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
-            CR("ps", d=31.7, c_th_tilde=0.4606588659617807, c_th_tilde_star=14.518243471148601),
+            CR("ps", d=31.7, sup=0.4606588659617807, lip=14.518243471148601),
+            CR("ps", d=31.7, sup=0.4606588659617807, lip=14.518243471148601),
+            CR("ps", d=31.7, sup=0.4606588659617807, lip=14.518243471148601),
+            CR("ps", d=31.7, sup=0.4606588659617807, lip=14.518243471148601),
+            CR("ps", d=31.7, sup=0.4606588659617807, lip=14.518243471148601),
         ],
     },
     "ps-custom": {
         "tv": [
-            CR("ps", d=11.0, c_th_tilde=1.341640786499874),
-            CR("ps", d=11.0, c_th_tilde=1.3416407864998743),
+            CR("ps", d=11.0, sup=1.341640786499874),
+            CR("ps", d=11.0, sup=1.3416407864998743),
         ],
         "w1": [
-            CR("ps", d=11.0, c_th_tilde=1.341640786499874, c_th_tilde_star=24.624965928988154),
-            CR("ps", d=11.0, c_th_tilde=1.3416407864998743, c_th_tilde_star=24.941830391486995),
+            CR("ps", d=11.0, sup=1.341640786499874, lip=24.624965928988154),
+            CR("ps", d=11.0, sup=1.3416407864998743, lip=24.941830391486995),
         ],
     },
 }
