@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import MissingConstant
+from .errors import MissingConstant, NonFinite
 from .models import ConstantsReport, SystemSpec, admissible_evidence, system_constants
 
 METRICS = ("tv", "hellinger", "w1")
@@ -96,6 +96,14 @@ class BoundLedger:
         return all(r.eps >= 0.0 and (r.cum_bound >= 0.0 or math.isinf(r.cum_bound)) for r in self.rows)
 
 
+def _nonnegative(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFinite(f"{name} {value!r} is not finite")
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return value
+
+
 def _factors(metric: str, s: SystemSpec, evidences: Sequence[float], eps: Sequence[float],
              window_start: int = 1,
              first_step_constants: Optional[ConstantsReport] = None) -> list[float]:
@@ -115,10 +123,10 @@ def _factors(metric: str, s: SystemSpec, evidences: Sequence[float], eps: Sequen
 def _build_ledger(metric: str, variant: str, factors: Sequence[float], eps: Sequence[float],
                   window_start: int = 1, initial: float = 0.0) -> BoundLedger:
     """Chain cum_k = K_k * cum_{k-1} + eps_k from `initial`, one factor per step from window_start."""
-    cum = initial
+    cum = _nonnegative("initial", initial)
     rows = []
     for k, factor in enumerate(factors, start=window_start):
-        cum = factor * cum + eps[k - 1]
+        cum = factor * cum + _nonnegative("eps", eps[k - 1])
         if math.isnan(cum):
             cum = math.inf  # inf * 0 saturation
         rows.append(LedgerRow(k, factor, float(eps[k - 1]), cum))
@@ -141,9 +149,7 @@ def recursion_set2(metric: str, s: SystemSpec, approx_evidences: Sequence[float]
 
 def tv_to_w1_bound(tv_bound: float, d: float) -> float:
     """Convert a total-variation bound to a Wasserstein bound on a bounded domain."""
-    if tv_bound < 0.0 or d < 0.0:
-        raise ValueError("inputs must be nonnegative")
-    return d * tv_bound
+    return _nonnegative("d", d) * _nonnegative("tv_bound", tv_bound)
 
 
 def inaccurate_prior_bound(metric: str, s: SystemSpec, approx_evidences: Sequence[float],
@@ -155,8 +161,6 @@ def inaccurate_prior_bound(metric: str, s: SystemSpec, approx_evidences: Sequenc
     linear term (first-step factor times the product of later factors, times
     the prior error) falls out of the same replayable ledger.
     """
-    if prior_error < 0.0:
-        raise ValueError("prior_error must be nonnegative")
     factors = _factors(metric, s, approx_evidences, eps, 1, first_step_constants)
     return _build_ledger(metric, "set2", factors, eps, initial=prior_error)
 
@@ -173,7 +177,7 @@ def two_output_bound(metric: str, s: SystemSpec, eps_a: Sequence[float],
 
 def literature_ratio(z_a: float, z_b: float) -> tuple[float, float, float]:
     """Our one-step TV constant vs the previously published one, and their ratio."""
-    if not (z_a > 0.0 and z_b > 0.0):
+    if not (_nonnegative("z_a", z_a) > 0.0 and _nonnegative("z_b", z_b) > 0.0):
         raise ValueError("evidences must be positive")
     m = max(z_a, z_b)
     ours = 1.0 / m

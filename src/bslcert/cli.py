@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 bound violation detected,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from typing import Optional
@@ -96,7 +97,12 @@ def _metric_domain(a: Gaussian1D, b: Gaussian1D) -> DomainSpec:
 
 
 def _run(config: ExperimentConfig) -> int:
-    """Run one experiment, write its outputs under ``out_dir`` if set, report it."""
+    """Run one experiment, write its outputs under ``out_dir`` if set, report it.
+
+    An ``out_dir`` that is a non-empty directory is refused before the run, so
+    one directory never mixes the files of two runs."""
+    if config.out_dir and os.path.isdir(config.out_dir) and os.listdir(config.out_dir):
+        raise ValueError(f"output directory {config.out_dir!r} is not empty")
     record = run_config(config)
     if config.out_dir:
         emit(record, "csv", config.out_dir)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bslcert import bayes, metrics
+from bslcert import bayes, bounds, harness, metrics
 from bslcert.bounds import (BoundLedger, inaccurate_prior_bound,
                             literature_ratio, pointwise_K, recursion_set1,
                             recursion_set2, step_bound_symmetric,
@@ -165,6 +165,46 @@ class TestRecursions:
             recursion_set1("tv", ip_system(2), [0.2, 0.0], [0.1, 0.1])
 
 
+class TestLedgerInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, bad):
+        with pytest.raises(NonFinite):
+            recursion_set2("tv", ip_system(3), [0.2] * 3, [0.1, bad, 0.1])
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            recursion_set1("tv", ip_system(3), [0.2] * 3, [0.1, -0.5, 0.1])
+
+    @pytest.mark.parametrize("bad,error", [(math.nan, NonFinite), (math.inf, NonFinite),
+                                           (-0.1, ValueError)])
+    def test_bad_prior_error_rejected(self, bad, error):
+        with pytest.raises(error):
+            inaccurate_prior_bound("tv", ip_system(3), [0.2] * 3, [0.01] * 3, bad)
+
+    def test_two_output_checks_both_sequences(self):
+        with pytest.raises(NonFinite):
+            two_output_bound("tv", ip_system(2), [0.1, 0.1], [0.1, math.nan], [0.2, 0.2])
+
+
+class TestFactors:
+    def test_bound_validate_factors_are_pointwise_K(self, monkeypatch):
+        calls = []
+        for name in ("recursion_set1", "recursion_set2"):
+            def record(metric, s, z, eps, window_start=1, _fn=getattr(bounds, name)):
+                led = _fn(metric, s, z, eps, window_start)
+                calls.append((s, z, led))
+                return led
+            monkeypatch.setattr(bounds, name, record)
+        harness.bound_validate("gauss_proj", 10, 0)
+        assert sorted((led.metric, led.variant) for _, _, led in calls) == [
+            ("hellinger", "set1"), ("hellinger", "set2"), ("tv", "set1"), ("tv", "set2")]
+        for s, z, led in calls:
+            assert [row.step for row in led.rows] == list(range(1, 11))
+            for row in led.rows:
+                expected = pointwise_K(s, row.step, led.metric, z[row.step - 1])
+                assert row.factor.hex() == expected.hex()
+
+
 class TestTvToW1:
     def test_values(self):
         assert tv_to_w1_bound(0.0, 80.0) == 0.0
@@ -178,6 +218,13 @@ class TestTvToW1:
             b = Gaussian1D(rng.uniform(-5, 5), rng.uniform(0.05, 9.0))
             w = metrics.w1(a, b, d)
             assert w <= tv_to_w1_bound(tv(a, b, d), d.diameter()) + 1e-9
+
+    @pytest.mark.parametrize("tv_bound,d,error", [
+        (math.nan, 80.0, NonFinite), (math.inf, 80.0, NonFinite), (0.5, math.nan, NonFinite),
+        (0.5, math.inf, NonFinite), (-0.1, 80.0, ValueError), (0.5, -1.0, ValueError)])
+    def test_rejects_bad_input(self, tv_bound, d, error):
+        with pytest.raises(error):
+            tv_to_w1_bound(tv_bound, d)
 
 
 class TestInaccuratePrior:
@@ -213,6 +260,23 @@ class TestInaccuratePrior:
                                      first_step_constants=ConstantsReport("ip", 20.0, sup=1.0))
         assert led.rows[0].factor == 1.0 / 0.25
         assert led.final_bound == 4.0 * 0.1 + 0.01
+        assert led.replay_consistent()
+
+    def test_supplied_first_step_constants_cover_step_one_only(self):
+        def ev(y, x, w=None):
+            # sup 1 at y = 0 is above the declared 0.5; sup 0.4 at y = 1 is below it
+            return (1.0 if y == 0.0 else 0.4) * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
+
+        s = SystemSpec("ip", LikelihoodModel.custom(ev, declared_sup=0.5), [0.0, 1.0, 1.0], D40)
+        evid, eps = [0.25, 0.2, 0.4], [0.01, 0.02, 0.03]
+        with pytest.raises(UnboundedConstant):
+            inaccurate_prior_bound("tv", s, evid, eps, 0.1)
+        led = inaccurate_prior_bound("tv", s, evid, eps, 0.1,
+                                     first_step_constants=ConstantsReport("ip", 20.0, sup=1.0))
+        assert [row.factor for row in led.rows] == [
+            1.0 / 0.25, pointwise_K(s, 2, "tv", 0.2), pointwise_K(s, 3, "tv", 0.4)]
+        assert led.rows[1].factor == 0.5 / 0.2
+        assert led.rows[2].factor == 0.5 / 0.4
         assert led.replay_consistent()
 
 
@@ -273,6 +337,13 @@ class TestLiteratureRatio:
         ours, lit, ratio = literature_ratio(z_a, z_b)
         assert ratio == 0.5
         assert literature_ratio(z_a * scale, z_b * scale)[2] == 0.5
+
+    @pytest.mark.parametrize("z_a,z_b,error", [
+        (math.inf, 1.0, NonFinite), (1.0, math.inf, NonFinite), (math.nan, 1.0, NonFinite),
+        (1.0, math.nan, NonFinite), (0.0, 1.0, ValueError), (1.0, -2.0, ValueError)])
+    def test_rejects_bad_evidence(self, z_a, z_b, error):
+        with pytest.raises(error):
+            literature_ratio(z_a, z_b)
 
 
 class TestOneStepDominance:

@@ -276,6 +276,25 @@ class TestCli:
         rows = 2 * 2 * len(stems)
         assert capsys.readouterr().out == f"bound_validate: {rows} rows, 0 violations\n"
 
+    def test_reused_out_directory_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["reproduce", "--case", "1", "--steps", "2", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["bound-validate", "--filter", "gauss-proj", "--steps", "2",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bslcert: config error: ")
+        assert captured.err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_empty_out_directory_is_accepted(self, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert cli.main(["vi-demo", "--steps", "1", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["run_meta.json", "tv.csv", "tv.svg"]
+
     def test_metric_command(self, capsys):
         assert cli.main(["metric", "--kind", "w1", "--a", "gaussian:0,1",
                          "--b", "gaussian:2,1"]) == 0
