@@ -22,7 +22,7 @@ from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
                      DomainTooSmall, NonFinite, UnsupportedRepresentation,
                      ZeroEvidence)
 from .models import (SystemSpec, admissible_evidence, kernel_matvec, lik_values,
-                     lik_values_ps, transition_matrix)
+                     lik_values_ps)
 
 BOUNDARY_MASS_LIMIT = 1e-8
 
@@ -68,27 +68,16 @@ def _ps_prior_values(s: SystemSpec, prior) -> np.ndarray:
 
 
 def _ps_predicted_values(s: SystemSpec, priors) -> list:
-    """Pushforward of each joint prior; each per-parameter kernel is evaluated once.
-
-    The parameter nodes are dealt to the kernel pool's workers (models._deal).
-    Each worker evaluates its nodes' kernels into its own n x n buffer, which
-    the next node's kernel overwrites, and writes column j of every prior's
-    output with the same ``kernel @ v`` as kernel_matvec's matrix branch.
-    """
+    """Pushforward of each joint prior, evaluating each per-parameter kernel once: column j
+    of each output is kernel_matvec's matrix product ``kernel @ v`` with node j's kernel."""
     pvs = [_ps_prior_values(s, prior) for prior in priors]
-    n = s.domain.grid_points
-    wquad = s.domain.trapezoid_weights
-    ws = s.w_domain.nodes
     outs = [np.empty_like(pv) for pv in pvs]
 
-    def columns(js):
-        kernel = np.empty((n, n))
-        for j in js:
-            transition_matrix(s, s.domain, ws[j], out=kernel)
-            for pv, out in zip(pvs, outs):
-                out[:, j] = kernel @ (wquad * pv[:, j])
+    def columns(j, kernel):
+        for pv, out in zip(pvs, outs):
+            out[:, j] = kernel @ (s.domain.trapezoid_weights * pv[:, j])
 
-    models._run_each(columns, models._deal(ws.shape[0]))
+    models.each_parameter_kernel(s, s.domain, columns)
     return outs
 
 
@@ -120,6 +109,11 @@ def evidence(s: SystemSpec, k: int, prior) -> float:
         return float(prior.weights @ lik_values(s, k, prior.points))
     unnorm = _unnormalized_posteriors(s, k, [prior])[0]
     return _mass(s, unnorm)
+
+
+def validate_admissible(s: SystemSpec, k: int, prior) -> float:
+    """Return the evidence of `prior` at step k; raise if it is inadmissible."""
+    return admissible_evidence(evidence(s, k, prior))
 
 
 def _check_boundary(s: SystemSpec, values: np.ndarray) -> None:

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
-                      discretize)
+                      discretize, finite_nonnegative)
 from .errors import DomainMismatch, NonFinite, Unnormalized, UnsupportedRepresentation
 
 Distribution = Union[Gaussian1D, GridDensity, ParticleSet]
@@ -24,19 +24,11 @@ Distribution = Union[Gaussian1D, GridDensity, ParticleSet]
 _UNIT_TOL = 1e-9
 
 
-def _checked(value: float) -> float:
-    if not math.isfinite(value):
-        raise NonFinite(f"distance value {value!r} is not finite")
-    if value < 0.0:
-        raise ValueError(f"distance value must be nonnegative, got {value!r}")
-    return value
-
-
 def _unit_distance(metric: str, value: float) -> float:
     """Clamp a TV or Hellinger value to 1, rejecting overshoot beyond roundoff."""
     if value > 1.0 + _UNIT_TOL:
         raise NonFinite(f"{metric} value {value!r} exceeds 1 beyond tolerance")
-    return _checked(min(value, 1.0))
+    return finite_nonnegative("distance value", min(value, 1.0))
 
 
 def normalized_values(dist: Distribution, d: DomainSpec) -> np.ndarray:
@@ -192,7 +184,7 @@ def w1(a: Distribution, b: Distribution, d: DomainSpec) -> float:
         diff = _continuous_cdf(a, d, xs) - _continuous_cdf(b, d, xs)
         value = _l1_piecewise_linear(xs, diff[:-1], diff[1:])
 
-    if _checked(value) > d.diameter() + _UNIT_TOL:
+    if finite_nonnegative("distance value", value) > d.diameter() + _UNIT_TOL:
         raise NonFinite(f"w1 value {value!r} exceeds the domain diameter")
     return value
 

@@ -306,11 +306,6 @@ def _run_each(fn, items) -> None:
             raise error
 
 
-def _deal(n: int) -> list:
-    """range(n) dealt round-robin into one share per worker, as items for _run_each."""
-    return [range(i, n, _WORKERS) for i in range(_WORKERS)]
-
-
 def _blocks(n: int):
     """Slices of _KERNEL_BLOCK consecutive indices covering range(n)."""
     return [slice(start, start + _KERNEL_BLOCK) for start in range(0, n, _KERNEL_BLOCK)]
@@ -359,8 +354,26 @@ def transition_matrix(s: SystemSpec, domain: DomainSpec, *w, out=None) -> np.nda
     return out
 
 
-def kernel_matvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
-    """K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra).
+def each_parameter_kernel(s: SystemSpec, domain: DomainSpec, apply) -> None:
+    """Call apply(j, K_j) with K_j = transition_matrix(s, domain, w_j) for each parameter node w_j.
+
+    The nodes are dealt round-robin to the kernel pool's workers (_run_each).
+    Each worker evaluates its nodes' kernels into one n x n buffer, which the
+    next node's kernel overwrites, so apply must not keep K_j.  apply must
+    write only node j's outputs and call nothing that benches/tracer.py traces.
+    """
+    ws = s.w_domain.nodes
+
+    def share(js):
+        kernel = np.empty((domain.grid_points,) * 2)
+        for j in js:
+            apply(j, transition_matrix(s, domain, ws[j], out=kernel))
+
+    _run_each(share, [range(i, ws.shape[0], _WORKERS) for i in range(_WORKERS)])
+
+
+def kernel_matvec(kernel, xs_next, xs_prev, vec) -> np.ndarray:
+    """K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j]).
 
     ``kernel`` is the density callable, streamed in row blocks, or K itself.
     Each row block is evaluated and multiplied on a pool thread (_run_each);
@@ -372,14 +385,14 @@ def kernel_matvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
     out = np.empty(xs_next.shape[0])
 
     def row_block(rows):
-        out[rows] = _kernel_block(kernel, xs_next[rows], xs_prev, *extra) @ vec
+        out[rows] = _kernel_block(kernel, xs_next[rows], xs_prev) @ vec
 
     _run_each(row_block, _blocks(xs_next.shape[0]))
     return out
 
 
-def kernel_rmatvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
-    """vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j], *extra).
+def kernel_rmatvec(kernel, xs_next, xs_prev, vec) -> np.ndarray:
+    """vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j]).
 
     ``kernel`` is the density callable, streamed in column blocks on pool
     threads as in kernel_matvec, or K itself.
@@ -389,7 +402,7 @@ def kernel_rmatvec(kernel, xs_next, xs_prev, vec, *extra) -> np.ndarray:
     out = np.empty(xs_prev.shape[0])
 
     def column_block(cols):
-        out[cols] = vec @ _kernel_block(kernel, xs_next, xs_prev[cols], *extra)
+        out[cols] = vec @ _kernel_block(kernel, xs_next, xs_prev[cols])
 
     _run_each(column_block, _blocks(xs_prev.shape[0]))
     return out
@@ -406,13 +419,13 @@ def se_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
 def ps_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
     """g(x_prev, w) = integral of h(y_k, x, w) T(x, x_prev, w) dx on ``domain``, shape (nx, nw)."""
     d = domain if domain is not None else s.domain
-    xs = d.nodes
-    hw = lik_values_ps(s, k, d)  # (nx, nw)
-    wquad = d.trapezoid_weights
-    kernel = s.transition_density()
-    out = np.empty((xs.shape[0], s.w_domain.grid_points))
-    for j, w in enumerate(s.w_domain.nodes):
-        out[:, j] = kernel_rmatvec(kernel, xs, xs, wquad * hw[:, j], w)
+    hw = lik_values_ps(s, k, d)  # (nx, nw), on this thread: the kernel pass runs on workers
+    out = np.empty(hw.shape)
+
+    def column(j, kernel):
+        out[:, j] = (d.trapezoid_weights * hw[:, j]) @ kernel
+
+    each_parameter_kernel(s, d, column)
     return out
 
 
@@ -442,9 +455,9 @@ def _verify_floor(value: float, grid_estimate: float) -> None:
             f"constant {value!r} fell below its brute-force grid estimate {grid_estimate!r}")
 
 
-def _max_slope(values: np.ndarray, spacing: float) -> float:
-    """Largest adjacent difference quotient of nodal values."""
-    return float(np.max(np.abs(np.diff(values)))) / spacing
+def _max_slope(values: np.ndarray, spacing: float, axis: int = -1) -> float:
+    """Largest adjacent difference quotient of nodal values along ``axis``."""
+    return float(np.max(np.abs(np.diff(values, axis=axis)))) / spacing
 
 
 def _se_star_estimate(s: SystemSpec, k: int, d: DomainSpec) -> float:
@@ -460,22 +473,44 @@ def _se_star_estimate(s: SystemSpec, k: int, d: DomainSpec) -> float:
     return float(d.integrate(h * t_lip))
 
 
+def _slabs(s: SystemSpec, xd: DomainSpec, wd: DomainSpec):
+    """For each node x of xd, T(x, x', w) on xd's nodes x' by wd's nodes w, shape (n_x, n_w)."""
+    kernel = s.transition_density()
+    for xn in xd.nodes:
+        yield np.asarray(kernel(xn, xd.nodes[:, None], wd.nodes[None, :]), dtype=float)
+
+
 def _ps_star_estimate(s: SystemSpec, k: int) -> float:
     """Grid estimate of the joint Lipschitz constant integral, on 161-node x and w grids."""
     xd = DomainSpec(s.domain.lower, s.domain.upper, 161)
     wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, 161)
-    xs, ws = xd.nodes, wd.nodes
-    kernel = s.transition_density()
-    lip = np.zeros(xs.shape[0])
-    for i, xn in enumerate(xs):
-        h_row = lik_values(s, k, xn, ws[None, :])
-        t_row = np.asarray(kernel(xn, xs[:, None], ws[None, :]), dtype=float)
-        f = np.broadcast_to(h_row, t_row.shape) * t_row  # (x_prev, w)
-        dx = np.max(np.abs(np.diff(f, axis=0))) / xd.spacing
-        dw = np.max(np.abs(np.diff(f, axis=1))) / wd.spacing
+    lip = np.zeros(xd.grid_points)
+    for i, (xn, t) in enumerate(zip(xd.nodes, _slabs(s, xd, wd))):
+        f = t * lik_values(s, k, xn, wd.nodes[None, :])  # (x_prev, w)
         # metric |dx| + |dw| has dual-norm max of the coordinate slopes
-        lip[i] = max(dx, dw)
+        lip[i] = max(_max_slope(f, xd.spacing, axis=0), _max_slope(f, wd.spacing, axis=1))
     return float(xd.integrate(lip))
+
+
+def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -> float:
+    """Grid estimate of the transition parameter-Lipschitz integral.
+
+    sup over previous states and parameter pairs of the transition difference
+    quotient in the parameter, integrated against the observation density's
+    sup over the parameter grid.  Over-approximates custom families by the
+    usual safety factor.
+    """
+    if s.variant != "ps" or s.transition.kernel is None:
+        raise UnsupportedRepresentation(
+            "the estimator needs a parameter-state system with a kernel")
+    xd = DomainSpec(s.domain.lower, s.domain.upper, n_x)
+    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, n_w)
+    g_lip = np.array([_max_slope(t, wd.spacing, axis=1) for t in _slabs(s, xd, wd)])
+    h = np.broadcast_to(lik_values(s, k, xd.nodes[:, None], wd.nodes[None, :]), (n_x, n_w)).max(axis=1)
+    value = float(xd.integrate(h * g_lip))
+    if s.transition.family == "custom":
+        value *= CUSTOM_LIP_SAFETY
+    return value
 
 
 def _lip_estimate(s: SystemSpec, k: int, d: DomainSpec, g: np.ndarray) -> float:
@@ -590,10 +625,3 @@ def admissible_evidence(z: float) -> float:
     if z <= EVIDENCE_FLOOR:
         raise ZeroEvidence(f"evidence {z!r} at or below the admissibility floor {EVIDENCE_FLOOR}")
     return z
-
-
-def validate_admissible(s: SystemSpec, k: int, prior) -> float:
-    """Return the evidence of `prior` at step k; raise if it is inadmissible."""
-    from .bayes import evidence
-
-    return admissible_evidence(evidence(s, k, prior))

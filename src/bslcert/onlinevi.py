@@ -15,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
+from .bayes import predicted_values
 from .domains import DomainSpec, Gaussian1D, GridDensity
 from .errors import MissingD, NonFinite, UnsupportedRepresentation, VacuousBound, ZeroEvidence
-from .models import SystemSpec, CUSTOM_LIP_SAFETY, lik_values
+from .models import SystemSpec, c_vi_tilde_estimate  # noqa: F401, re-export
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -204,8 +205,6 @@ def elbo_mc_stats(q, s: SystemSpec, k: int, prev_q, n: int, seed: int) -> ElboEs
         elif isinstance(prev_q, Gaussian1D) and trans.family == "linear_gaussian" and trans.q > 0:
             pred = Gaussian1D(trans.a * prev_q.mean, trans.a ** 2 * prev_q.variance + trans.q)
         else:
-            from .bayes import predicted_values
-
             pred = GridDensity(s.domain, predicted_values(s, prev_q), normalized=False)
         log_prior = _log_density_1d(pred, xs, s.domain)
     else:
@@ -239,29 +238,3 @@ def _safe_log(vals: np.ndarray) -> np.ndarray:
 
 def elbo_mc(q, s: SystemSpec, k: int, prev_q, n: int, seed: int) -> float:
     return elbo_mc_stats(q, s, k, prev_q, n, seed).value
-
-
-def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -> float:
-    """Grid estimate of the transition parameter-Lipschitz integral.
-
-    sup over previous states and parameter pairs of the transition difference
-    quotient in the parameter, integrated against the observation density's
-    sup over the parameter grid.  Over-approximates custom families by the
-    usual safety factor.
-    """
-    if s.variant != "ps" or s.transition.kernel is None:
-        raise UnsupportedRepresentation(
-            "the estimator needs a parameter-state system with a kernel")
-    xd = DomainSpec(s.domain.lower, s.domain.upper, n_x)
-    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, n_w)
-    xs, ws = xd.nodes, wd.nodes
-    g_lip = np.zeros(xs.shape[0])
-    for i, xn in enumerate(xs):
-        t = np.asarray(s.transition.kernel(xn, xs[:, None], ws[None, :]), dtype=float)
-        g_lip[i] = np.max(np.abs(np.diff(t, axis=1))) / wd.spacing
-    h = lik_values(s, k, xs[:, None], ws[None, :])
-    h = np.broadcast_to(h, (xs.shape[0], ws.shape[0])).max(axis=1)
-    value = float(xd.integrate(h * g_lip))
-    if s.transition.family == "custom":
-        value *= CUSTOM_LIP_SAFETY
-    return value

@@ -6,14 +6,14 @@ import pytest
 from bslcert import metrics
 from bslcert.bayes import (_ps_predicted_values, conjugate_update_ip, conjugate_update_se,
                            evidence, gaussian_projection_step, grid_update, grid_updates,
-                           particle_step, predicted_values)
+                           particle_step, predicted_values, validate_admissible)
 from bslcert.domains import (DomainSpec, Gaussian1D, ParticleSet, discretize,
                              discretize_product, moments)
 from bslcert.errors import (AllWeightsZero, DegenerateVariance, NonFinite,
                             UnsupportedRepresentation)
 from bslcert.models import (_KERNEL_BLOCK, LikelihoodModel, SystemSpec,
-                            TransitionModel, kernel_matvec, se_g_values,
-                            system_constants, validate_admissible)
+                            TransitionModel, kernel_matrix, se_g_values,
+                            system_constants)
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 DSE = DomainSpec(-25.0, 25.0, 2001)
@@ -304,10 +304,10 @@ class TestKernelReuse:
         paired = grid_updates(s, 1, priors)
         for pair, prior in zip(paired, priors):
             _same_update(pair, grid_update(s, 1, prior))
-        # each column is the streamed product with that parameter's kernel
+        # each column is the product with that parameter's kernel matrix
         predicted = _ps_predicted_values(s, priors)[1]
         xs, wquad = xd.nodes, xd.trapezoid_weights
         for j in (0, 120, 240):
             w = wd.nodes[j]
-            streamed = kernel_matvec(s.transition.kernel, xs, xs, wquad * priors[1].values[:, j], w)
-            assert predicted[:, j].tobytes() == streamed.tobytes()
+            dense = kernel_matrix(s.transition.kernel, xs, xs, w) @ (wquad * priors[1].values[:, j])
+            assert predicted[:, j].tobytes() == dense.tobytes()

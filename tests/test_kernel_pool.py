@@ -41,11 +41,13 @@ def _streamed_products(s, prior):
 
 
 def _ps_updates():
+    """Both products of the per-parameter kernel pass: two paired PS updates, and PS g."""
     s = harness.ps_toy_system(2, np.random.default_rng(3))
     xd, wd = s.domain, s.w_domain
     priors = [discretize_product(Gaussian1D(0.0, 1.0), Gaussian1D(0.6, 0.01), xd, wd),
               discretize_product(Gaussian1D(0.5, 1.5), Gaussian1D(0.7, 0.005), xd, wd)]
-    return [(u.posterior.values.tobytes(), u.evidence.hex()) for u in grid_updates(s, 1, priors)]
+    updates = [(u.posterior.values.tobytes(), u.evidence.hex()) for u in grid_updates(s, 1, priors)]
+    return updates, models.ps_g_values(s, 2).tobytes()
 
 
 def _in_thread(fn, timeout=120.0):
@@ -133,9 +135,11 @@ class TestTracedNamesStayOnTheCaller:
         _wrap_traced(monkeypatch, calls)
         harness.run_config(ExperimentConfig("bound_validate", filter_kind="particle", steps=3, seed=0))
         harness.run_config(ExperimentConfig("vi_demo", steps=2, seed=0))
+        models.system_constants(harness.ps_toy_system(2, np.random.default_rng(0)), 1, "tv")
         main = threading.get_ident()
         names = {name for name, _ in calls}
-        assert {"models.kernel_matvec", "bayes.grid_update", "bayes.predicted_values"} <= names
+        assert {"models.kernel_matvec", "bayes.grid_update", "bayes.predicted_values",
+                "models.ps_g_values", "models.lik_values_ps"} <= names
         assert sorted({name for name, ident in calls if ident != main}) == []
         assert pdf_threads - {main}  # the kernels did run on workers
 

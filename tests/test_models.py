@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from bslcert import domains, harness, models, onlinevi
-from bslcert.bayes import grid_update, predicted_values
+from bslcert.bayes import grid_update, predicted_values, validate_admissible
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import (NonFinite, UnboundedConstant, UnsupportedRepresentation,
                             ZeroEvidence)
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
                             TransitionModel, grid_constant_estimates, kernel_matrix,
-                            se_g_values, system_constants, transition_matrix,
-                            validate_admissible)
+                            se_g_values, system_constants, transition_matrix)
 from helpers import PDF_INPUTS, two_temporary_pdf
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
@@ -699,3 +698,47 @@ class TestTransitionMatrix:
             DomainSpec(0.0, 1.0, 201): False,  # reduction fuzz: w1-dyn
         }
         assert {d: d.symmetric for d in symmetric} == symmetric
+
+
+# -- the per-parameter kernel pass and the slab scans ----------------------------
+
+
+def _laplace_kernel(x_next, x_prev, w):
+    return 0.5 * np.exp(-np.abs(x_next - np.asarray(w, dtype=float) * x_prev))
+
+
+def _vi_toy(transition=None):
+    """The vi_demo toy system of seed 0, optionally with another transition."""
+    s = harness.ps_toy_system(5, np.random.default_rng(0))
+    if transition is None:
+        return s
+    return SystemSpec("ps", s.likelihood, s.data, s.domain, transition=transition,
+                      w_domain=s.w_domain)
+
+
+class TestParameterStateKernels:
+    # the toy's own 241-node grid, and a 401-node x grid whose products span two column blocks
+    @pytest.mark.parametrize("n,steps", [(241, range(1, 6)), (401, (1, 3))])
+    def test_ps_g_is_the_per_column_kernel_matrix_product(self, n, steps):
+        s = _vi_toy()
+        d = DomainSpec(s.domain.lower, s.domain.upper, n)
+        for k in steps:
+            h = models.lik_values_ps(s, k, d)
+            expected = np.empty(h.shape)
+            for j, w in enumerate(s.w_domain.nodes):
+                kernel = kernel_matrix(s.transition.kernel, d.nodes, d.nodes, w)
+                expected[:, j] = (d.trapezoid_weights * h[:, j]) @ kernel
+            assert models.ps_g_values(s, k, d).tobytes() == expected.tobytes()
+
+    def test_slab_estimates_keep_their_bits(self):
+        # values recorded before both estimates shared one slab loop
+        s, custom = _vi_toy(), _vi_toy(TransitionModel.custom(_laplace_kernel))
+        assert models._ps_star_estimate(s, 1).hex() == "0x1.cb9b685633e8ep+3"
+        assert models._ps_star_estimate(s, 3).hex() == "0x1.cba90aaf0e03fp+3"
+        assert models._ps_star_estimate(custom, 2).hex() == "0x1.ad08fd06343bap+2"
+        assert models.c_vi_tilde_estimate(s, 1, n_x=121, n_w=121).hex() == "0x1.c8a21b598a97dp+3"
+        assert models.c_vi_tilde_estimate(custom, 2, n_x=121, n_w=121).hex() == \
+            "0x1.a3c885493c288p+3"
+
+    def test_c_vi_tilde_is_re_exported(self):
+        assert onlinevi.c_vi_tilde_estimate is models.c_vi_tilde_estimate

@@ -1,5 +1,7 @@
 """The emitted bytes of pool seed 0 of each benchmark workload equal the
-digests recorded in benches/reference.json, also with one kernel-pool worker."""
+digests recorded in benches/reference.json, also with one kernel-pool worker,
+and so do the pool seeds whose bytes depend on the BLAS thread count, run with
+BLAS pinned as the benchmark pins it."""
 
 import hashlib
 import json
@@ -21,6 +23,18 @@ def test_pool_seed_0_matches_reference(workload, tmp_path, monkeypatch):
 def test_kernel_reuse_with_one_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(models, "_WORKERS", 1)
     _check_pool_seed_0("kernel-reuse", tmp_path, monkeypatch)
+
+
+# With more than one BLAS thread, these kernel-reuse seeds give other bytes
+# (the particle bound-validate config); seed 0 gives the same bytes either way.
+@pytest.mark.parametrize("seed", [5, 11, 14])
+def test_blas_sensitive_seeds_match_reference_with_pinned_blas(seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHES))
+    from run import launch, load_reference  # runs benches/rep.py with BLAS pinned to one thread
+
+    result = launch("kernel-reuse", seed, False, str(tmp_path / "out"))
+    assert result is not None and result["error"] is None
+    assert result["digest"] == load_reference("kernel-reuse")[seed]
 
 
 def _check_pool_seed_0(workload, tmp_path, monkeypatch):
