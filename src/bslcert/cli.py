@@ -85,15 +85,25 @@ def _parse_gaussian(text: str) -> Gaussian1D:
         raise ValueError(f"bad gaussian spec {text!r}: {exc}") from exc
 
 
+METRIC_MAX_POINTS = 500001
+
+
 def _metric_domain(a: Gaussian1D, b: Gaussian1D) -> DomainSpec:
-    lo = min(DEFAULT_DOMAIN.lower, a.mean - 10 * a.std, b.mean - 10 * b.std)
-    hi = max(DEFAULT_DOMAIN.upper, a.mean + 10 * a.std, b.mean + 10 * b.std)
+    """The default domain widened to the ±10σ hull of both Gaussians; when that
+    takes more than METRIC_MAX_POINTS nodes, the hull alone."""
+    hull_lo = min(a.mean - 10 * a.std, b.mean - 10 * b.std)
+    hull_hi = max(a.mean + 10 * a.std, b.mean + 10 * b.std)
     # narrow densities need spacing well below their width for the |p - q| kink
     spacing = min(0.01, min(a.std, b.std) / 10.0)
-    points = min(500001, max(8001, int((hi - lo) / spacing) + 1))
-    if lo == DEFAULT_DOMAIN.lower and hi == DEFAULT_DOMAIN.upper and points == 8001:
-        return DEFAULT_DOMAIN
-    return DomainSpec(lo, hi, points)
+    for lo, hi in ((min(DEFAULT_DOMAIN.lower, hull_lo), max(DEFAULT_DOMAIN.upper, hull_hi)),
+                   (hull_lo, hull_hi)):
+        span = (hi - lo) / spacing
+        if span < METRIC_MAX_POINTS:
+            points = max(8001, int(span) + 1)
+            if lo == DEFAULT_DOMAIN.lower and hi == DEFAULT_DOMAIN.upper and points == 8001:
+                return DEFAULT_DOMAIN
+            return DomainSpec(lo, hi, points)
+    raise ValueError(f"resolving {a} and {b} takes more than {METRIC_MAX_POINTS} grid points")
 
 
 def _run(config: ExperimentConfig) -> int:

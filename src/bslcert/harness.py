@@ -220,6 +220,7 @@ BIMODAL_BUMP_VAR = 0.25
 SE_TRANS_A = 0.9
 SE_TRANS_Q = 1.0
 SE_OBS_VAR = 1.0
+N_PARTICLES = 2000
 
 
 def bimodal_ip_system(steps: int, rng, domain: DomainSpec) -> SystemSpec:
@@ -239,13 +240,20 @@ def bimodal_ip_system(steps: int, rng, domain: DomainSpec) -> SystemSpec:
     return SystemSpec("ip", LikelihoodModel.custom(evaluator), ys, domain)
 
 
-def linear_se_system(steps: int, rng, domain: DomainSpec) -> SystemSpec:
-    """Linear-Gaussian state estimation observed directly: the particle filter's system."""
+def _ar1_observations(steps: int, rng, a: float, q: float, obs_var: float) -> np.ndarray:
+    """y_k = x_k + N(0, obs_var) noise along x_k = a x_{k-1} + N(0, q) noise from x_0 ~ N(0, 1);
+    draws x_0, then each step's transition noise before its observation noise."""
     x = rng.standard_normal()
     ys = np.empty(steps)
     for k in range(steps):
-        x = SE_TRANS_A * x + math.sqrt(SE_TRANS_Q) * rng.standard_normal()
-        ys[k] = x + math.sqrt(SE_OBS_VAR) * rng.standard_normal()
+        x = a * x + math.sqrt(q) * rng.standard_normal()
+        ys[k] = x + math.sqrt(obs_var) * rng.standard_normal()
+    return ys
+
+
+def linear_se_system(steps: int, rng, domain: DomainSpec) -> SystemSpec:
+    """Linear-Gaussian state estimation observed directly: the particle filter's system."""
+    ys = _ar1_observations(steps, rng, SE_TRANS_A, SE_TRANS_Q, SE_OBS_VAR)
     return SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, SE_OBS_VAR), ys, domain,
                       transition=TransitionModel.linear_gaussian(SE_TRANS_A, SE_TRANS_Q))
 
@@ -261,8 +269,7 @@ def _ledger_rows(metric: str, distances, eps, z1, z2, system) -> list[Row]:
 
 
 def bound_validate(filter_kind: str, steps: int, seed: int,
-                   domain: Optional[DomainSpec] = None,
-                   n_particles: int = 2000) -> RunRecord:
+                   domain: Optional[DomainSpec] = None) -> RunRecord:
     """Exact and approximate sequences side by side, with both bound sets: each
     step records the error against the exact update of the previous Q and d(P_k, Q_k)."""
     if filter_kind not in FILTER_DOMAINS:
@@ -280,9 +287,9 @@ def bound_validate(filter_kind: str, steps: int, seed: int,
         step_seeds = [int(s) for s in rng.integers(0, 2 ** 62, size=steps)]
         prior, names = Gaussian1D(0.0, 1.0), ("w1",)
         # the initial cloud draw belongs to the first approximate step: Q_0 = P_0
-        cloud = ParticleSet(prior.mean + prior.std * rng.standard_normal(n_particles),
-                            np.full(n_particles, 1.0 / n_particles))
-        meta["n_particles"] = n_particles
+        cloud = ParticleSet(prior.mean + prior.std * rng.standard_normal(N_PARTICLES),
+                            np.full(N_PARTICLES, 1.0 / N_PARTICLES))
+        meta["n_particles"] = N_PARTICLES
     p, q = discretize(prior, domain), prior
     z1, z2 = [], []
     eps = {m: [] for m in names}
@@ -293,7 +300,7 @@ def bound_validate(filter_kind: str, steps: int, seed: int,
             q, exact_q, inc = bayes.gaussian_projection_step(system, k, q)
         else:
             exact_q = bayes.grid_update(system, k, q)
-            q = cloud = bayes.particle_step(system, k, cloud, n_particles, step_seeds[k - 1])
+            q = cloud = bayes.particle_step(system, k, cloud, N_PARTICLES, step_seeds[k - 1])
             inc = {"w1": metrics.w1(exact_q.posterior, cloud, domain)}
         p = exact_p.posterior
         z1.append(exact_p.evidence)
@@ -432,15 +439,12 @@ PS_TRANS_VAR = 0.25
 PS_OBS_VAR = 0.5
 PS_X_DOMAIN = DomainSpec(-15.0, 15.0, 241)
 PS_W_DOMAIN = DomainSpec(-0.25, 1.45, 241)
+ELBO_SAMPLES = 4000
 
 
 def ps_toy_system(steps: int, rng) -> SystemSpec:
     """1-D linear-Gaussian parameter-state toy: the transition coefficient w is unknown."""
-    x = rng.standard_normal()
-    ys = np.empty(steps)
-    for k in range(steps):
-        x = PS_TRUE_PARAM * x + math.sqrt(PS_TRANS_VAR) * rng.standard_normal()
-        ys[k] = x + math.sqrt(PS_OBS_VAR) * rng.standard_normal()
+    ys = _ar1_observations(steps, rng, PS_TRUE_PARAM, PS_TRANS_VAR, PS_OBS_VAR)
     return SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, PS_OBS_VAR), ys, PS_X_DOMAIN,
                       transition=TransitionModel.parametric_linear_gaussian(PS_TRANS_VAR),
                       w_domain=PS_W_DOMAIN)
@@ -453,7 +457,7 @@ def _joint_factor_moments(j: JointGrid2D) -> GaussianPair:
     return GaussianPair(Gaussian1D(mx, max(vx, 1e-12)), Gaussian1D(mw, max(vw, 1e-12)))
 
 
-def vi_demo(steps: int, seed: int, elbo_samples: int = 4000) -> RunRecord:
+def vi_demo(steps: int, seed: int) -> RunRecord:
     """Type-1 bound pipeline on the parameter-state toy with factorized Gaussians."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -470,7 +474,7 @@ def vi_demo(steps: int, seed: int, elbo_samples: int = 4000) -> RunRecord:
     for k in range(1, steps + 1):
         exact_p, exact_q = bayes.grid_updates(system, k, [p_joint, q_joint])
         next_pair = _joint_factor_moments(exact_q.posterior)
-        elbo = onlinevi.elbo_mc(next_pair, system, k, q_pair, elbo_samples, elbo_seeds[k - 1])
+        elbo = onlinevi.elbo_mc(next_pair, system, k, q_pair, ELBO_SAMPLES, elbo_seeds[k - 1])
         evidences.append(exact_q.evidence)
         floors.append(elbo)
         inputs = VIBoundInputs(r=1, det_gamma=PS_OBS_VAR,
@@ -483,7 +487,7 @@ def vi_demo(steps: int, seed: int, elbo_samples: int = 4000) -> RunRecord:
         distance = metrics.tv_joint(p_joint, q_joint)
         rows.append(Row(k, "tv", distance, bound, exact_p.evidence, exact_q.evidence))
     meta = {"experiment": "vi_demo", "steps": steps, "seed": seed,
-            "elbo_samples": elbo_samples, "true_param": PS_TRUE_PARAM,
+            "elbo_samples": ELBO_SAMPLES, "true_param": PS_TRUE_PARAM,
             "data": list(map(float, system.data))}
     return RunRecord("vi_demo", tuple(rows), meta)
 

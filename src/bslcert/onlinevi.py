@@ -88,10 +88,12 @@ class VIBoundInputs:
 
 
 def vi_coefficient(inputs: VIBoundInputs, metric: str, j: int) -> float:
-    """Coefficient of the step-j error term in the k-step bound (k = inputs.steps)."""
+    """Coefficient of the step-j error term in the k-step bound (k = inputs.steps).
+
+    It is a product over the later steps, so at j = k the product is empty."""
     k = inputs.steps
-    if not 1 <= j <= k - 1:
-        raise ValueError(f"j must be in 1..{k - 1}")
+    if not 1 <= j <= k:
+        raise ValueError(f"j must be in 1..{k}")
     peak = math.exp(log_sup_likelihood(inputs.r, inputs.det_gamma))
     tail = inputs.evidences[j:k]  # Z_{j+1} .. Z_k
     if metric in ("tv", "w1"):
@@ -112,24 +114,14 @@ def vi_coefficient(inputs: VIBoundInputs, metric: str, j: int) -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def vi_alpha(inputs: VIBoundInputs, metric: str) -> float:
-    if metric in ("tv", "hellinger"):
-        return 1.0 / _SQRT2
-    if metric == "w1":
-        if inputs.d is None:
-            raise MissingD("the Wasserstein tail factor needs the domain diameter")
-        return inputs.d / _SQRT2
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _bound_sum(inputs: VIBoundInputs, metric: str, betas) -> float:
-    """alpha * (gap_k + beta_k) + sum over j < k of coefficient_j * (gap_j + beta_j),
-    where gap_j = sqrt(log peak - ELBO floor_j)."""
+    """Sum over steps j of coefficient_j * (gap_j + beta_j), where gap_j =
+    sqrt(log peak - ELBO floor_j); the last step's term is added first."""
     cap = log_sup_likelihood(inputs.r, inputs.det_gamma)
     gaps = [math.sqrt(cap - eps) for eps in inputs.elbo_floors]
     k = inputs.steps
-    total = vi_alpha(inputs, metric) * (gaps[k - 1] + betas[k - 1])
-    for j in range(1, k):
+    total = 0.0  # a loop, not sum(): sum() compensates float additions from Python 3.12
+    for j in (k, *range(1, k)):
         total += vi_coefficient(inputs, metric, j) * (gaps[j - 1] + betas[j - 1])
     return total
 

@@ -39,18 +39,19 @@ class ReductionVerdict:
 # -- raw-array condition evaluators (also used by hand fixtures) -------------
 
 
+def _condition_inputs(weights, g, p, q):
+    """The four inputs as float arrays, then the evidences z_p and z_q they give."""
+    weights, g, p, q = (np.asarray(a, dtype=float) for a in (weights, g, p, q))
+    return weights, g, p, q, float(weights @ (g * p)), float(weights @ (g * q))
+
+
 def tv_condition_values(weights, g, p, q) -> Dict[str, float]:
     """Condition integrals for the TV reduction check on an explicit measure.
 
     `weights` are the reference-measure weights of the nodes; ties p == q are
     assigned to the restricted set, matching its closed (>= / <=) definition.
     """
-    weights = np.asarray(weights, dtype=float)
-    g = np.asarray(g, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    z_p = float(weights @ (g * p))
-    z_q = float(weights @ (g * q))
+    weights, g, p, q, z_p, z_q = _condition_inputs(weights, g, p, q)
     mask = (p >= q) if z_p >= z_q else (p <= q)
     m = weights * mask
     diff = np.abs(p - q)
@@ -72,14 +73,9 @@ def tv_conditions_hold(vals: Dict[str, float]) -> bool:
 
 def hellinger_condition_values(weights, g, p, q) -> Dict[str, float]:
     """Condition integrals for both Hellinger reduction branches."""
-    weights = np.asarray(weights, dtype=float)
-    g = np.asarray(g, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    weights, g, p, q, z_p, z_q = _condition_inputs(weights, g, p, q)
     root_pq = np.sqrt(p * q)
     root_gap = (np.sqrt(p) - np.sqrt(q)) ** 2
-    z_p = float(weights @ (g * p))
-    z_q = float(weights @ (g * q))
     return {
         "z_p": z_p,
         "z_q": z_q,

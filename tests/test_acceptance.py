@@ -93,7 +93,7 @@ def test_criterion_4_sequence_bound_suite():
     violations = 0
     for seed in range(20):
         violations += bound_validate("gauss_proj", 10, seed).violations
-        violations += bound_validate("particle", 10, seed, n_particles=2000).violations
+        violations += bound_validate("particle", 10, seed).violations
     elapsed = time.monotonic() - start
     _report(4, violations == 0 and elapsed < 120.0,
             f"projection(TV,H) + particle(W1), 10 steps x 20 seeds, "

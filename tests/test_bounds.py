@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bslcert import bayes, bounds, harness, metrics
-from bslcert.bounds import (BoundLedger, inaccurate_prior_bound,
+from bslcert.bounds import (BoundLedger, LedgerRow, inaccurate_prior_bound,
                             literature_ratio, pointwise_K, recursion_set1,
                             recursion_set2, step_bound_symmetric,
                             table_constant, tv_to_w1_bound, two_output_bound)
@@ -163,6 +164,34 @@ class TestRecursions:
     def test_zero_evidence_rejected(self):
         with pytest.raises(ZeroEvidence):
             recursion_set1("tv", ip_system(2), [0.2, 0.0], [0.1, 0.1])
+
+
+class TestReplay:
+    @staticmethod
+    def gauss_proj_ledger(steps=10, seed=0):
+        system = harness.bimodal_ip_system(steps, np.random.default_rng(seed), D40)
+        q, evid, eps = harness.BIMODAL_PRIOR, [], []
+        for k in range(1, steps + 1):
+            q, exact, inc = bayes.gaussian_projection_step(system, k, q)
+            evid.append(exact.evidence)
+            eps.append(inc["tv"])
+        return recursion_set2("tv", system, evid, eps)
+
+    def test_one_ulp_off_cum_bound_fails(self):
+        led = self.gauss_proj_ledger()
+        assert led.replay_consistent() and all(map(math.isfinite, led.bounds()))
+        rows = list(led.rows)
+        rows[4] = dataclasses.replace(rows[4], cum_bound=math.nextafter(rows[4].cum_bound, math.inf))
+        assert not dataclasses.replace(led, rows=tuple(rows)).replay_consistent()
+
+    def test_negative_eps_fails(self):
+        led = BoundLedger("tv", "set2", 1, (LedgerRow(1, 2.0, 0.1, 0.1), LedgerRow(2, 2.0, -0.1, 0.1)))
+        assert not led.replay_consistent()
+
+    def test_infinite_factor_times_zero_saturates(self):
+        led = bounds._build_ledger("tv", "set2", [math.inf, 2.0], [0.0, 0.1])
+        assert led.bounds() == [math.inf, math.inf]
+        assert led.replay_consistent()
 
 
 class TestLedgerInputs:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bslcert import cli, domains, harness, metrics
@@ -94,7 +96,7 @@ class TestBoundValidate:
         assert {r.series for r in rec.rows} == {"set1", "set2"}
 
     def test_particle_rows(self):
-        rec = bound_validate("particle", 3, 0, n_particles=400)
+        rec = bound_validate("particle", 3, 0)
         assert rec.violations == 0
         assert len(rec.rows) == 6
         assert all(r.metric == "w1" for r in rec.rows)
@@ -131,9 +133,26 @@ class TestReductionFuzzDriver:
         assert skips == Counter(skipped)
 
 
+# sha256 prefix of each system's data bytes followed by the caller's next draw
+SIMULATED_DATA = {(0, "se"): "09e723c4ff36527f", (0, "ps"): "c1958ff01d88c26f",
+                  (1, "se"): "e8519eafe0038bc6", (1, "ps"): "609a385fcc0e76cb",
+                  (7, "se"): "91b3f8ec190b434e", (7, "ps"): "9615eb67f0023827"}
+
+
+@pytest.mark.parametrize("seed,variant", sorted(SIMULATED_DATA))
+def test_simulated_data_keeps_its_bytes(seed, variant):
+    rng = np.random.default_rng(seed)
+    if variant == "se":
+        system = harness.linear_se_system(20, rng, harness.DEFAULT_DOMAIN)
+    else:
+        system = harness.ps_toy_system(20, rng)
+    data = np.asarray(system.data, dtype=float).tobytes() + np.float64(rng.random()).tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == SIMULATED_DATA[(seed, variant)]
+
+
 class TestViDemo:
     def test_small_run(self):
-        rec = vi_demo(2, 0, elbo_samples=1000)
+        rec = vi_demo(2, 0)
         assert len(rec.rows) == 2
         assert rec.violations == 0
 
@@ -310,6 +329,25 @@ class TestCli:
         exact = math.erf(abs(ga.mean - gb.mean) / (2.0 * ga.std) / math.sqrt(2.0))
         assert abs(float(capsys.readouterr().out) - exact) < 1e-4
 
+    @pytest.mark.parametrize("kind,exact", [
+        ("tv", math.erf(0.5 / math.sqrt(2.0))),
+        ("hellinger", math.sqrt(1.0 - math.exp(-1.0 / 8.0))),
+        ("w1", 1e-5)])
+    def test_metric_command_resolves_narrow_gaussians(self, capsys, kind, exact):
+        # std 1e-5 with means 1e-5 apart: too narrow for [-40, 40] under the node cap
+        assert cli.main(["metric", "--kind", kind, "--a", "gaussian:0,1e-10",
+                         "--b", "gaussian:0.00001,1e-10"]) == 0
+        assert abs(float(capsys.readouterr().out) - exact) <= 1e-4 * exact
+
+    @pytest.mark.parametrize("a, b", [("gaussian:0,1e-12", "gaussian:1,1e-12"),
+                                      ("gaussian:1e308,1", "gaussian:0,1")])
+    def test_metric_command_refuses_unresolvable_pairs(self, capsys, a, b):
+        assert cli.main(["metric", "--kind", "tv", "--a", a, "--b", b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bslcert: config error: ")
+        assert captured.err.count("\n") == 1
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["reproduce", "--case", "9"])
@@ -403,6 +441,15 @@ class TestStrictConfig:
             {"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 0.2, "zhat": 0.2}])),
         ("vi-bound", dict(VI, metric="w1", d=-5.0)),
         ("vi-bound", dict(VI, metric="w1", d=float("nan"))),
+        ("vi-bound", dict(VI, r=0)),
+        ("vi-bound", dict(VI, det_gamma=0.0)),
+        ("vi-bound", dict(VI, det_gamma=-3.0)),
+        ("vi-bound", dict(VI, elbo_floors=[], evidences=[])),
+        ("vi-bound", dict(VI, evidences=[0.2, 0.3])),
+        ("vi-bound", dict(VI, bound_type=3)),
+        ("vi-bound", dict(VI, bound_type=2)),
+        ("vi-bound", dict(VI, bound_type=2, beta_inputs=[
+            {"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 0.2}] * 2)),
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, command, body):
         p = tmp_path / "c.json"
@@ -411,6 +458,24 @@ class TestStrictConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("bslcert: config error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("body,error", [
+        (dict(VI, bound_type=2, beta_inputs=[{"c_vi_tilde": -0.1, "w_err": 0.01, "z_hat": 0.2}]),
+         "NonFinite"),
+        (dict(VI, bound_type=2, beta_inputs=[{"c_vi_tilde": 0.1, "w_err": -0.01, "z_hat": 0.2}]),
+         "NonFinite"),
+        (dict(VI, bound_type=2, beta_inputs=[{"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 0}]),
+         "ZeroEvidence"),
+        (dict(VI, evidences=[0]), "ZeroEvidence"),
+    ])
+    def test_vi_bound_numerical_failure(self, tmp_path, capsys, body, error):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(body))
+        assert cli.main(["vi-bound", "--config", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"bslcert: {error}: ")
         assert captured.err.count("\n") == 1
 
     def test_boolean_is_not_an_int(self, tmp_path, capsys):

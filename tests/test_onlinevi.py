@@ -98,6 +98,22 @@ class TestType1Bound:
             rhs = 2.0 ** (2 * (k - j) - 1) * tv_cell * math.sqrt(2.0) * prod_z
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_last_step_coefficient_is_the_empty_product(self, k):
+        inputs = VIBoundInputs(r=1, det_gamma=3.0, elbo_floors=[-2.0] * k,
+                               evidences=[0.2, 0.3, 0.25][:k], d=31.7)
+        for metric in ("tv", "hellinger"):
+            assert vi_coefficient(inputs, metric, k) == 1 / math.sqrt(2)
+        w1_coef = vi_coefficient(inputs, "w1", k)
+        assert abs(w1_coef - 31.7 / math.sqrt(2)) <= math.ulp(31.7 / math.sqrt(2))
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_coefficient_step_out_of_range(self, j):
+        inputs = VIBoundInputs(r=1, det_gamma=3.0, elbo_floors=[-2.0] * 3,
+                               evidences=[0.2, 0.3, 0.25])
+        with pytest.raises(ValueError, match=r"j must be in 1\.\.3"):
+            vi_coefficient(inputs, "tv", j)
+
     def test_vacuous_bound_rejected(self):
         with pytest.raises(VacuousBound):
             VIBoundInputs(r=1, det_gamma=3.0, elbo_floors=[1.0], evidences=[0.2])
@@ -110,6 +126,21 @@ class TestType1Bound:
     def test_nonpositive_evidence_rejected(self):
         with pytest.raises(ZeroEvidence):
             VIBoundInputs(r=1, det_gamma=3.0, elbo_floors=[-2.0], evidences=[0.0])
+
+
+class TestPinnedBounds:
+    # the sum adds the last step's term first, then steps 1..k-1, in this order
+    PINNED = {("tv", 1): "0x1.e6d020d4df09ap+0", ("hellinger", 1): "0x1.fe8bff11af21ap+1",
+              ("tv", 2): "0x1.f0e67eda04f6bp+0", ("hellinger", 2): "0x1.4ed4314158a02p+2"}
+
+    @pytest.mark.parametrize("metric,bound_type", sorted(PINNED))
+    def test_three_step_bounds_keep_their_bits(self, metric, bound_type):
+        betas = [BetaInputs(0.3, 0.02, 0.2), BetaInputs(0.1, 0.05, 0.4), BetaInputs(0.2, 0.01, 0.3)]
+        inputs = VIBoundInputs(r=1, det_gamma=3.0, elbo_floors=[-2.0, -2.5, -3.0],
+                               evidences=[0.2, 0.3, 0.25], d=31.7,
+                               beta_inputs=betas if bound_type == 2 else None)
+        bound = vi_bound_type1 if bound_type == 1 else vi_bound_type2
+        assert bound(inputs, metric).hex() == self.PINNED[(metric, bound_type)]
 
 
 class TestType2Bound:
