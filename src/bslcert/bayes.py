@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics, models
 from .domains import (Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
-                      discretize, finite_min, moments)
+                      finite_min, grid_values, joint_mass, moments)
 from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
                      DomainTooSmall, NonFinite, UnsupportedRepresentation,
                      ZeroEvidence)
@@ -39,23 +39,12 @@ class UpdateResult:
             raise ZeroEvidence(f"evidence {self.evidence!r} must be positive and finite")
 
 
-def prior_values(s: SystemSpec, prior) -> np.ndarray:
-    """Density values of a 1-D prior on the system grid."""
-    if isinstance(prior, Gaussian1D):
-        return discretize(prior, s.domain).values
-    if isinstance(prior, GridDensity):
-        if prior.domain != s.domain:
-            raise DomainMismatch("prior grid does not match the system domain")
-        return prior.values
-    raise UnsupportedRepresentation(f"no grid density for {type(prior).__name__}")
-
-
 def predicted_values(s: SystemSpec, prior) -> np.ndarray:
     """Pushforward of the prior through the transition, on the grid (SE only)."""
     xs = s.domain.nodes
     if isinstance(prior, ParticleSet):
         return kernel_matvec(s.transition_density(), xs, prior.points, prior.weights)
-    p = prior_values(s, prior)
+    p = grid_values(prior, s.domain)
     return kernel_matvec(s.transition_kernel(s.domain), xs, xs, s.domain.trapezoid_weights * p)
 
 
@@ -84,10 +73,8 @@ def _ps_predicted_values(s: SystemSpec, priors) -> list:
 def _unnormalized_posteriors(s: SystemSpec, k: int, priors) -> list:
     """Unnormalized posterior values on the grid, per prior."""
     if s.variant == "ip":
-        if any(isinstance(prior, ParticleSet) for prior in priors):
-            raise UnsupportedRepresentation("inverse-problem grid updates need a density prior")
         h = lik_values(s, k)
-        return [h * prior_values(s, prior) for prior in priors]
+        return [h * grid_values(prior, s.domain) for prior in priors]
     if s.variant == "se":
         predicted = [predicted_values(s, prior) for prior in priors]
         h = lik_values(s, k)
@@ -99,7 +86,7 @@ def _unnormalized_posteriors(s: SystemSpec, k: int, priors) -> list:
 
 def _mass(s: SystemSpec, values: np.ndarray) -> float:
     if s.variant == "ps":
-        return float(s.domain.trapezoid_weights @ values @ s.w_domain.trapezoid_weights)
+        return joint_mass(s.domain, s.w_domain, values)
     return s.domain.integrate(values)
 
 
@@ -152,7 +139,7 @@ def _normalize(s: SystemSpec, unnorm: np.ndarray) -> UpdateResult:
 
 def conjugate_update_ip(prior: Gaussian1D, a: float, noise_var: float, y: float) -> UpdateResult:
     """Closed-form update for the linear-Gaussian observation y = a*x + noise."""
-    if prior.variance <= 0 or noise_var <= 0:
+    if noise_var <= 0:
         raise DegenerateVariance("prior variance and noise variance must be positive")
     marg_var = a * a * prior.variance + noise_var
     z = float(np.exp(-0.5 * (y - a * prior.mean) ** 2 / marg_var) / math.sqrt(2 * math.pi * marg_var))

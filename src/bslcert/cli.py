@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Optional
 
 from .domains import DomainSpec, Gaussian1D
-from .errors import BslError
+from .errors import BslError, NonFinite
 from .harness import (CONFIG_FIELDS, DEFAULT_DOMAIN, ExperimentConfig, FuzzRecord,
                       emit, read_config, run_config, write_meta)
 from .metrics import hellinger, tv, w1
@@ -81,7 +81,7 @@ def _parse_gaussian(text: str) -> Gaussian1D:
     try:
         mean_s, var_s = rest.split(",")
         return Gaussian1D(float(mean_s), float(var_s))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, NonFinite) as exc:
         raise ValueError(f"bad gaussian spec {text!r}: {exc}") from exc
 
 
@@ -109,10 +109,16 @@ def _metric_domain(a: Gaussian1D, b: Gaussian1D) -> DomainSpec:
 def _run(config: ExperimentConfig) -> int:
     """Run one experiment, write its outputs under ``out_dir`` if set, report it.
 
-    An ``out_dir`` that is a non-empty directory is refused before the run, so
-    one directory never mixes the files of two runs."""
-    if config.out_dir and os.path.isdir(config.out_dir) and os.listdir(config.out_dir):
-        raise ValueError(f"output directory {config.out_dir!r} is not empty")
+    ``out_dir`` is created before the run, and one that cannot be created or
+    is a non-empty directory is refused, so a bad path fails before any work
+    and one directory never mixes the files of two runs."""
+    if config.out_dir:
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot make output directory {config.out_dir!r}: {exc.strerror}") from exc
+        if os.listdir(config.out_dir):
+            raise ValueError(f"output directory {config.out_dir!r} is not empty")
     record = run_config(config)
     if config.out_dir:
         emit(record, "csv", config.out_dir)

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainTooSmall, NonFinite, Unnormalized
+from .errors import (DomainMismatch, DomainTooSmall, NonFinite, Unnormalized,
+                     UnsupportedRepresentation)
 
 NORMALIZATION_TOL = 1e-8
 JOINT_NORMALIZATION_TOL = 1e-6
@@ -204,6 +205,27 @@ def _as_readonly(values) -> np.ndarray:
     return arr
 
 
+def _check_density(density, shape: tuple, shape_error: str, kind: str, mass_kind: str,
+                   tol: float) -> None:
+    """Store a read-only copy of ``density.values`` and check its shape, that its entries are
+    finite and nonnegative, and that its mass is 1 within ``tol`` (normalized) or positive."""
+    values = _as_readonly(density.values)
+    object.__setattr__(density, "values", values)
+    if values.shape != shape:
+        raise ValueError(shape_error)
+    lo = finite_min(values)
+    if math.isnan(lo):
+        raise NonFinite(f"{kind} values must be finite")
+    if lo < 0.0:
+        raise ValueError(f"{kind} values must be nonnegative")
+    m = density.mass()
+    if density.normalized:
+        if abs(m - 1.0) > tol:
+            raise Unnormalized(f"{mass_kind} mass {m!r} is not 1 within {tol}")
+    elif not (math.isfinite(m) and m > 0.0):
+        raise ValueError(f"scaled {kind} must have finite positive mass, got {m!r}")
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Density values on the nodes of a DomainSpec.
@@ -217,29 +239,12 @@ class GridDensity:
     normalized: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly(self.values))
-        if self.values.ndim != 1 or self.values.shape[0] != self.domain.grid_points:
-            raise ValueError("values must be 1-D with one entry per grid node")
-        lo = finite_min(self.values)
-        if math.isnan(lo):
-            raise NonFinite("density values must be finite")
-        if lo < 0.0:
-            raise ValueError("density values must be nonnegative")
-        m = self.mass()
-        if self.normalized:
-            if abs(m - 1.0) > NORMALIZATION_TOL:
-                raise Unnormalized(f"trapezoid mass {m!r} is not 1 within {NORMALIZATION_TOL}")
-        elif not (math.isfinite(m) and m > 0.0):
-            raise ValueError(f"scaled density must have finite positive mass, got {m!r}")
+        _check_density(self, (self.domain.grid_points,),
+                       "values must be 1-D with one entry per grid node",
+                       "density", "trapezoid", NORMALIZATION_TOL)
 
     def mass(self) -> float:
         return self.domain.integrate(self.values)
-
-    def cdf_values(self) -> np.ndarray:
-        """CDF at the grid nodes (cumulative trapezoid, starts at 0)."""
-        h = self.domain.spacing
-        cells = 0.5 * h * (self.values[1:] + self.values[:-1])
-        return np.concatenate(([0.0], np.cumsum(cells)))
 
 
 @dataclass(frozen=True)
@@ -279,40 +284,34 @@ class JointGrid2D:
     normalized: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly(self.values))
         shape = (self.x_domain.grid_points, self.w_domain.grid_points)
-        if self.values.shape != shape:
-            raise ValueError(f"values must have shape {shape}, got {self.values.shape}")
-        lo = finite_min(self.values)
-        if math.isnan(lo):
-            raise NonFinite("joint density values must be finite")
-        if lo < 0.0:
-            raise ValueError("joint density values must be nonnegative")
-        m = self.mass()
-        if self.normalized and abs(m - 1.0) > JOINT_NORMALIZATION_TOL:
-            raise Unnormalized(f"2-D trapezoid mass {m!r} is not 1 within {JOINT_NORMALIZATION_TOL}")
-        if not self.normalized and not (math.isfinite(m) and m > 0.0):
-            raise ValueError("scaled joint density must have finite positive mass")
+        _check_density(self, shape, f"values must have shape {shape}, got {np.shape(self.values)}",
+                       "joint density", "2-D trapezoid", JOINT_NORMALIZATION_TOL)
 
     def mass(self) -> float:
-        wx = self.x_domain.trapezoid_weights
-        ww = self.w_domain.trapezoid_weights
-        return float(wx @ self.values @ ww)
+        return joint_mass(self.x_domain, self.w_domain, self.values)
 
 
-def discretize(g: Gaussian1D, d: DomainSpec) -> GridDensity:
-    """Project a Gaussian onto the grid as a normalized density.
+def joint_mass(xd: DomainSpec, wd: DomainSpec, values: np.ndarray) -> float:
+    """2-D trapezoid mass of values on the product grid of xd and wd (row-major: x by w)."""
+    return float(xd.trapezoid_weights @ values @ wd.trapezoid_weights)
 
-    Requires the domain to cover at least 8 standard deviations on each side
-    of the mean, so at most 2 * Phi(-8) ~ 1.2e-15 of the Gaussian's mass lies
-    outside the domain.
-    """
+
+def check_coverage(g: Gaussian1D, d: DomainSpec) -> None:
+    """Raise DomainTooSmall unless d covers MIN_SIGMA_COVERAGE (8) standard deviations on
+    each side of g's mean, so at most 2 * Phi(-8) ~ 1.2e-15 of g's mass lies outside d."""
     sigma = g.std
     if g.mean - MIN_SIGMA_COVERAGE * sigma < d.lower or g.mean + MIN_SIGMA_COVERAGE * sigma > d.upper:
         raise DomainTooSmall(
             f"domain [{d.lower}, {d.upper}] covers fewer than {MIN_SIGMA_COVERAGE} standard "
             f"deviations around mean {g.mean} (sigma {sigma})"
         )
+
+
+def discretize(g: Gaussian1D, d: DomainSpec) -> GridDensity:
+    """Project a Gaussian onto the grid as a normalized density; d must pass check_coverage."""
+    check_coverage(g, d)
+    sigma = g.std
     # nodes beyond _UNDERFLOW_Z standard deviations have density exactly 0.0:
     # evaluate only the window between, with one node of slack on each side,
     # so the values keep the bits of a full-grid evaluation
@@ -330,8 +329,19 @@ def discretize_product(gx: Gaussian1D, gw: Gaussian1D, xd: DomainSpec, wd: Domai
     px = discretize(gx, xd).values
     pw = discretize(gw, wd).values
     values = np.outer(px, pw)
-    values = values / float(xd.trapezoid_weights @ values @ wd.trapezoid_weights)
+    values = values / joint_mass(xd, wd, values)
     return JointGrid2D(xd, wd, values, normalized=True)
+
+
+def grid_values(dist, d: DomainSpec) -> np.ndarray:
+    """Density values on the nodes of d: a Gaussian1D discretized, a GridDensity on d as stored."""
+    if isinstance(dist, Gaussian1D):
+        return discretize(dist, d).values
+    if isinstance(dist, GridDensity):
+        if dist.domain != d:
+            raise DomainMismatch("grid density lives on a different domain")
+        return dist.values
+    raise UnsupportedRepresentation(f"no grid density for {type(dist).__name__}")
 
 
 def moments(g: GridDensity) -> tuple[float, float]:

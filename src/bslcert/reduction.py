@@ -22,8 +22,8 @@ from typing import Dict
 import numpy as np
 
 from . import bayes, metrics
-from .domains import GridDensity, ParticleSet
-from .errors import DomainMismatch, UnsupportedRepresentation
+from .domains import GridDensity, ParticleSet, grid_values
+from .errors import UnsupportedRepresentation
 from .models import SystemSpec, g_values, lik_values, se_g_values, ps_g_values  # noqa: F401, re-export
 
 
@@ -102,19 +102,10 @@ def hellinger_branch(vals: Dict[str, float]) -> str | None:
 # -- grid checks --------------------------------------------------------------
 
 
-def _grid_pair(s: SystemSpec, p_prev, q_prev) -> tuple[np.ndarray, np.ndarray]:
-    for dist in (p_prev, q_prev):
-        if not isinstance(dist, GridDensity):
-            raise UnsupportedRepresentation("reduction checks take GridDensity priors")
-        if dist.domain != s.domain:
-            raise DomainMismatch("prior grid does not match the system domain")
-    return p_prev.values, q_prev.values
-
-
 def _grid_check(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity,
                 condition_values, distance) -> tuple[Dict[str, float], float, float]:
     """Condition values, then the measured prior and posterior distances."""
-    p, q = _grid_pair(s, p_prev, q_prev)
+    p, q = grid_values(p_prev, s.domain), grid_values(q_prev, s.domain)
     vals = condition_values(s.domain.trapezoid_weights, g_values(s, k), p, q)
     post_p = bayes.grid_update(s, k, p_prev).posterior
     post_q = bayes.grid_update(s, k, q_prev).posterior
@@ -163,7 +154,7 @@ def check_w1(s: SystemSpec, k: int, p_prev: GridDensity, q_prev: GridDensity) ->
     """
     if s.variant == "ps":
         raise UnsupportedRepresentation("the w1 reduction checks run on 1-D state systems")
-    p, q = _grid_pair(s, p_prev, q_prev)
+    p, q = grid_values(p_prev, s.domain), grid_values(q_prev, s.domain)
     xs = s.domain.nodes
     w = s.domain.trapezoid_weights
     h = lik_values(s, k)

@@ -9,7 +9,7 @@ from bslcert.bayes import (_ps_predicted_values, conjugate_update_ip, conjugate_
                            particle_step, predicted_values, validate_admissible)
 from bslcert.domains import (DomainSpec, Gaussian1D, ParticleSet, discretize,
                              discretize_product, moments)
-from bslcert.errors import (AllWeightsZero, DegenerateVariance, NonFinite,
+from bslcert.errors import (AllWeightsZero, DegenerateVariance, DomainMismatch, NonFinite,
                             UnsupportedRepresentation)
 from bslcert.models import (_KERNEL_BLOCK, LikelihoodModel, SystemSpec,
                             TransitionModel, kernel_matrix, se_g_values,
@@ -53,6 +53,37 @@ class TestConjugateUpdate:
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):
             conjugate_update_ip(Gaussian1D(0.0, 1.0), 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("noise_var", [0.0, -1.0])
+    def test_degenerate_noise_message(self, noise_var):
+        with pytest.raises(DegenerateVariance,
+                           match="^prior variance and noise variance must be positive$"):
+            conjugate_update_ip(Gaussian1D(0.0, 1.0), 1.0, noise_var, 0.0)
+
+
+class TestPriorRepresentations:
+    """1-D grid updates read a prior's node values by one rule, whatever the variant."""
+
+    @pytest.mark.parametrize("system", [IP, SE], ids=["ip", "se"])
+    def test_grid_density_on_another_domain(self, system):
+        with pytest.raises(DomainMismatch):
+            grid_update(system, 1, discretize(Gaussian1D(0.0, 1.0), DomainSpec(-20.0, 20.0, 2001)))
+
+    @pytest.mark.parametrize("system", [IP, SE], ids=["ip", "se"])
+    def test_joint_grid_prior(self, system):
+        joint = discretize_product(Gaussian1D(0.0, 1.0), Gaussian1D(0.5, 0.003), system.domain,
+                                   DomainSpec(0.0, 1.0, 101))
+        with pytest.raises(UnsupportedRepresentation):
+            grid_update(system, 1, joint)
+        with pytest.raises(UnsupportedRepresentation):
+            predicted_values(system, joint)
+
+    def test_particle_prior_on_an_inverse_problem(self):
+        cloud = ParticleSet(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(UnsupportedRepresentation):
+            grid_update(IP, 1, cloud)
+        with pytest.raises(UnsupportedRepresentation):
+            grid_updates(IP, 1, [discretize(Gaussian1D(0.0, 1.0), D40), cloud])
 
 
 class TestGridUpdate:
@@ -134,7 +165,7 @@ class TestGaussianProjection:
             assert eps[m].hex() == measured.hex()
 
     def test_discretizes_the_prior_and_the_projection_once_each(self, monkeypatch):
-        import bslcert.bayes as bayes_module
+        import bslcert.domains as domains_module
 
         seen = []
 
@@ -142,8 +173,7 @@ class TestGaussianProjection:
             seen.append(g)
             return discretize(g, d)
 
-        for module in (bayes_module, metrics):
-            monkeypatch.setattr(module, "discretize", counting)
+        monkeypatch.setattr(domains_module, "discretize", counting)
         prior = Gaussian1D(0.0, 4.0)
         approx, _, _ = gaussian_projection_step(bimodal_system(), 1, prior)
         assert seen == [prior, approx]

@@ -221,6 +221,36 @@ class TestGridDensity:
         assert abs(g.mass() - 3.0) < 1e-12
 
 
+class TestShapeAndMassChecks:
+    """The shape and mass outcomes that GridDensity and JointGrid2D share, with their messages."""
+
+    D = DomainSpec(0.0, 2.0, 101)
+
+    def test_grid_density_shape(self):
+        with pytest.raises(ValueError, match=re.escape("values must be 1-D with one entry per grid node")):
+            GridDensity(self.D, np.ones((101, 1)))
+
+    def test_joint_shape(self):
+        with pytest.raises(ValueError, match=re.escape("values must have shape (101, 101), got (101,)")):
+            JointGrid2D(self.D, self.D, np.ones(101))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda d, v: GridDensity(d, v[0]), "trapezoid mass "),
+        (lambda d, v: JointGrid2D(d, d, v), "2-D trapezoid mass "),
+    ], ids=["grid", "joint"])
+    def test_unit_mass(self, make, message):
+        with pytest.raises(Unnormalized, match=f"^{message}" + r"\S+ is not 1 within 1e-0[68]$"):
+            make(self.D, np.ones((101, 101)))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda d, v: GridDensity(d, v[0], normalized=False), "scaled density"),
+        (lambda d, v: JointGrid2D(d, d, v, normalized=False), "scaled joint density"),
+    ], ids=["grid", "joint"])
+    def test_scaled_mass(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(f"{message} must have finite positive mass, got 0.0")):
+            make(self.D, np.zeros((101, 101)))
+
+
 class TestParticleSet:
     def test_weight_sum(self):
         with pytest.raises(Unnormalized):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bslcert import cli, domains, harness, metrics
+from bslcert import cli, domains, harness, metrics, reduction
 from bslcert.bayes import conjugate_update_ip
 from bslcert.domains import DomainSpec, Gaussian1D
 from bslcert.errors import IOFailure
@@ -131,6 +131,33 @@ class TestReductionFuzzDriver:
         record = run_config(config, fuzz_skips=skips)
         assert isinstance(record, FuzzRecord) and record.trials == 1000
         assert skips == Counter(skipped)
+
+
+def _stub_check_tv(monkeypatch, excess):
+    """Make every tv check return a guaranteed verdict whose distance grew by ``excess``."""
+    verdict = reduction.ReductionVerdict("tv", {}, True, 0.0, excess)
+    monkeypatch.setattr(reduction, "check_tv", lambda s, k, p, q: verdict)
+
+
+class TestFuzzViolations:
+    """No real check violates, so stubbed verdicts drive the violation path."""
+
+    @pytest.mark.parametrize("excess,violating", [(2e-8, True), (5e-9, False)])
+    def test_excess_past_the_threshold_counts(self, monkeypatch, excess, violating):
+        _stub_check_tv(monkeypatch, excess)
+        skips = Counter()
+        rec = reduction_fuzz("tv", 40, 1, skips)
+        assert rec.guaranteed == 40 - skips.total() > 0
+        assert rec.violations == (rec.guaranteed if violating else 0)
+        assert rec.worst_excess == excess
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        _stub_check_tv(monkeypatch, 2e-8)
+        assert cli.main(["reduction-fuzz", "--theorem", "tv", "--trials", "40",
+                         "--seed", "1"]) == 2
+        assert capsys.readouterr().out == (
+            "reduction_fuzz[tv]: 40 trials, 40 guaranteed, 40 violations, worst excess 2e-08, "
+            "skipped 0\n")
 
 
 # sha256 prefix of each system's data bytes followed by the caller's next draw
@@ -308,6 +335,20 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_path_through_a_file_is_refused_before_the_run(self, tmp_path, capsys,
+                                                                monkeypatch, below):
+        blocker = tmp_path / "f"
+        blocker.write_text("x")
+        monkeypatch.setattr("bslcert.cli.run_config", lambda config: pytest.fail("the run started"))
+        out = blocker / "sub" if below else blocker
+        assert cli.main(["reproduce", "--case", "1", "--steps", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bslcert: config error: cannot make output directory ")
+        assert captured.err.count("\n") == 1
+        assert blocker.read_text() == "x"
+
     def test_empty_out_directory_is_accepted(self, tmp_path):
         out = tmp_path / "empty"
         out.mkdir()
@@ -352,6 +393,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["reproduce", "--case", "9"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("a", ["gaussian:nan,1", "gaussian:inf,1", "gaussian:-inf,1",
+                                   "gaussian:0,nan", "gaussian:0,-1"])
+    def test_metric_command_reports_a_bad_gaussian_spec(self, capsys, a):
+        assert cli.main(["metric", "--kind", "tv", "--a", a, "--b", "gaussian:0,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"bslcert: config error: bad gaussian spec {a!r}: ")
+        assert captured.err.count("\n") == 1
 
     def test_bad_gaussian_spec(self):
         assert cli.main(["metric", "--kind", "tv", "--a", "gaussian:zz",

@@ -9,7 +9,8 @@ from scipy.stats import wasserstein_distance
 from bslcert import metrics
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet, discretize,
                              discretize_product)
-from bslcert.errors import DomainMismatch, NonFinite, Unnormalized, UnsupportedRepresentation
+from bslcert.errors import (DomainMismatch, DomainTooSmall, NonFinite, Unnormalized,
+                            UnsupportedRepresentation)
 from bslcert.metrics import (gaussian_hellinger, hellinger, scaled_hellinger,
                              tv, w1)
 from helpers import gauss_tv_equal_var, random_density
@@ -190,6 +191,36 @@ class TestScaledHellinger:
         a = discretize(Gaussian1D(0, 1), D10)
         b = discretize(Gaussian1D(2, 1), D10)
         assert abs(scaled_hellinger(a, b) - hellinger(a, b, D10)) < 1e-12
+
+
+class TestRepresentationErrors:
+    """Every metric reads node values by one rule, so each bad input fails the same way."""
+
+    CLOUD = ParticleSet(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    SECOND = [(tv, Gaussian1D(0.0, 1.0)), (hellinger, Gaussian1D(0.0, 1.0)),
+              (w1, Gaussian1D(0.0, 1.0)), (w1, CLOUD)]
+
+    @pytest.mark.parametrize("fn", [tv, hellinger, w1], ids=lambda f: f.__name__)
+    def test_under_covered_gaussian(self, fn):
+        # mean 5 + 8 sigma reaches 13, past the upper end 10
+        with pytest.raises(DomainTooSmall, match="covers fewer than 8.0 standard deviations"):
+            fn(Gaussian1D(5.0, 1.0), Gaussian1D(0.0, 1.0), DomainSpec(-10.0, 10.0, 401))
+
+    def test_under_covered_gaussian_against_particles(self):
+        with pytest.raises(DomainTooSmall):
+            w1(Gaussian1D(5.0, 1.0), self.CLOUD, DomainSpec(-10.0, 10.0, 401))
+
+    @pytest.mark.parametrize("fn,other", SECOND, ids=["tv", "hellinger", "w1", "w1-particles"])
+    def test_grid_density_on_another_domain(self, fn, other):
+        with pytest.raises(DomainMismatch, match="grid density lives on a different domain"):
+            fn(discretize(Gaussian1D(0.0, 1.0), D10), other, D40)
+
+    @pytest.mark.parametrize("fn,other", SECOND, ids=["tv", "hellinger", "w1", "w1-particles"])
+    def test_joint_grid_has_no_1d_values(self, fn, other):
+        xd, wd = DomainSpec(-10.0, 10.0, 101), DomainSpec(0.0, 1.0, 101)
+        joint = discretize_product(Gaussian1D(0.0, 1.0), Gaussian1D(0.5, 0.003), xd, wd)
+        with pytest.raises(UnsupportedRepresentation):
+            fn(joint, other, xd)
 
 
 class TestTVJoint:

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bslcert.domains import DomainSpec, Gaussian1D, discretize
-from bslcert.errors import UnsupportedRepresentation
+from bslcert.domains import DomainSpec, Gaussian1D, ParticleSet, discretize
+from bslcert.errors import DomainMismatch, UnsupportedRepresentation
 from bslcert.harness import reduction_fuzz
 from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, g_values, se_g_values
 from bslcert.reduction import (_abs_gap_matvec, check_hellinger, check_tv, check_w1,
@@ -208,6 +208,37 @@ class TestVariantGuards:
         p = discretize(Gaussian1D(0.0, 1.0), xd)
         with pytest.raises(UnsupportedRepresentation, match="1-D state systems"):
             check_w1(s, 1, p, p)
+
+
+SE = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.5], D,
+                transition=TransitionModel.linear_gaussian(0.9, 0.5))
+CHECKS = [(check_tv, IP), (check_hellinger, IP), (check_w1, IP), (check_w1, SE)]
+CHECK_IDS = ["tv", "hellinger", "w1-ip", "w1-dyn"]
+
+
+class TestPriorRepresentations:
+    """The checks read prior node values as the grid update does."""
+
+    @pytest.mark.parametrize("check,system", CHECKS, ids=CHECK_IDS)
+    def test_gaussian_prior_is_its_discretization(self, check, system):
+        gp, gq = Gaussian1D(0.0, 1.0), Gaussian1D(1.0, 0.5)
+        on_grid = check(system, 1, discretize(gp, D), discretize(gq, D))
+        for p, q in ((gp, gq), (gp, discretize(gq, D)), (discretize(gp, D), gq)):
+            v = check(system, 1, p, q)
+            assert v.condition_values == on_grid.condition_values
+            assert v.guaranteed == on_grid.guaranteed
+
+    @pytest.mark.parametrize("check,system", CHECKS, ids=CHECK_IDS)
+    def test_grid_density_on_another_domain(self, check, system):
+        other = discretize(Gaussian1D(0.0, 1.0), DomainSpec(-12.0, 12.0, 2001))
+        with pytest.raises(DomainMismatch):
+            check(system, 1, discretize(Gaussian1D(0.0, 1.0), D), other)
+
+    @pytest.mark.parametrize("check,system", CHECKS, ids=CHECK_IDS)
+    def test_particle_prior(self, check, system):
+        cloud = ParticleSet(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(UnsupportedRepresentation):
+            check(system, 1, cloud, discretize(Gaussian1D(0.0, 1.0), D))
 
 
 class TestSoundnessSample:
