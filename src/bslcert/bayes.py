@@ -58,7 +58,7 @@ def _ps_prior_values(s: SystemSpec, prior) -> np.ndarray:
 
 def _ps_predicted_values(s: SystemSpec, priors) -> list:
     """Pushforward of each joint prior, evaluating each per-parameter kernel once: column j
-    of each output is kernel_matvec's matrix product ``kernel @ v`` with node j's kernel."""
+    of each output is ``kernel @ v`` with node j's kernel, one BLAS call."""
     pvs = [_ps_prior_values(s, prior) for prior in priors]
     outs = [np.empty_like(pv) for pv in pvs]
 

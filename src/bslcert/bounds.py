@@ -49,16 +49,6 @@ def pointwise_K(s: SystemSpec, k: int, metric: str, z: float) -> float:
     return table_constant(system_constants(s, k, metric), metric, z)
 
 
-def step_bound_symmetric(metric: str, constants: ConstantsReport,
-                         z_a: float, z_b: float, prior_dist: float) -> float:
-    """Sharper symmetric one-step bound: factor at the larger evidence.
-
-    Both evidences must pass models.admissible_evidence, as in table_constant.
-    """
-    z = max(admissible_evidence(z_a), admissible_evidence(z_b))
-    return table_constant(constants, metric, z) * prior_dist
-
-
 @dataclass(frozen=True)
 class LedgerRow:
     step: int

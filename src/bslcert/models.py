@@ -28,11 +28,15 @@ from .errors import NonFinite, UnboundedConstant, UnsupportedRepresentation, Zer
 
 EVIDENCE_FLOOR = 1e-300
 CUSTOM_LIP_SAFETY = 2.0
-# Rows per kernel block: 4 MB temporaries at 2001 columns.  Each streamed block
-# is its own BLAS call, so changing this changes the bits of streamed products:
-# with 16-row blocks, a particle prior near the upper edge of a 2001-node grid
-# predicts a different last value.
-_KERNEL_BLOCK = 256
+# Rows per kernel block.  Every product with a transition kernel, cached or
+# streamed, is one BLAS call per block, so the height sets the bits: 65-row
+# blocks change the bytes of kernel-reuse benchmark seeds 0, 5 and 11, while
+# 64-row blocks keep every recorded digest.  A streamed block at 2000 columns
+# takes 1,024,000 B, under the 1 MiB heap threshold that bslcert/__init__ sets
+# and within a core's L2 cache.  A cached matrix's blocks stay on the calling
+# thread: on the pool, the w1-dyn fuzz, whose 201-node products are small,
+# took 40% longer.
+_KERNEL_BLOCK = 64
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
 # Threads that evaluate kernel blocks and per-parameter kernels: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -307,8 +311,25 @@ def _run_each(fn, items) -> None:
 
 
 def _blocks(n: int):
-    """Slices of _KERNEL_BLOCK consecutive indices covering range(n)."""
-    return [slice(start, start + _KERNEL_BLOCK) for start in range(0, n, _KERNEL_BLOCK)]
+    """Slices of _KERNEL_BLOCK consecutive indices covering range(n) in order.
+
+    A one-index tail joins the block before it: numpy multiplies a one-row
+    block through dot, not gemv, which would give other bits.
+    """
+    starts = list(range(0, n, _KERNEL_BLOCK))
+    if n > 1 and n % _KERNEL_BLOCK == 1:
+        del starts[-1]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
+
+def _each_block(kernel, fn, n: int) -> None:
+    """fn(block) for each of _blocks(n): on the pool (_run_each) when ``kernel``
+    is a density, whose blocks are evaluated there, and inline for a matrix."""
+    if callable(kernel):
+        _run_each(fn, _blocks(n))
+    else:
+        for block in _blocks(n):
+            fn(block)
 
 
 def _kernel_block(kernel, xs_next, xs_prev, *extra) -> np.ndarray:
@@ -373,38 +394,39 @@ def each_parameter_kernel(s: SystemSpec, domain: DomainSpec, apply) -> None:
 
 
 def kernel_matvec(kernel, xs_next, xs_prev, vec) -> np.ndarray:
-    """K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j]).
+    """K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j]), one BLAS call per row block.
 
-    ``kernel`` is the density callable, streamed in row blocks, or K itself.
-    Each row block is evaluated and multiplied on a pool thread (_run_each);
-    each is its own BLAS call whatever the thread, so the bits do not depend
-    on the worker count.
+    ``kernel`` is K itself or the density callable, whose row blocks are
+    evaluated and multiplied on pool threads (_each_block).  Either way each
+    block of _blocks is its own product of the same shape, so a cached and a
+    streamed kernel give the same bits, whatever the worker count.
     """
-    if not callable(kernel):
-        return kernel @ vec
     out = np.empty(xs_next.shape[0])
 
     def row_block(rows):
-        out[rows] = _kernel_block(kernel, xs_next[rows], xs_prev) @ vec
+        block = _kernel_block(kernel, xs_next[rows], xs_prev) if callable(kernel) else kernel[rows]
+        out[rows] = block @ vec
 
-    _run_each(row_block, _blocks(xs_next.shape[0]))
+    _each_block(kernel, row_block, out.shape[0])
     return out
 
 
 def kernel_rmatvec(kernel, xs_next, xs_prev, vec) -> np.ndarray:
-    """vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j]).
+    """vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j]), one BLAS call per
+    column block, as in kernel_matvec.
 
-    ``kernel`` is the density callable, streamed in column blocks on pool
-    threads as in kernel_matvec, or K itself.
+    A cached matrix's column block is copied into a contiguous array, the
+    layout of a streamed block: BLAS gives other bits for a 2- or 3-column
+    block that is a strided view.
     """
-    if not callable(kernel):
-        return vec @ kernel
     out = np.empty(xs_prev.shape[0])
 
     def column_block(cols):
-        out[cols] = vec @ _kernel_block(kernel, xs_next, xs_prev[cols])
+        block = _kernel_block(kernel, xs_next, xs_prev[cols]) if callable(kernel) \
+            else np.ascontiguousarray(kernel[:, cols])
+        out[cols] = vec @ block
 
-    _run_each(column_block, _blocks(xs_prev.shape[0]))
+    _each_block(kernel, column_block, out.shape[0])
     return out
 
 

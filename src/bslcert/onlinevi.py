@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bayes import predicted_values
-from .domains import DomainSpec, Gaussian1D, GridDensity
+from .domains import DomainSpec, Gaussian1D, GridDensity, grid_values
 from .errors import MissingD, NonFinite, UnsupportedRepresentation, VacuousBound, ZeroEvidence
 from .models import SystemSpec, c_vi_tilde_estimate  # noqa: F401, re-export
 
@@ -171,7 +171,7 @@ def _log_density_1d(dist, xs: np.ndarray, domain: DomainSpec) -> np.ndarray:
     if isinstance(dist, Gaussian1D):
         vals = dist.pdf(xs)
     elif isinstance(dist, GridDensity):
-        vals = np.interp(xs, domain.nodes, dist.values)
+        vals = np.interp(xs, domain.nodes, grid_values(dist, domain))  # DomainMismatch off domain
     else:
         raise UnsupportedRepresentation(f"no density available for {type(dist).__name__}")
     if np.any(vals <= 0.0):

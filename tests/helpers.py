@@ -1,6 +1,9 @@
 """Shared construction helpers and independent oracles used across the suite."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -8,6 +11,21 @@ from bslcert.domains import DomainSpec, Gaussian1D, GridDensity
 from bslcert.harness import _mixture_density as mixture_density
 from bslcert.models import (LikelihoodModel, SystemSpec, TransitionModel,
                             system_constants)
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def run_python(args, blas_threads: int, timeout: float = 120.0) -> str:
+    """Stdout of ``python args`` in a fresh process that imports bslcert from src
+    and the test modules, with BLAS on ``blas_threads`` threads; fails on a non-zero exit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]), PYTHONHASHSEED="0")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def random_density(d: DomainSpec, rng, max_components: int = 3) -> GridDensity:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bslcert import metrics
+from bslcert import metrics, models
 from bslcert.bayes import (_ps_predicted_values, conjugate_update_ip, conjugate_update_se,
                            evidence, gaussian_projection_step, grid_update, grid_updates,
                            particle_step, predicted_values, validate_admissible)
@@ -317,7 +317,7 @@ class TestKernelReuse:
         prior = discretize(Gaussian1D(0.0, 1.0), DSE)
         for k in range(1, 11):
             prior = grid_update(s, k, prior).posterior
-        assert len(blocks) == math.ceil(DSE.grid_points / _KERNEL_BLOCK) == 8
+        assert len(blocks) == math.ceil(DSE.grid_points / _KERNEL_BLOCK) == len(models._blocks(2001))
 
     def test_paired_se_updates_match_single_updates(self):
         priors = [discretize(Gaussian1D(0.0, 1.0), DSE), discretize(Gaussian1D(1.5, 2.0), DSE)]

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bslcert import bayes, bounds, harness, metrics
 from bslcert.bounds import (BoundLedger, LedgerRow, inaccurate_prior_bound,
                             literature_ratio, pointwise_K, recursion_set1,
-                            recursion_set2, step_bound_symmetric,
-                            table_constant, tv_to_w1_bound, two_output_bound)
+                            recursion_set2, table_constant, tv_to_w1_bound, two_output_bound)
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet,
                              discretize)
 from bslcert.errors import MissingConstant, NonFinite, UnboundedConstant, ZeroEvidence
@@ -53,9 +52,7 @@ class TestPointwiseK:
 
 
 class TestStepBoundSymmetric:
-    def test_identical_priors(self):
-        c = system_constants(ip_system(), 1, "tv")
-        assert step_bound_symmetric("tv", c, 0.2, 0.3, 0.0) == 0.0
+    """reproduce's symmetric one-step bound: the factor at the larger evidence times the prior distance."""
 
     def test_case2_step1(self):
         s = ip_system(y=0.0)
@@ -63,8 +60,8 @@ class TestStepBoundSymmetric:
         z_b = bayes.conjugate_update_ip(Gaussian1D(2, 1), 1.1, 3.0, 0.0).evidence
         d_tv = tv(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
         d_h = hellinger(Gaussian1D(0, 1), Gaussian1D(2, 1), D40)
-        b_tv = step_bound_symmetric("tv", system_constants(s, 1, "tv"), z_a, z_b, d_tv)
-        b_h = step_bound_symmetric("hellinger", system_constants(s, 1, "hellinger"), z_a, z_b, d_h)
+        b_tv = pointwise_K(s, 1, "tv", max(z_a, z_b)) * d_tv
+        b_h = pointwise_K(s, 1, "hellinger", max(z_a, z_b)) * d_h
         assert abs(b_tv - 0.808725381256378) < 1e-9
         assert abs(b_h - 1.3654495369700108) < 1e-9
 
@@ -82,20 +79,10 @@ class TestEvidenceChecks:
         with pytest.raises(error):
             table_constant(c, metric, z)
 
-    @pytest.mark.parametrize("z,error", BAD_EVIDENCES)
-    def test_step_bound_symmetric(self, z, error):
-        c = system_constants(ip_system(), 1, "tv")
-        with pytest.raises(error):
-            step_bound_symmetric("tv", c, z, 0.2, 0.1)
-        with pytest.raises(error):
-            step_bound_symmetric("tv", c, 0.2, z, 0.1)
-
     def test_admissible_evidences_keep_their_bits(self):
         c = system_constants(ip_system(), 1, "tv")
         for z in (1e-300 * (1 + 2 ** -52), 0.19443, 7.5):
             assert table_constant(c, "tv", z) == c.sup / z
-            assert step_bound_symmetric("tv", c, z, z, 0.3) == c.sup / z * 0.3
-        assert step_bound_symmetric("tv", c, 0.1, 0.2, 0.3) == c.sup / 0.2 * 0.3
 
 
 class TestRecursions:

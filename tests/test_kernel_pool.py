@@ -12,13 +12,14 @@ import pytest
 
 from bslcert import harness, models
 from bslcert.bayes import grid_updates, particle_step
-from bslcert.domains import DomainSpec, Gaussian1D, ParticleSet, discretize_product
+from bslcert.domains import DomainSpec, Gaussian1D, ParticleSet, discretize, discretize_product
 from bslcert.errors import NonFinite
 from bslcert.harness import ExperimentConfig
 from bslcert.models import (_KERNEL_BLOCK, LikelihoodModel, SystemSpec, TransitionModel,
                             kernel_matvec, kernel_rmatvec)
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benches"))
+from helpers import run_python  # noqa: E402
 from tracer import TRACED  # noqa: E402
 
 WORKER_COUNTS = (1, 3)
@@ -61,7 +62,6 @@ def _in_thread(fn, timeout=120.0):
 
 
 class TestWorkerCountKeepsBits:
-    # 2049 = 8 * 256 + 1: the last row block is one row, whose product goes through dot
     @pytest.mark.parametrize("n", [2001, 2049])
     def test_streamed_products(self, n, monkeypatch):
         s, prior = _particle_system(n)
@@ -75,8 +75,7 @@ class TestWorkerCountKeepsBits:
         xs, density = s.domain.nodes, s.transition_density()
         rows = np.empty(xs.shape[0])
         cols = np.empty(xs.shape[0])
-        for start in range(0, xs.shape[0], _KERNEL_BLOCK):
-            b = slice(start, start + _KERNEL_BLOCK)
+        for b in models._blocks(xs.shape[0]):
             rows[b] = np.asarray(density(xs[b, None], prior.points[None, :])) @ prior.weights
             cols[b] = prior.weights @ np.asarray(density(prior.points[:, None], xs[None, b]))
         assert _streamed_products(s, prior) == (rows.tobytes(), cols.tobytes())
@@ -100,6 +99,44 @@ class TestWorkerCountKeepsBits:
                 assert _in_thread(lambda: (_streamed_products(s, prior), _ps_updates())) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+def _readme_products(n, cached, vec=None):
+    """kernel_matvec and kernel_rmatvec bytes on the README's SE system with an n-node grid,
+    through the cached matrix or the streamed density, of ``vec`` or the discretized
+    N(0, 4) prior's trapezoid-weighted values."""
+    d = DomainSpec(-25.0, 25.0, n)
+    s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], d,
+                   transition=TransitionModel.linear_gaussian(0.9, 1.0))
+    kernel = s.transition_kernel(d) if cached else s.transition_density()
+    assert callable(kernel) != cached
+    if vec is None:
+        vec = d.trapezoid_weights * discretize(Gaussian1D(0.0, 4.0), d).values
+    return tuple(product(kernel, d.nodes, d.nodes, vec).tobytes()
+                 for product in (kernel_matvec, kernel_rmatvec))
+
+
+class TestBlockRule:
+    def test_blocks_cover_the_range_in_order(self):
+        for n in [*range(1, 601), 2001, 8001]:
+            blocks = [range(n)[b] for b in models._blocks(n)]
+            assert [i for b in blocks for i in b] == list(range(n))
+            assert all(b.start % _KERNEL_BLOCK == 0 for b in blocks)
+            assert n == 1 or min(len(b) for b in blocks) > 1
+
+    @pytest.mark.parametrize("n", [201, 257, 258, 513, 1025, 2001, 2049])
+    def test_cached_and_streamed_products_are_equal(self, n):
+        for vec in (None, np.random.default_rng(n).standard_normal(n)):
+            assert _readme_products(n, True, vec) == _readme_products(n, False, vec)
+
+    def test_streamed_8001_node_products_keep_their_bits(self):
+        # 8001 = 125 * 64 + 1: the one-index tail joins the last block.  The
+        # digests were taken with 256-row blocks and BLAS on one thread.
+        code = ("import hashlib, test_kernel_pool as t; "
+                "print(*(hashlib.sha256(b).hexdigest() for b in t._readme_products(8001, False)))")
+        assert run_python(["-c", code], blas_threads=1).split() == [
+            "481ca0d2731b62e8d5bda542d4289678a716a3d813ca5db67aae75735554736b",
+            "6294d823a587c93b6dd4f654b50ed3e80d7e2219c9a601c67da335bc3c7bfdab"]
 
 
 def _wrap_traced(monkeypatch, record):

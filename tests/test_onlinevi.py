@@ -5,8 +5,8 @@ import pytest
 
 from bslcert.bayes import conjugate_update_ip
 from bslcert.domains import DomainSpec, Gaussian1D, ParticleSet, discretize
-from bslcert.errors import (MissingD, NonFinite, UnsupportedRepresentation, VacuousBound,
-                            ZeroEvidence)
+from bslcert.errors import (DomainMismatch, MissingD, NonFinite, UnsupportedRepresentation,
+                            VacuousBound, ZeroEvidence)
 from bslcert.models import CUSTOM_LIP_SAFETY, LikelihoodModel, SystemSpec, TransitionModel
 from bslcert.onlinevi import (BetaInputs, GaussianPair, VIBoundInputs,
                               beta_term, c_vi_tilde_estimate, elbo_mc,
@@ -259,6 +259,16 @@ class TestWrongRepresentation:
         cloud = ParticleSet(np.linspace(-1.0, 1.0, 50), np.full(50, 1 / 50))
         with pytest.raises(UnsupportedRepresentation, match="no density"):
             elbo_mc(Gaussian1D(0.0, 1.0), IP, 1, cloud, 500, 0)
+
+    def test_grid_prior_on_another_domain(self):
+        d = DomainSpec(-10.0, 10.0, 2001)
+        s = SystemSpec("ip", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], d)
+        elsewhere = discretize(Gaussian1D(-10.0, 1.0), DomainSpec(-20.0, 0.0, 2001))
+        with pytest.raises(DomainMismatch):
+            elbo_mc(Gaussian1D(0.0, 1.0), s, 1, elsewhere, 2000, 0)
+        # on the system's own domain the grid prior keeps its value
+        assert elbo_mc(Gaussian1D(0.0, 1.0), s, 1, discretize(Gaussian1D(0.0, 1.0), d), 2000, 0) \
+            == -1.4195287470598532
 
     def test_ps_inputs_must_be_gaussian_pairs(self):
         pair = GaussianPair(Gaussian1D(0.0, 1.0), Gaussian1D(0.6, 0.01))

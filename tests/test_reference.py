@@ -1,7 +1,8 @@
 """The emitted bytes of pool seed 0 of each benchmark workload equal the
-digests recorded in benches/reference.json, also with one kernel-pool worker,
-and so do the pool seeds whose bytes depend on the BLAS thread count, run with
-BLAS pinned as the benchmark pins it."""
+digests recorded in benches/reference.json, also with one kernel-pool worker.
+So do the kernel-reuse pool seeds whose bytes once depended on the BLAS thread
+count, both with BLAS pinned to one thread as the benchmark pins it and with
+two BLAS threads."""
 
 import hashlib
 import json
@@ -11,6 +12,7 @@ import pytest
 
 from bslcert import models
 from bslcert.harness import ExperimentConfig, FuzzRecord, emit, run_config, write_meta
+from helpers import run_python
 
 BENCHES = Path(__file__).resolve().parent.parent / "benches"
 
@@ -25,9 +27,13 @@ def test_kernel_reuse_with_one_worker(tmp_path, monkeypatch):
     _check_pool_seed_0("kernel-reuse", tmp_path, monkeypatch)
 
 
-# With more than one BLAS thread, these kernel-reuse seeds give other bytes
-# (the particle bound-validate config); seed 0 gives the same bytes either way.
-@pytest.mark.parametrize("seed", [5, 11, 14])
+# These kernel-reuse seeds (the particle bound-validate config) gave other bytes
+# with two BLAS threads while a cached kernel was multiplied in one BLAS call;
+# seed 0 gives the same bytes either way.
+BLAS_SENSITIVE_SEEDS = [5, 11, 14]
+
+
+@pytest.mark.parametrize("seed", BLAS_SENSITIVE_SEEDS)
 def test_blas_sensitive_seeds_match_reference_with_pinned_blas(seed, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHES))
     from run import launch, load_reference  # runs benches/rep.py with BLAS pinned to one thread
@@ -35,6 +41,16 @@ def test_blas_sensitive_seeds_match_reference_with_pinned_blas(seed, tmp_path, m
     result = launch("kernel-reuse", seed, False, str(tmp_path / "out"))
     assert result is not None and result["error"] is None
     assert result["digest"] == load_reference("kernel-reuse")[seed]
+
+
+@pytest.mark.parametrize("seed", BLAS_SENSITIVE_SEEDS)
+def test_blas_sensitive_seeds_match_reference_with_two_blas_threads(seed, tmp_path):
+    out = run_python([str(BENCHES / "rep.py"), "kernel-reuse", str(seed), "0", str(tmp_path / "out")],
+                     blas_threads=2)
+    result = json.loads(out.strip().splitlines()[-1])
+    reference = json.loads((BENCHES / "reference.json").read_text())["workloads"]["kernel-reuse"]
+    assert result["error"] is None
+    assert result["digest"] == reference["digests"][str(seed)]
 
 
 def _check_pool_seed_0(workload, tmp_path, monkeypatch):
