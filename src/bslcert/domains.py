@@ -69,7 +69,8 @@ class DomainSpec:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        xs = np.linspace(self.lower, self.upper, self.grid_points)
+        # a copy owns its data (linspace returns a view), so _as_readonly reuses it
+        xs = np.linspace(self.lower, self.upper, self.grid_points).copy()
         xs.setflags(write=False)
         return xs
 
@@ -200,6 +201,11 @@ def finite_nonnegative(name: str, value: float) -> float:
 
 
 def _as_readonly(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: itself when it already is one
+    that owns its data (no view of a writable base), else a read-only copy."""
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.flags.owndata
+            and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr

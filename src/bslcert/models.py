@@ -4,9 +4,10 @@ Every bound in :mod:`bslcert.bounds` is built from sup g and a Lipschitz
 constant or integral of g, for the weighting function g of ``g_values``.  A
 claimed constant (a linear-Gaussian closed form, or an inverse problem's
 declared sup or Lipschitz constant) is checked against the grid values of g:
-a sup against their maximum (on at most 801 nodes for state estimation), an
-IP Lipschitz constant against their largest difference quotient, a lower
-bound by the mean value theorem.  The SE and PS closed-form Lipschitz
+a sup against their maximum, an IP Lipschitz constant against their largest
+difference quotient, a lower bound by the mean value theorem.  A state-
+estimation closed form is checked on at most 801 nodes, in one kernel pass
+over all of the system's observations.  The SE and PS closed-form Lipschitz
 integrals are not checked: their grid counterparts are quadratures, not lower
 bounds.  Any other constant is a grid estimate: sup g (and the IP slope) is
 guarded against growth on refinement from the stride-2 subgrid, and every
@@ -135,8 +136,9 @@ class SystemSpec:
     domain: DomainSpec
     transition: Optional[TransitionModel] = None
     w_domain: Optional[DomainSpec] = None
-    # transition matrices keyed by DomainSpec, ConstantsReports keyed by ("constants", y.hex(), w1),
-    # and under "lik_values" the latest observation's likelihood on the grid, as (y.hex(), values)
+    # the system grid's transition matrix keyed by its DomainSpec, ConstantsReports keyed by
+    # ("constants", y.hex(), w1), under "lik_values" the latest observation's likelihood on the
+    # grid, as (y.hex(), values), and under "se_g_max" the SE closed-form check's max g by y.hex()
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -183,12 +185,13 @@ class SystemSpec:
     def transition_kernel(self, domain: DomainSpec):
         """The SE transition kernel on ``domain``'s nodes, for kernel_matvec/rmatvec.
 
-        The dense matrix K[i, j] = T(x_i, x_j) is built on first use and kept
-        for the life of the system, unless it is larger than
-        _KERNEL_CACHE_BYTES; then the density callable is returned, and each
-        product streams it in blocks.
+        On the system grid the dense matrix K[i, j] = T(x_i, x_j) is built on
+        first use and kept for the life of the system, unless it is larger
+        than _KERNEL_CACHE_BYTES.  On any other grid, or a larger one, the
+        density callable is returned, and each product streams it in blocks:
+        no second matrix outlives its products.
         """
-        if 8 * domain.grid_points ** 2 > _KERNEL_CACHE_BYTES:
+        if domain != self.domain or 8 * domain.grid_points ** 2 > _KERNEL_CACHE_BYTES:
             return self.transition_density()
         matrix = self._cache.get(domain)
         if matrix is None:
@@ -415,26 +418,36 @@ def kernel_rmatvec(kernel, xs_next, xs_prev, vec) -> np.ndarray:
     """vec @ K with K[i, j] = kernel(xs_next[i], xs_prev[j]), one BLAS call per
     column block, as in kernel_matvec.
 
-    A cached matrix's column block is copied into a contiguous array, the
-    layout of a streamed block: BLAS gives other bits for a 2- or 3-column
-    block that is a strided view.
+    ``vec`` may also be a stack of vectors, shape (m, n), for an (m, n_prev)
+    result.  Each column block is then evaluated (or copied) once and each
+    row multiplied by it in its own gemv, so row r has the bits of
+    kernel_rmatvec(kernel, xs_next, xs_prev, vec[r]); one gemm over the
+    stack gives other bits.  A cached matrix's column block is copied into a
+    contiguous array, the layout of a streamed block: BLAS gives other bits
+    for a 2- or 3-column block that is a strided view.
     """
-    out = np.empty(xs_prev.shape[0])
+    out = np.empty(vec.shape[:-1] + xs_prev.shape)
+    rows = list(zip(np.atleast_2d(vec), np.atleast_2d(out)))  # views of each vector and its result
 
     def column_block(cols):
         block = _kernel_block(kernel, xs_next, xs_prev[cols]) if callable(kernel) \
             else np.ascontiguousarray(kernel[:, cols])
-        out[cols] = vec @ block
+        for v, o in rows:
+            o[cols] = v @ block
 
-    _each_block(kernel, column_block, out.shape[0])
+    _each_block(kernel, column_block, xs_prev.shape[0])
     return out
 
 
 def se_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
     """g(x_prev) = integral of h(y_k, x) T(x, x_prev) dx, one value per node."""
     d = domain if domain is not None else s.domain
+    return _se_g(s, d, lik_values(s, k, d.nodes))
+
+
+def _se_g(s: SystemSpec, d: DomainSpec, h: np.ndarray) -> np.ndarray:
+    """SE g on ``d`` for likelihood values h on its nodes, or for each row of a stack of them."""
     xs = d.nodes
-    h = lik_values(s, k, xs)
     return kernel_rmatvec(s.transition_kernel(d), xs, xs, d.trapezoid_weights * h)
 
 
@@ -549,16 +562,6 @@ def _report(s: SystemSpec, sup: float, lip: Optional[float]) -> ConstantsReport:
                            None if lip is None else float(lip))
 
 
-def grid_constant_estimates(s: SystemSpec, k: int, metric: str, n: int) -> ConstantsReport:
-    """Brute-force grid estimates of the constants at n x-nodes (oracle path).
-
-    The PS Lipschitz estimate keeps the fixed 161-node grids that system_constants uses.
-    """
-    d = DomainSpec(s.domain.lower, s.domain.upper, n)
-    g = g_values(s, k, d)
-    return _report(s, float(np.max(g)), _lip_estimate(s, k, d, g) if metric == "w1" else None)
-
-
 def system_constants(s: SystemSpec, k: int, metric: str) -> ConstantsReport:
     """Constants for step k and the given metric ("tv", "hellinger", "w1").
 
@@ -622,10 +625,11 @@ def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
         # a declaration bounds h, which is g only in an inverse problem
         claim = s.likelihood.declared_sup, s.likelihood.declared_lip
     sup, lip = claim or (None, None)
-    d = s.domain
     if s.variant == "se" and sup is not None:
-        # se_g_values costs O(n^2): an SE closed form is checked on at most 801 nodes
-        d = DomainSpec(d.lower, d.upper, min(d.grid_points, 801))
+        # against this observation's max g from one pass over every observation
+        _verify_floor(sup, _se_g_max(s)[s.y(k).hex()])
+        return _report(s, sup, lip if want_w1 else None)
+    d = s.domain
     g = g_values(s, k, d)
     if sup is None:
         sup = _coarse_guard(float(np.max(g)), float(np.max(g[(slice(None, None, 2),) * g.ndim])))
@@ -637,6 +641,29 @@ def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
         # mean value theorem: no Lipschitz constant of h is below a difference quotient
         _verify_floor(lip, _max_slope(g, d.spacing))
     return _report(s, sup, lip if want_w1 else None)
+
+
+def _se_g_max(s: SystemSpec) -> dict:
+    """max g on at most 801 nodes for each distinct observation of an SE system, by y.hex().
+
+    g costs O(n^2) on n nodes, so an SE closed form is checked on the system
+    grid when it has at most 801 nodes (through its kept matrix) and on an
+    801-node grid otherwise (streamed).  One kernel_rmatvec over the stack of
+    every observation's weighted likelihood evaluates each kernel block once;
+    each row keeps the bits of se_g_values on that grid.  Keyed by the bits
+    of y, as the constants memo is, and kept for the life of the system.
+    kernel_rmatvec is called on the calling thread, where benches/tracer.py
+    records it.
+    """
+    maxima = s._cache.get("se_g_max")
+    if maxima is None:
+        d = DomainSpec(s.domain.lower, s.domain.upper, min(s.domain.grid_points, 801))
+        steps = {}  # y.hex() -> the first step that observes it
+        for k in range(1, s.n_steps + 1):
+            steps.setdefault(s.y(k).hex(), k)
+        g = _se_g(s, d, np.stack([lik_values(s, k, d.nodes) for k in steps.values()]))
+        maxima = s._cache["se_g_max"] = dict(zip(steps, np.max(g, axis=1).tolist()))
+    return maxima
 
 
 def admissible_evidence(z: float) -> float:

@@ -9,8 +9,8 @@ import numpy as np
 
 from bslcert.domains import DomainSpec, Gaussian1D, GridDensity
 from bslcert.harness import _mixture_density as mixture_density
-from bslcert.models import (LikelihoodModel, SystemSpec, TransitionModel,
-                            system_constants)
+from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec, TransitionModel,
+                            _lip_estimate, _report, g_values, system_constants)
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -55,6 +55,16 @@ PDF_INPUTS = {
     "1-D": (XS, 1.7),
     "broadcast": (XS[::40, None], XS[None, ::50]),
 }
+
+
+def grid_constant_estimates(s: SystemSpec, k: int, metric: str, n: int) -> ConstantsReport:
+    """Brute-force grid estimates of the constants at n x-nodes (the oracle for system_constants).
+
+    The PS Lipschitz estimate keeps the fixed 161-node grids that system_constants uses.
+    """
+    d = DomainSpec(s.domain.lower, s.domain.upper, n)
+    g = g_values(s, k, d)
+    return _report(s, float(np.max(g)), _lip_estimate(s, k, d, g) if metric == "w1" else None)
 
 
 def gauss_tv_equal_var(m1: float, m2: float, var: float) -> float:

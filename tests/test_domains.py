@@ -9,9 +9,9 @@ from scipy.special import ndtr as scipy_ndtr
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D,
                              ParticleSet, discretize, discretize_product, gauss_pdf,
                              moments, ndtr)
-from bslcert import bayes
+from bslcert import bayes, reduction
 from bslcert.errors import DomainTooSmall, NonFinite, Unnormalized
-from bslcert.models import LikelihoodModel, SystemSpec, lik_values
+from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, lik_values
 from helpers import PDF_INPUTS, XS, two_temporary_pdf
 
 
@@ -263,6 +263,26 @@ class TestParticleSet:
     def test_mean(self):
         ps = ParticleSet(np.array([0.0, 2.0]), np.array([0.25, 0.75]))
         assert ps.mean() == 1.5
+
+    def test_read_only_grid_nodes_are_not_copied(self):
+        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], _D101,
+                       transition=TransitionModel.linear_gaussian(0.9, 1.0))
+        masses = discretize(Gaussian1D(0.0, 1.0), _D101).values
+        assert reduction._atomic(s, masses).points is s.domain.nodes
+
+    def test_writable_and_view_inputs_are_copied(self):
+        view = np.array([0.0, 1.0, 2.0]).view()  # read-only view of a writable base
+        view.setflags(write=False)
+        for points in (np.array([0.0, 1.0, 2.0]), view, [0.0, 1.0, 2.0], np.arange(3)):
+            ps = ParticleSet(points, np.full(3, 1.0 / 3.0))
+            assert ps.points is not points and not ps.points.flags.writeable
+            assert ps.points.dtype == np.float64 and ps.points.tolist() == [0.0, 1.0, 2.0]
+
+    def test_read_only_non_finite_points_still_raise(self):
+        points = np.array([0.0, math.nan, 2.0])
+        points.setflags(write=False)
+        with pytest.raises(NonFinite, match="particles and weights must be finite"):
+            ParticleSet(points, np.full(3, 1.0 / 3.0))
 
 
 class TestJointGrid2D:

@@ -101,15 +101,21 @@ class TestWorkerCountKeepsBits:
             sys.setswitchinterval(interval)
 
 
-def _readme_products(n, cached, vec=None):
-    """kernel_matvec and kernel_rmatvec bytes on the README's SE system with an n-node grid,
-    through the cached matrix or the streamed density, of ``vec`` or the discretized
-    N(0, 4) prior's trapezoid-weighted values."""
+def _readme_kernel(n, cached):
+    """The README's SE system's kernel on an n-node grid, its cached matrix or its density."""
     d = DomainSpec(-25.0, 25.0, n)
     s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], d,
                    transition=TransitionModel.linear_gaussian(0.9, 1.0))
     kernel = s.transition_kernel(d) if cached else s.transition_density()
     assert callable(kernel) != cached
+    return kernel, d
+
+
+def _readme_products(n, cached, vec=None):
+    """kernel_matvec and kernel_rmatvec bytes on the README's SE system with an n-node grid,
+    through the cached matrix or the streamed density, of ``vec`` or the discretized
+    N(0, 4) prior's trapezoid-weighted values."""
+    kernel, d = _readme_kernel(n, cached)
     if vec is None:
         vec = d.trapezoid_weights * discretize(Gaussian1D(0.0, 4.0), d).values
     return tuple(product(kernel, d.nodes, d.nodes, vec).tobytes()
@@ -128,6 +134,19 @@ class TestBlockRule:
     def test_cached_and_streamed_products_are_equal(self, n):
         for vec in (None, np.random.default_rng(n).standard_normal(n)):
             assert _readme_products(n, True, vec) == _readme_products(n, False, vec)
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "streamed"])
+    @pytest.mark.parametrize("n", [201, 258, 801, 2001])
+    def test_stacked_rmatvec_rows_equal_single_products(self, n, cached):
+        kernel, d = _readme_kernel(n, cached)
+        xs = d.nodes
+        stack = np.vstack([d.trapezoid_weights * discretize(Gaussian1D(0.0, 4.0), d).values,
+                           np.random.default_rng(n).standard_normal((9, n))])
+        rows = kernel_rmatvec(kernel, xs, xs, stack)
+        assert rows.shape == stack.shape
+        for vec, row in zip(stack, rows):
+            # a fresh copy: the single product must not lean on the stack's memory
+            assert row.tobytes() == kernel_rmatvec(kernel, xs, xs, vec.copy()).tobytes()
 
     def test_streamed_8001_node_products_keep_their_bits(self):
         # 8001 = 125 * 64 + 1: the one-index tail joins the last block.  The

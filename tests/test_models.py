@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import (NonFinite, UnboundedConstant, UnsupportedRepresentation,
                             ZeroEvidence)
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
-                            TransitionModel, grid_constant_estimates, kernel_matrix,
-                            se_g_values, system_constants, transition_matrix)
-from helpers import PDF_INPUTS, two_temporary_pdf
+                            TransitionModel, kernel_matrix, se_g_values, system_constants,
+                            transition_matrix)
+from helpers import PDF_INPUTS, grid_constant_estimates, two_temporary_pdf
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 
@@ -403,6 +404,113 @@ class TestTransitionCache:
         cached_system = se_system(domain=d)
         assert isinstance(cached_system.transition_kernel(d), np.ndarray)
         assert predicted_values(cached_system, prior).tobytes() == streamed.tobytes()
+
+    def test_only_the_system_grid_is_kept(self):
+        s = se_system()
+        assert s.transition_kernel(DomainSpec(-30.0, 30.0, 801)) is s.transition.kernel
+        assert _matrices(s) == []
+        matrix = s.transition_kernel(DomainSpec(-30, 30, 2001))  # equal to the system grid
+        assert _matrices(s) == [matrix]
+
+
+def _matrices(s):
+    return [v for v in s._cache.values() if isinstance(v, np.ndarray)]
+
+
+D801 = DomainSpec(-25.0, 25.0, 801)
+
+
+def _particle_system(steps=10):
+    """The particle bound-validate system of seed 0, on its 2001-node grid."""
+    return harness.linear_se_system(steps, np.random.default_rng(0), harness.FILTER_DOMAINS["particle"])
+
+
+def _counting_rmatvec(monkeypatch):
+    """Record the kernel and the stacked input of every models.kernel_rmatvec call."""
+    calls = []
+    rmatvec = models.kernel_rmatvec
+
+    def counting(kernel, xs_next, xs_prev, vec):
+        calls.append((kernel, vec.shape))
+        return rmatvec(kernel, xs_next, xs_prev, vec)
+
+    monkeypatch.setattr(models, "kernel_rmatvec", counting)
+    return calls
+
+
+class TestSEClosedFormCheck:
+    """An SE closed-form sup is checked against max g on at most 801 nodes, in
+    one streamed kernel pass over all of the system's observations."""
+
+    def test_stored_maxima_are_the_check_grid_maxima(self, monkeypatch):
+        s = _particle_system()
+        calls = _counting_rmatvec(monkeypatch)
+        for k in range(1, s.n_steps + 1):
+            for metric in ("tv", "w1"):
+                system_constants(s, k, metric)
+        assert calls == [(s.transition.kernel, (10, 801))]
+        maxima = s._cache["se_g_max"]
+        assert len(maxima) == 10
+        for k in range(1, s.n_steps + 1):
+            expected = np.max(se_g_values(s, k, D801))
+            assert maxima[s.y(k).hex()].hex() == float(expected).hex()
+
+    def test_an_understated_sup_fails_at_its_own_step(self, monkeypatch):
+        s = _particle_system()
+        closed_form = models._closed_form
+        # each step claims exactly its own grid max, step 3 slightly less: a check against
+        # any other step's max, or a max over all steps, would fail elsewhere or pass here
+        own_max = {k: float(np.max(se_g_values(s, k, D801))) for k in range(1, 11)}
+        assert len(set(own_max.values())) > 1
+
+        def claimed(sys, k):
+            lip = closed_form(sys, k)[1]
+            return own_max[k] * (1.0 - 1e-6 if k == 3 else 1.0), lip
+
+        monkeypatch.setattr(models, "_closed_form", claimed)
+        for k in range(1, 11):
+            if k == 3:
+                with pytest.raises(UnboundedConstant):
+                    system_constants(s, k, "w1")
+                assert ("constants", s.y(k).hex(), True) not in s._cache
+            else:
+                assert system_constants(s, k, "w1").sup == own_max[k]
+
+    def test_repeated_observations_share_one_entry(self, monkeypatch):
+        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 3.0), [0.3, 0.0, 0.3, -0.0, 0.0],
+                       DomainSpec(-30.0, 30.0, 2001),
+                       transition=TransitionModel.linear_gaussian(1.0, 1.0))
+        calls = _counting_rmatvec(monkeypatch)
+        for k in range(1, 6):
+            system_constants(s, k, "tv")
+        assert calls == [(s.transition.kernel, (3, 801))]
+        assert sorted(s._cache["se_g_max"]) == sorted(y.hex() for y in (0.3, 0.0, -0.0))
+
+    def test_a_small_system_grid_checks_through_its_kept_matrix(self, monkeypatch):
+        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3, -1.2], D801,
+                       transition=TransitionModel.linear_gaussian(0.9, 1.0))
+        calls = _counting_rmatvec(monkeypatch)
+        system_constants(s, 1, "tv")
+        (matrix,) = _matrices(s)
+        assert matrix is s.transition_kernel(s.domain)
+        assert calls == [(matrix, (2, 801))]
+        assert s._cache["se_g_max"][s.y(2).hex()] == float(np.max(se_g_values(s, 2)))
+
+    def test_the_particle_system_keeps_one_matrix_and_a_small_peak(self, monkeypatch):
+        # one worker, so the peak does not depend on the core count: each worker
+        # evaluates one 801 x 64 block (410 KB) at a time
+        monkeypatch.setattr(models, "_WORKERS", 1)
+        s = _particle_system()
+        grid_update(s, 1, discretize(Gaussian1D(0.0, 1.0), s.domain))  # the update keeps its kernel
+        tracemalloc.start()
+        try:
+            for k in range(1, s.n_steps + 1):
+                system_constants(s, k, "w1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _matrices(s) == [s.transition_kernel(s.domain)]
+        assert peak < 2 ** 20  # the 801-node matrix alone took 5 MB
 
 
 # -- pinned constants -----------------------------------------------------------
