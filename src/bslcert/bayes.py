@@ -19,8 +19,7 @@ from . import metrics, models
 from .domains import (Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
                       finite_min, grid_values, joint_mass, moments)
 from .errors import (AllWeightsZero, DegenerateVariance, DomainMismatch,
-                     DomainTooSmall, NonFinite, UnsupportedRepresentation,
-                     ZeroEvidence)
+                     DomainTooSmall, NonFinite, UnsupportedRepresentation)
 from .models import (SystemSpec, admissible_evidence, kernel_matvec, lik_values,
                      lik_values_ps)
 
@@ -35,8 +34,7 @@ class UpdateResult:
     evidence: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.evidence) and self.evidence > 0.0):
-            raise ZeroEvidence(f"evidence {self.evidence!r} must be positive and finite")
+        admissible_evidence(self.evidence)
 
 
 def predicted_values(s: SystemSpec, prior) -> np.ndarray:
@@ -45,7 +43,7 @@ def predicted_values(s: SystemSpec, prior) -> np.ndarray:
     if isinstance(prior, ParticleSet):
         return kernel_matvec(s.transition_density(), xs, prior.points, prior.weights)
     p = grid_values(prior, s.domain)
-    return kernel_matvec(s.transition_kernel(s.domain), xs, xs, s.domain.trapezoid_weights * p)
+    return kernel_matvec(s.transition_kernel(), xs, xs, s.domain.trapezoid_weights * p)
 
 
 def _ps_prior_values(s: SystemSpec, prior) -> np.ndarray:
@@ -66,7 +64,7 @@ def _ps_predicted_values(s: SystemSpec, priors) -> list:
         for pv, out in zip(pvs, outs):
             out[:, j] = kernel @ (s.domain.trapezoid_weights * pv[:, j])
 
-    models.each_parameter_kernel(s, s.domain, columns)
+    models.each_parameter_kernel(s, columns)
     return outs
 
 

@@ -61,18 +61,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown filter {self.filter_kind!r}")
         if self.theorem not in FUZZ_THEOREMS:
             raise ValueError(f"unknown theorem tag {self.theorem!r}")
-        if self.experiment in ("reduction_fuzz", "vi_demo"):  # fixed grids: no domain keys
+        if not self.experiment.startswith("reproduce_case"):  # fixed grids: no domain keys
             for key in ("lower", "upper", "grid_points"):
                 if getattr(self, key) is not None:
                     raise ValueError(f"{self.experiment} runs on fixed grids and takes no {key!r}")
 
-    def domain(self, default: DomainSpec = DEFAULT_DOMAIN) -> DomainSpec:
+    def domain(self) -> DomainSpec:
         if self.lower is None and self.upper is None and self.grid_points is None:
-            return default
+            return DEFAULT_DOMAIN
         return DomainSpec(
-            default.lower if self.lower is None else self.lower,
-            default.upper if self.upper is None else self.upper,
-            default.grid_points if self.grid_points is None else self.grid_points)
+            DEFAULT_DOMAIN.lower if self.lower is None else self.lower,
+            DEFAULT_DOMAIN.upper if self.upper is None else self.upper,
+            DEFAULT_DOMAIN.grid_points if self.grid_points is None else self.grid_points)
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -268,15 +268,15 @@ def _ledger_rows(metric: str, distances, eps, z1, z2, system) -> list[Row]:
     return rows
 
 
-def bound_validate(filter_kind: str, steps: int, seed: int,
-                   domain: Optional[DomainSpec] = None) -> RunRecord:
-    """Exact and approximate sequences side by side, with both bound sets: each
-    step records the error against the exact update of the previous Q and d(P_k, Q_k)."""
+def bound_validate(filter_kind: str, steps: int, seed: int) -> RunRecord:
+    """Exact and approximate sequences side by side on the filter's grid in
+    FILTER_DOMAINS, with both bound sets: each step records the error against
+    the exact update of the previous Q and d(P_k, Q_k)."""
     if filter_kind not in FILTER_DOMAINS:
         raise ValueError(f"unknown filter {filter_kind!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    domain = domain or FILTER_DOMAINS[filter_kind]
+    domain = FILTER_DOMAINS[filter_kind]
     rng = np.random.default_rng(seed)
     meta = {"experiment": "bound_validate", "filter": filter_kind, "steps": steps, "seed": seed}
     if filter_kind == "gauss_proj":
@@ -602,8 +602,7 @@ def run_config(config: ExperimentConfig, fuzz_skips: Optional[Counter] = None):
         return reproduce(case, config.steps, config.seed, trials=config.trials,
                          domain=config.domain(), threads=config.threads)
     if config.experiment == "bound_validate":
-        return bound_validate(config.filter_kind, config.steps, config.seed,
-                              domain=config.domain(FILTER_DOMAINS[config.filter_kind]))
+        return bound_validate(config.filter_kind, config.steps, config.seed)
     if config.experiment == "reduction_fuzz":
         return reduction_fuzz(config.theorem, config.trials, config.seed, fuzz_skips)
     if config.experiment == "vi_demo":

@@ -6,8 +6,8 @@ claimed constant (a linear-Gaussian closed form, or an inverse problem's
 declared sup or Lipschitz constant) is checked against the grid values of g:
 a sup against their maximum, an IP Lipschitz constant against their largest
 difference quotient, a lower bound by the mean value theorem.  A state-
-estimation closed form is checked on at most 801 nodes, in one kernel pass
-over all of the system's observations.  The SE and PS closed-form Lipschitz
+estimation closed form is checked on at most 801 nodes, in kernel passes of
+up to 256 of the system's observations.  The SE and PS closed-form Lipschitz
 integrals are not checked: their grid counterparts are quadratures, not lower
 bounds.  Any other constant is a grid estimate: sup g (and the IP slope) is
 guarded against growth on refinement from the stride-2 subgrid, and every
@@ -39,6 +39,7 @@ CUSTOM_LIP_SAFETY = 2.0
 # took 40% longer.
 _KERNEL_BLOCK = 64
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
+_SE_CHECK_ROWS = 256  # observations per kernel pass of the SE closed-form check (_se_g_max)
 # Threads that evaluate kernel blocks and per-parameter kernels: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -136,7 +137,7 @@ class SystemSpec:
     domain: DomainSpec
     transition: Optional[TransitionModel] = None
     w_domain: Optional[DomainSpec] = None
-    # the system grid's transition matrix keyed by its DomainSpec, ConstantsReports keyed by
+    # the system grid's transition matrix under "transition_matrix", ConstantsReports keyed by
     # ("constants", y.hex(), w1), under "lik_values" the latest observation's likelihood on the
     # grid, as (y.hex(), values), and under "se_g_max" the SE closed-form check's max g by y.hex()
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -182,22 +183,21 @@ class SystemSpec:
             raise UnsupportedRepresentation("transition has no density")
         return self.transition.kernel
 
-    def transition_kernel(self, domain: DomainSpec):
-        """The SE transition kernel on ``domain``'s nodes, for kernel_matvec/rmatvec.
+    def transition_kernel(self):
+        """The SE transition kernel on the system grid, for kernel_matvec/rmatvec.
 
-        On the system grid the dense matrix K[i, j] = T(x_i, x_j) is built on
-        first use and kept for the life of the system, unless it is larger
-        than _KERNEL_CACHE_BYTES.  On any other grid, or a larger one, the
-        density callable is returned, and each product streams it in blocks:
-        no second matrix outlives its products.
+        The dense matrix K[i, j] = T(x_i, x_j) is built on first use and kept
+        for the life of the system, unless it is larger than _KERNEL_CACHE_BYTES:
+        then the density is returned, and each product streams it in blocks.
+        Another grid is another system, dataclasses.replace(s, domain=d).
         """
-        if domain != self.domain or 8 * domain.grid_points ** 2 > _KERNEL_CACHE_BYTES:
+        if 8 * self.domain.grid_points ** 2 > _KERNEL_CACHE_BYTES:
             return self.transition_density()
-        matrix = self._cache.get(domain)
+        matrix = self._cache.get("transition_matrix")
         if matrix is None:
-            matrix = transition_matrix(self, domain)
+            matrix = transition_matrix(self)
             matrix.setflags(write=False)
-            self._cache[domain] = matrix
+            self._cache["transition_matrix"] = matrix
         return matrix
 
 
@@ -256,11 +256,10 @@ def _evaluate_lik(s: SystemSpec, k: int, xs, *ws) -> np.ndarray:
     return out
 
 
-def lik_values_ps(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
-    """Likelihood h(y_k, x, w) on the joint grid, shape (nx, nw); x on ``domain``'s nodes."""
-    d = domain if domain is not None else s.domain
-    out = lik_values(s, k, d.nodes[:, None], s.w_domain.nodes[None, :])
-    return np.broadcast_to(out, (d.grid_points, s.w_domain.grid_points)).astype(float)
+def lik_values_ps(s: SystemSpec, k: int) -> np.ndarray:
+    """Likelihood h(y_k, x, w) on the joint grid, shape (nx, nw)."""
+    out = lik_values(s, k, s.domain.nodes[:, None], s.w_domain.nodes[None, :])
+    return np.broadcast_to(out, (s.domain.grid_points, s.w_domain.grid_points)).astype(float)
 
 
 # (process id, worker count) -> ThreadPoolExecutor, made on first use; a forked
@@ -348,8 +347,8 @@ def kernel_matrix(kernel, xs_next, xs_prev, *extra, out=None) -> np.ndarray:
     return out
 
 
-def transition_matrix(s: SystemSpec, domain: DomainSpec, *w, out=None) -> np.ndarray:
-    """K[i, j] = T(x_i, x_j[, w]) on ``domain``'s nodes, written into ``out`` if given.
+def transition_matrix(s: SystemSpec, *w, out=None) -> np.ndarray:
+    """K[i, j] = T(x_i, x_j[, w]) on the system grid's nodes, written into ``out`` if given.
 
     The bits are those of kernel_matrix(s.transition_density(), nodes, nodes, *w).
     A linear-Gaussian density is evaluated straight into the matrix, with the
@@ -360,7 +359,7 @@ def transition_matrix(s: SystemSpec, domain: DomainSpec, *w, out=None) -> np.nda
     T(x_{n-1-i}, x_{n-1-j}).  Custom densities are evaluated in row blocks.
     """
     density = s.transition_density()  # UnsupportedRepresentation for a zero-noise transition
-    xs = domain.nodes
+    xs = s.domain.nodes
     trans = s.transition
     if trans.family == "linear_gaussian":
         coef = trans.a
@@ -371,15 +370,15 @@ def transition_matrix(s: SystemSpec, domain: DomainSpec, *w, out=None) -> np.nda
         return kernel_matrix(density, xs, xs, *w, out=out)
     n = xs.shape[0]
     out = np.empty((n, n)) if out is None else out
-    h = (n + 1) // 2 if domain.symmetric else n
+    h = (n + 1) // 2 if s.domain.symmetric else n
     gauss_pdf(xs[:h, None], coef * xs, trans.q, out=out[:h])
     if h < n:
         out[h:] = out[n - h - 1::-1, ::-1]
     return out
 
 
-def each_parameter_kernel(s: SystemSpec, domain: DomainSpec, apply) -> None:
-    """Call apply(j, K_j) with K_j = transition_matrix(s, domain, w_j) for each parameter node w_j.
+def each_parameter_kernel(s: SystemSpec, apply) -> None:
+    """Call apply(j, K_j) with K_j = transition_matrix(s, w_j) for each parameter node w_j.
 
     The nodes are dealt round-robin to the kernel pool's workers (_run_each).
     Each worker evaluates its nodes' kernels into one n x n buffer, which the
@@ -389,9 +388,9 @@ def each_parameter_kernel(s: SystemSpec, domain: DomainSpec, apply) -> None:
     ws = s.w_domain.nodes
 
     def share(js):
-        kernel = np.empty((domain.grid_points,) * 2)
+        kernel = np.empty((s.domain.grid_points,) * 2)
         for j in js:
-            apply(j, transition_matrix(s, domain, ws[j], out=kernel))
+            apply(j, transition_matrix(s, ws[j], out=kernel))
 
     _run_each(share, [range(i, ws.shape[0], _WORKERS) for i in range(_WORKERS)])
 
@@ -439,38 +438,33 @@ def kernel_rmatvec(kernel, xs_next, xs_prev, vec) -> np.ndarray:
     return out
 
 
-def se_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
-    """g(x_prev) = integral of h(y_k, x) T(x, x_prev) dx, one value per node."""
-    d = domain if domain is not None else s.domain
-    return _se_g(s, d, lik_values(s, k, d.nodes))
+def se_g_values(s: SystemSpec, k: int) -> np.ndarray:
+    """g(x_prev) = integral of h(y_k, x) T(x, x_prev) dx, one value per node of the system grid."""
+    d = s.domain
+    return kernel_rmatvec(s.transition_kernel(), d.nodes, d.nodes,
+                          d.trapezoid_weights * lik_values(s, k))
 
 
-def _se_g(s: SystemSpec, d: DomainSpec, h: np.ndarray) -> np.ndarray:
-    """SE g on ``d`` for likelihood values h on its nodes, or for each row of a stack of them."""
-    xs = d.nodes
-    return kernel_rmatvec(s.transition_kernel(d), xs, xs, d.trapezoid_weights * h)
-
-
-def ps_g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
-    """g(x_prev, w) = integral of h(y_k, x, w) T(x, x_prev, w) dx on ``domain``, shape (nx, nw)."""
-    d = domain if domain is not None else s.domain
-    hw = lik_values_ps(s, k, d)  # (nx, nw), on this thread: the kernel pass runs on workers
+def ps_g_values(s: SystemSpec, k: int) -> np.ndarray:
+    """g(x_prev, w) = integral of h(y_k, x, w) T(x, x_prev, w) dx on the joint grid, shape (nx, nw)."""
+    weights = s.domain.trapezoid_weights
+    hw = lik_values_ps(s, k)  # (nx, nw), on this thread: the kernel pass runs on workers
     out = np.empty(hw.shape)
 
     def column(j, kernel):
-        out[:, j] = (d.trapezoid_weights * hw[:, j]) @ kernel
+        out[:, j] = (weights * hw[:, j]) @ kernel
 
-    each_parameter_kernel(s, d, column)
+    each_parameter_kernel(s, column)
     return out
 
 
-def g_values(s: SystemSpec, k: int, domain: DomainSpec = None) -> np.ndarray:
+def g_values(s: SystemSpec, k: int) -> np.ndarray:
     """g, whose integral against a prior is its evidence: h, se_g_values or ps_g_values."""
     if s.variant == "ip":
-        return lik_values(s, k, None if domain is None else domain.nodes)
+        return lik_values(s, k)
     if s.variant == "se":
-        return se_g_values(s, k, domain)
-    return ps_g_values(s, k, domain)
+        return se_g_values(s, k)
+    return ps_g_values(s, k)
 
 
 # -- constants ----------------------------------------------------------------
@@ -495,10 +489,10 @@ def _max_slope(values: np.ndarray, spacing: float, axis: int = -1) -> float:
     return float(np.max(np.abs(np.diff(values, axis=axis)))) / spacing
 
 
-def _se_star_estimate(s: SystemSpec, k: int, d: DomainSpec) -> float:
+def _se_star_estimate(s: SystemSpec, k: int) -> float:
     """Grid estimate of the integral of h(y_k, x) sup_x_prev |dT(x, x_prev)/dx_prev| dx."""
-    xs = d.nodes
-    h = lik_values(s, k, xs)
+    d, xs = s.domain, s.domain.nodes
+    h = lik_values(s, k)
     # T_lip(x_next) = sup of adjacent difference quotients in x_prev
     density = s.transition_density()
     t_lip = np.empty(xs.shape[0])
@@ -508,11 +502,11 @@ def _se_star_estimate(s: SystemSpec, k: int, d: DomainSpec) -> float:
     return float(d.integrate(h * t_lip))
 
 
-def _slabs(s: SystemSpec, xd: DomainSpec, wd: DomainSpec):
-    """For each node x of xd, T(x, x', w) on xd's nodes x' by wd's nodes w, shape (n_x, n_w)."""
+def _slabs(s: SystemSpec, xs: np.ndarray, ws: np.ndarray):
+    """For each node x of xs, T(x, x', w) on the nodes x' of xs by w of ws, shape (n_x, n_w)."""
     kernel = s.transition_density()
-    for xn in xd.nodes:
-        yield np.asarray(kernel(xn, xd.nodes[:, None], wd.nodes[None, :]), dtype=float)
+    for xn in xs:
+        yield np.asarray(kernel(xn, xs[:, None], ws[None, :]), dtype=float)
 
 
 def _ps_star_estimate(s: SystemSpec, k: int) -> float:
@@ -520,15 +514,15 @@ def _ps_star_estimate(s: SystemSpec, k: int) -> float:
     xd = DomainSpec(s.domain.lower, s.domain.upper, 161)
     wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, 161)
     lip = np.zeros(xd.grid_points)
-    for i, (xn, t) in enumerate(zip(xd.nodes, _slabs(s, xd, wd))):
+    for i, (xn, t) in enumerate(zip(xd.nodes, _slabs(s, xd.nodes, wd.nodes))):
         f = t * lik_values(s, k, xn, wd.nodes[None, :])  # (x_prev, w)
         # metric |dx| + |dw| has dual-norm max of the coordinate slopes
         lip[i] = max(_max_slope(f, xd.spacing, axis=0), _max_slope(f, wd.spacing, axis=1))
     return float(xd.integrate(lip))
 
 
-def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -> float:
-    """Grid estimate of the transition parameter-Lipschitz integral.
+def c_vi_tilde_estimate(s: SystemSpec, k: int) -> float:
+    """Grid estimate of the transition parameter-Lipschitz integral, on 201-node x and w grids.
 
     sup over previous states and parameter pairs of the transition difference
     quotient in the parameter, integrated against the observation density's
@@ -538,22 +532,23 @@ def c_vi_tilde_estimate(s: SystemSpec, k: int, n_x: int = 201, n_w: int = 201) -
     if s.variant != "ps" or s.transition.kernel is None:
         raise UnsupportedRepresentation(
             "the estimator needs a parameter-state system with a kernel")
-    xd = DomainSpec(s.domain.lower, s.domain.upper, n_x)
-    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, n_w)
-    g_lip = np.array([_max_slope(t, wd.spacing, axis=1) for t in _slabs(s, xd, wd)])
-    h = np.broadcast_to(lik_values(s, k, xd.nodes[:, None], wd.nodes[None, :]), (n_x, n_w)).max(axis=1)
+    xd = DomainSpec(s.domain.lower, s.domain.upper, 201)
+    wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, 201)
+    g_lip = np.array([_max_slope(t, wd.spacing, axis=1) for t in _slabs(s, xd.nodes, wd.nodes)])
+    h = np.broadcast_to(lik_values(s, k, xd.nodes[:, None], wd.nodes[None, :]), (201, 201)).max(axis=1)
     value = float(xd.integrate(h * g_lip))
     if s.transition.family == "custom":
         value *= CUSTOM_LIP_SAFETY
     return value
 
 
-def _lip_estimate(s: SystemSpec, k: int, d: DomainSpec, g: np.ndarray) -> float:
-    """Grid estimate of the Lipschitz term of g = g_values(s, k, d), before any safety factor."""
+def _lip_estimate(s: SystemSpec, k: int, g: np.ndarray) -> float:
+    """Grid estimate of the Lipschitz term of g = g_values(s, k), before any safety factor."""
     if s.variant == "ip":
-        return _coarse_guard(_max_slope(g, d.spacing), _max_slope(g[::2], 2.0 * d.spacing))
+        dx = s.domain.spacing
+        return _coarse_guard(_max_slope(g, dx), _max_slope(g[::2], 2.0 * dx))
     if s.variant == "se":
-        return _se_star_estimate(s, k, d)
+        return _se_star_estimate(s, k)
     return _ps_star_estimate(s, k)
 
 
@@ -626,20 +621,19 @@ def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
         claim = s.likelihood.declared_sup, s.likelihood.declared_lip
     sup, lip = claim or (None, None)
     if s.variant == "se" and sup is not None:
-        # against this observation's max g from one pass over every observation
+        # against this observation's max g from one check of every observation
         _verify_floor(sup, _se_g_max(s)[s.y(k).hex()])
         return _report(s, sup, lip if want_w1 else None)
-    d = s.domain
-    g = g_values(s, k, d)
+    g = g_values(s, k)
     if sup is None:
         sup = _coarse_guard(float(np.max(g)), float(np.max(g[(slice(None, None, 2),) * g.ndim])))
     else:
         _verify_floor(sup, float(np.max(g)))
     if want_w1 and lip is None:
-        lip = CUSTOM_LIP_SAFETY * _lip_estimate(s, k, d, g)
+        lip = CUSTOM_LIP_SAFETY * _lip_estimate(s, k, g)
     elif want_w1 and s.variant == "ip":
         # mean value theorem: no Lipschitz constant of h is below a difference quotient
-        _verify_floor(lip, _max_slope(g, d.spacing))
+        _verify_floor(lip, _max_slope(g, s.domain.spacing))
     return _report(s, sup, lip if want_w1 else None)
 
 
@@ -648,21 +642,28 @@ def _se_g_max(s: SystemSpec) -> dict:
 
     g costs O(n^2) on n nodes, so an SE closed form is checked on the system
     grid when it has at most 801 nodes (through its kept matrix) and on an
-    801-node grid otherwise (streamed).  One kernel_rmatvec over the stack of
-    every observation's weighted likelihood evaluates each kernel block once;
-    each row keeps the bits of se_g_values on that grid.  Keyed by the bits
-    of y, as the constants memo is, and kept for the life of the system.
-    kernel_rmatvec is called on the calling thread, where benches/tracer.py
-    records it.
+    801-node grid otherwise, streaming the density: no system is built on
+    that grid, so no second matrix is kept.  Each kernel_rmatvec over a stack
+    of up to _SE_CHECK_ROWS observations' weighted likelihoods evaluates each
+    kernel block once; each row keeps the bits of se_g_values of the system
+    on that grid.  Keyed by the bits of y, as the constants memo is, and kept
+    for the life of the system.  kernel_rmatvec is called on the calling
+    thread, where benches/tracer.py records it.
     """
     maxima = s._cache.get("se_g_max")
     if maxima is None:
         d = DomainSpec(s.domain.lower, s.domain.upper, min(s.domain.grid_points, 801))
+        kernel = s.transition_kernel() if d == s.domain else s.transition_density()
         steps = {}  # y.hex() -> the first step that observes it
         for k in range(1, s.n_steps + 1):
             steps.setdefault(s.y(k).hex(), k)
-        g = _se_g(s, d, np.stack([lik_values(s, k, d.nodes) for k in steps.values()]))
-        maxima = s._cache["se_g_max"] = dict(zip(steps, np.max(g, axis=1).tolist()))
+        keys, maxima = list(steps), {}
+        for start in range(0, len(keys), _SE_CHECK_ROWS):
+            chunk = keys[start:start + _SE_CHECK_ROWS]
+            h = d.trapezoid_weights * np.stack([lik_values(s, steps[y], d.nodes) for y in chunk])
+            g_max = np.max(kernel_rmatvec(kernel, d.nodes, d.nodes, h), axis=1)
+            maxima.update(zip(chunk, g_max.tolist()))
+        s._cache["se_g_max"] = maxima
     return maxima
 
 

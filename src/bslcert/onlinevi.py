@@ -17,8 +17,8 @@ import numpy as np
 
 from .bayes import predicted_values
 from .domains import DomainSpec, Gaussian1D, GridDensity, grid_values
-from .errors import MissingD, NonFinite, UnsupportedRepresentation, VacuousBound, ZeroEvidence
-from .models import SystemSpec, c_vi_tilde_estimate  # noqa: F401, re-export
+from .errors import MissingD, NonFinite, UnsupportedRepresentation, VacuousBound
+from .models import SystemSpec, admissible_evidence, c_vi_tilde_estimate  # noqa: F401, re-export
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -41,8 +41,7 @@ class BetaInputs:
             raise NonFinite("c_vi_tilde must be finite and nonnegative")
         if not (self.w_err >= 0.0 and math.isfinite(self.w_err)):
             raise NonFinite("w_err must be finite and nonnegative")
-        if not (self.z_hat > 0.0 and math.isfinite(self.z_hat)):
-            raise ZeroEvidence("z_hat must be positive and finite")
+        admissible_evidence(self.z_hat)
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ class VIBoundInputs:
             raise ValueError("need at least one step")
         if len(self.evidences) != len(self.elbo_floors):
             raise ValueError("evidences and elbo_floors must have equal length")
-        if any(z <= 0.0 or not math.isfinite(z) for z in self.evidences):
-            raise ZeroEvidence("all evidences must be positive and finite")
+        for z in self.evidences:
+            admissible_evidence(z)
         cap = log_sup_likelihood(self.r, self.det_gamma)
         for eps in self.elbo_floors:
             if math.isnan(eps) or eps == -math.inf:

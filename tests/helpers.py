@@ -1,5 +1,6 @@
 """Shared construction helpers and independent oracles used across the suite."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -57,14 +58,19 @@ PDF_INPUTS = {
 }
 
 
+def on_grid(s: SystemSpec, d: DomainSpec) -> SystemSpec:
+    """The system ``s`` on the grid ``d``: another system, with an empty cache of its own."""
+    return dataclasses.replace(s, domain=d)
+
+
 def grid_constant_estimates(s: SystemSpec, k: int, metric: str, n: int) -> ConstantsReport:
     """Brute-force grid estimates of the constants at n x-nodes (the oracle for system_constants).
 
     The PS Lipschitz estimate keeps the fixed 161-node grids that system_constants uses.
     """
-    d = DomainSpec(s.domain.lower, s.domain.upper, n)
-    g = g_values(s, k, d)
-    return _report(s, float(np.max(g)), _lip_estimate(s, k, d, g) if metric == "w1" else None)
+    r = on_grid(s, DomainSpec(s.domain.lower, s.domain.upper, n))
+    g = g_values(r, k)
+    return _report(r, float(np.max(g)), _lip_estimate(r, k, g) if metric == "w1" else None)
 
 
 def gauss_tv_equal_var(m1: float, m2: float, var: float) -> float:

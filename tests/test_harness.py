@@ -294,7 +294,7 @@ class TestConfig:
         d = config.domain()
         assert d == DomainSpec(-30.0, 30.0, 2001)
 
-    @pytest.mark.parametrize("experiment", ["vi_demo", "reduction_fuzz"])
+    @pytest.mark.parametrize("experiment", ["vi_demo", "reduction_fuzz", "bound_validate"])
     @pytest.mark.parametrize("key,value", [("lower", -3.0), ("upper", 3.0), ("grid_points", 501)])
     def test_fixed_grid_experiments_reject_domain_keys(self, experiment, key, value):
         with pytest.raises(ValueError, match=key):
@@ -518,6 +518,10 @@ class TestStrictConfig:
         (dict(VI, bound_type=2, beta_inputs=[{"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 0}]),
          "ZeroEvidence"),
         (dict(VI, evidences=[0]), "ZeroEvidence"),
+        # below models.EVIDENCE_FLOOR, as a grid update's evidence may not be
+        (dict(VI, elbo_floors=[-2.0, -2.0], evidences=[0.3, 1e-310]), "ZeroEvidence"),
+        (dict(VI, bound_type=2, beta_inputs=[{"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 1e-310}]),
+         "ZeroEvidence"),
     ])
     def test_vi_bound_numerical_failure(self, tmp_path, capsys, body, error):
         p = tmp_path / "c.json"

@@ -106,7 +106,7 @@ def _readme_kernel(n, cached):
     d = DomainSpec(-25.0, 25.0, n)
     s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], d,
                    transition=TransitionModel.linear_gaussian(0.9, 1.0))
-    kernel = s.transition_kernel(d) if cached else s.transition_density()
+    kernel = s.transition_kernel() if cached else s.transition_density()
     assert callable(kernel) != cached
     return kernel, d
 

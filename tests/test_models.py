@@ -13,7 +13,7 @@ from bslcert.errors import (NonFinite, UnboundedConstant, UnsupportedRepresentat
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
                             TransitionModel, kernel_matrix, se_g_values, system_constants,
                             transition_matrix)
-from helpers import PDF_INPUTS, grid_constant_estimates, two_temporary_pdf
+from helpers import PDF_INPUTS, grid_constant_estimates, on_grid, two_temporary_pdf
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 
@@ -180,11 +180,11 @@ class TestLikelihoodChecked:
     def test_lipschitz_estimates_reject_a_negative_likelihood(self):
         se = self.se_negative()
         with pytest.raises(NonFinite):
-            models._se_star_estimate(se, 1, se.domain)
+            models._se_star_estimate(se, 1)
         with pytest.raises(NonFinite):
             models._ps_star_estimate(self.ps_negative(), 1)
         with pytest.raises(NonFinite):
-            onlinevi.c_vi_tilde_estimate(self.ps_negative(), 1, n_x=101, n_w=101)
+            onlinevi.c_vi_tilde_estimate(self.ps_negative(), 1)
 
 
 class TestConstantsMemo:
@@ -387,29 +387,32 @@ class TestTransitionCache:
     def test_cached_matrix_is_the_dense_kernel(self):
         s = se_system()
         xs = s.domain.nodes
-        matrix = s.transition_kernel(s.domain)
+        matrix = s.transition_kernel()
         dense = s.transition.kernel(xs[:, None], xs[None, :])
         assert matrix.tobytes() == dense.tobytes()
         assert kernel_matrix(s.transition.kernel, xs, xs).tobytes() == dense.tobytes()
-        assert s.transition_kernel(s.domain) is matrix
+        assert s.transition_kernel() is matrix
         assert not matrix.flags.writeable
 
     def test_grid_over_the_cap_streams(self, monkeypatch):
         d = DomainSpec(-30.0, 30.0, 3001)  # a 72 MB matrix
         prior = discretize(Gaussian1D(0.0, 1.0), d)
         streamed_system = se_system(domain=d)
-        assert streamed_system.transition_kernel(d) is streamed_system.transition.kernel
+        assert streamed_system.transition_kernel() is streamed_system.transition.kernel
         streamed = predicted_values(streamed_system, prior)
         monkeypatch.setattr(models, "_KERNEL_CACHE_BYTES", 8 * d.grid_points ** 2)
         cached_system = se_system(domain=d)
-        assert isinstance(cached_system.transition_kernel(d), np.ndarray)
+        assert isinstance(cached_system.transition_kernel(), np.ndarray)
         assert predicted_values(cached_system, prior).tobytes() == streamed.tobytes()
 
     def test_only_the_system_grid_is_kept(self):
         s = se_system()
-        assert s.transition_kernel(DomainSpec(-30.0, 30.0, 801)) is s.transition.kernel
-        assert _matrices(s) == []
-        matrix = s.transition_kernel(DomainSpec(-30, 30, 2001))  # equal to the system grid
+        matrix = s.transition_kernel()
+        assert _matrices(s) == [matrix]
+        assert s._cache["transition_matrix"] is matrix
+        other = on_grid(s, DomainSpec(-30.0, 30.0, 801))  # another system, with a cache of its own
+        assert other._cache == {}
+        assert other.transition_kernel().shape == (801, 801)
         assert _matrices(s) == [matrix]
 
 
@@ -451,8 +454,9 @@ class TestSEClosedFormCheck:
         assert calls == [(s.transition.kernel, (10, 801))]
         maxima = s._cache["se_g_max"]
         assert len(maxima) == 10
+        check_grid = on_grid(s, D801)
         for k in range(1, s.n_steps + 1):
-            expected = np.max(se_g_values(s, k, D801))
+            expected = np.max(se_g_values(check_grid, k))
             assert maxima[s.y(k).hex()].hex() == float(expected).hex()
 
     def test_an_understated_sup_fails_at_its_own_step(self, monkeypatch):
@@ -460,7 +464,8 @@ class TestSEClosedFormCheck:
         closed_form = models._closed_form
         # each step claims exactly its own grid max, step 3 slightly less: a check against
         # any other step's max, or a max over all steps, would fail elsewhere or pass here
-        own_max = {k: float(np.max(se_g_values(s, k, D801))) for k in range(1, 11)}
+        check_grid = on_grid(s, D801)
+        own_max = {k: float(np.max(se_g_values(check_grid, k))) for k in range(1, 11)}
         assert len(set(own_max.values())) > 1
 
         def claimed(sys, k):
@@ -492,7 +497,7 @@ class TestSEClosedFormCheck:
         calls = _counting_rmatvec(monkeypatch)
         system_constants(s, 1, "tv")
         (matrix,) = _matrices(s)
-        assert matrix is s.transition_kernel(s.domain)
+        assert matrix is s.transition_kernel()
         assert calls == [(matrix, (2, 801))]
         assert s._cache["se_g_max"][s.y(2).hex()] == float(np.max(se_g_values(s, 2)))
 
@@ -509,8 +514,27 @@ class TestSEClosedFormCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _matrices(s) == [s.transition_kernel(s.domain)]
+        assert _matrices(s) == [s.transition_kernel()]
         assert peak < 2 ** 20  # the 801-node matrix alone took 5 MB
+
+    def test_a_long_sequence_is_checked_in_bounded_memory(self, monkeypatch):
+        # 1000 distinct observations go to kernel_rmatvec 256 at a time; the
+        # whole stack at once peaked at 19.7 MiB
+        monkeypatch.setattr(models, "_WORKERS", 2)
+        s = _particle_system(1000)
+        calls = _counting_rmatvec(monkeypatch)
+        tracemalloc.start()
+        try:
+            system_constants(s, 1, "w1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert calls == [(s.transition.kernel, (256, 801))] * 3 + [(s.transition.kernel, (232, 801))]
+        maxima = s._cache["se_g_max"]
+        check_grid = on_grid(s, D801)
+        for k in (1, 256, 257, 1000):
+            assert maxima[s.y(k).hex()] == float(np.max(se_g_values(check_grid, k)))
 
 
 # -- pinned constants -----------------------------------------------------------
@@ -769,9 +793,9 @@ class TestTransitionMatrix:
         for s, params in _transition_systems(d):
             for w in params:
                 expected = kernel_matrix(s.transition_density(), d.nodes, d.nodes, *w)
-                assert np.array_equal(transition_matrix(s, d, *w).view(np.int64),
+                assert np.array_equal(transition_matrix(s, *w).view(np.int64),
                                       expected.view(np.int64))
-                assert transition_matrix(s, d, *w, out=out) is out
+                assert transition_matrix(s, *w, out=out) is out
                 assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("d,rows", [(DomainSpec(-15.0, 15.0, 241), 121),
@@ -787,11 +811,11 @@ class TestTransitionMatrix:
 
         monkeypatch.setattr(models, "gauss_pdf", counting_pdf)
         s = se_system(trans_a=0.9, domain=d)
-        s.transition_kernel(d)
+        s.transition_kernel()
         ps = SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], d,
                         transition=TransitionModel.parametric_linear_gaussian(0.25),
                         w_domain=VI_W)
-        transition_matrix(ps, d, 0.7)
+        transition_matrix(ps, 0.7)
         assert entries == [rows * d.grid_points] * 2
 
     def test_shipped_domains(self):
@@ -830,23 +854,24 @@ class TestParameterStateKernels:
     def test_ps_g_is_the_per_column_kernel_matrix_product(self, n, steps):
         s = _vi_toy()
         d = DomainSpec(s.domain.lower, s.domain.upper, n)
+        s = on_grid(s, d)
         for k in steps:
-            h = models.lik_values_ps(s, k, d)
+            h = models.lik_values_ps(s, k)
             expected = np.empty(h.shape)
             for j, w in enumerate(s.w_domain.nodes):
                 kernel = kernel_matrix(s.transition.kernel, d.nodes, d.nodes, w)
                 expected[:, j] = (d.trapezoid_weights * h[:, j]) @ kernel
-            assert models.ps_g_values(s, k, d).tobytes() == expected.tobytes()
+            assert models.ps_g_values(s, k).tobytes() == expected.tobytes()
 
     def test_slab_estimates_keep_their_bits(self):
-        # values recorded before both estimates shared one slab loop
+        # values recorded before both estimates shared one slab loop; c_vi_tilde's
+        # at its 201-node grids, when they were still the default of two arguments
         s, custom = _vi_toy(), _vi_toy(TransitionModel.custom(_laplace_kernel))
         assert models._ps_star_estimate(s, 1).hex() == "0x1.cb9b685633e8ep+3"
         assert models._ps_star_estimate(s, 3).hex() == "0x1.cba90aaf0e03fp+3"
         assert models._ps_star_estimate(custom, 2).hex() == "0x1.ad08fd06343bap+2"
-        assert models.c_vi_tilde_estimate(s, 1, n_x=121, n_w=121).hex() == "0x1.c8a21b598a97dp+3"
-        assert models.c_vi_tilde_estimate(custom, 2, n_x=121, n_w=121).hex() == \
-            "0x1.a3c885493c288p+3"
+        assert models.c_vi_tilde_estimate(s, 1).hex() == "0x1.cd3d97ebd5abap+3"
+        assert models.c_vi_tilde_estimate(custom, 2).hex() == "0x1.b8c6a2efae146p+3"
 
     def test_c_vi_tilde_is_re_exported(self):
         assert onlinevi.c_vi_tilde_estimate is models.c_vi_tilde_estimate

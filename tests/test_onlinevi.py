@@ -292,13 +292,8 @@ class TestParameterLipschitzEstimate:
     def test_custom_family_carries_the_safety_factor(self):
         parametric = TransitionModel.parametric_linear_gaussian(0.25)
         custom = TransitionModel.custom(parametric.kernel)
-        base = c_vi_tilde_estimate(ps_system(parametric), 1, n_x=121, n_w=121)
-        assert c_vi_tilde_estimate(ps_system(custom), 1, n_x=121, n_w=121) == \
-            CUSTOM_LIP_SAFETY * base
-
-    def test_requested_grid_is_not_enlarged(self):
-        with pytest.raises(ValueError, match="grid_points"):
-            c_vi_tilde_estimate(ps_system(), 1, n_x=50)
+        base = c_vi_tilde_estimate(ps_system(parametric), 1)
+        assert c_vi_tilde_estimate(ps_system(custom), 1) == CUSTOM_LIP_SAFETY * base
 
     def test_grid_estimate_close_to_derivative_bound(self):
         xd = DomainSpec(-15.0, 15.0, 241)
@@ -328,9 +323,10 @@ class TestParameterLipschitzEstimate:
             return SystemSpec("ps", lik, [0.0], xd, w_domain=wd,
                               transition=TransitionModel.parametric_linear_gaussian(0.25))
 
-        est = c_vi_tilde_estimate(system(gain_lik()), 1, n_x=241, n_w=241)
-        fixed = [c_vi_tilde_estimate(system(gain_lik(w0)), 1, n_x=241, n_w=241)
-                 for w0 in wd.nodes[::20]]
+        est = c_vi_tilde_estimate(system(gain_lik()), 1)
+        # parameters from the estimator's own 201-node w grid, where its sup is taken
+        fixed = [c_vi_tilde_estimate(system(gain_lik(w0)), 1)
+                 for w0 in DomainSpec(wd.lower, wd.upper, 201).nodes[::20]]
         # the sup over w dominates every fixed-parameter likelihood, including
         # gains near 0 that are far larger than h at ws[0] = -0.25
         assert est >= max(fixed) * (1.0 - 1e-12)
