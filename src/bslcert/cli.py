@@ -14,14 +14,14 @@ from typing import Optional
 
 from .domains import DomainSpec, Gaussian1D
 from .errors import BslError, NonFinite
-from .harness import (CONFIG_FIELDS, DEFAULT_DOMAIN, ExperimentConfig, FuzzRecord,
-                      emit, read_config, run_config, write_meta)
+from .harness import (CONFIG_FIELDS, DEFAULT_DOMAIN, EXPERIMENTS, FILTER_DOMAINS, FUZZ_THEOREMS,
+                      ExperimentConfig, FuzzRecord, emit, read_config, run_config, write_meta)
 from .metrics import hellinger, tv, w1
 from .onlinevi import BetaInputs, VIBoundInputs, vi_bound_type1, vi_bound_type2
 
 USAGE_ERROR, VIOLATION_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
-REPRODUCE_FIELDS = {k: t for k, t in CONFIG_FIELDS.items() if k not in ("filter_kind", "theorem")}
+REPRODUCE_FIELDS = {k: CONFIG_FIELDS[k] for k in ("experiment", *EXPERIMENTS["reproduce_case1"])}
 VI_BOUND_FIELDS = {"r": int, "det_gamma": float, "elbo_floors": list[float],
                    "evidences": list[float], "d": Optional[float], "bound_type": int,
                    "metric": str, "beta_inputs": Optional[list[BetaInputs]]}
@@ -40,28 +40,28 @@ def _build_parser() -> _Parser:
 
     rep = sub.add_parser("reproduce", help="paired posterior chains with per-step bounds")
     rep.add_argument("--case", type=int, choices=(1, 2, 3))
-    rep.add_argument("--steps", type=int, default=None)
-    rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--out", default=None)
-    rep.add_argument("--trials", type=int, default=None)
-    rep.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
-    rep.add_argument("--config", default=None, help="JSON config; flags override its values")
+    rep.add_argument("--steps", type=int)
+    rep.add_argument("--seed", type=int)
+    rep.add_argument("--out")
+    rep.add_argument("--trials", type=int)
+    rep.add_argument("--threads", type=int, help="accepted; has no effect")
+    rep.add_argument("--config", help="JSON config; flags override its values")
 
     bv = sub.add_parser("bound-validate", help="exact vs approximate sequence with both bound sets")
-    bv.add_argument("--filter", choices=("gauss-proj", "particle"), required=True)
-    bv.add_argument("--steps", type=int, default=10)
-    bv.add_argument("--seed", type=int, default=0)
-    bv.add_argument("--out", default=None)
+    bv.add_argument("--filter", choices=[k.replace("_", "-") for k in FILTER_DOMAINS], required=True)
+    bv.add_argument("--steps", type=int)
+    bv.add_argument("--seed", type=int)
+    bv.add_argument("--out")
 
     rf = sub.add_parser("reduction-fuzz", help="randomized soundness sweep of the reduction checks")
-    rf.add_argument("--theorem", choices=("tv", "hellinger", "w1-ip", "w1-dyn"), required=True)
-    rf.add_argument("--trials", type=int, default=1000)
-    rf.add_argument("--seed", type=int, default=0)
+    rf.add_argument("--theorem", choices=FUZZ_THEOREMS, required=True)
+    rf.add_argument("--trials", type=int)
+    rf.add_argument("--seed", type=int)
 
     vd = sub.add_parser("vi-demo", help="online-VI bound on the parameter-state toy")
-    vd.add_argument("--steps", type=int, default=5)
-    vd.add_argument("--seed", type=int, default=0)
-    vd.add_argument("--out", default=None)
+    vd.add_argument("--steps", type=int)
+    vd.add_argument("--seed", type=int)
+    vd.add_argument("--out")
 
     met = sub.add_parser("metric", help="distance between two distributions")
     met.add_argument("--kind", choices=("tv", "hellinger", "w1"), required=True)
@@ -181,6 +181,8 @@ def _cmd_vi_bound(args) -> int:
     if bound is None:
         raise ValueError(f"bound_type must be 1 or 2, got {raw['bound_type']}")
     betas = raw.get("beta_inputs")
+    if betas is not None and bound is vi_bound_type1:
+        raise ValueError("beta_inputs apply only to bound_type 2")
     inputs = VIBoundInputs(
         r=raw["r"], det_gamma=float(raw["det_gamma"]),
         elbo_floors=tuple(raw["elbo_floors"]), evidences=tuple(raw["evidences"]),

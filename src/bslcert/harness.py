@@ -34,45 +34,66 @@ DEFAULT_DOMAIN = DomainSpec(-40.0, 40.0, 8001)
 FILTER_DOMAINS = {"gauss_proj": DEFAULT_DOMAIN, "particle": DomainSpec(-25.0, 25.0, 2001)}
 
 FUZZ_THEOREMS = ("tv", "hellinger", "w1-ip", "w1-dyn")
-EXPERIMENTS = ("reproduce_case1", "reproduce_case2", "reproduce_case3",
-               "bound_validate", "reduction_fuzz", "vi_demo")
+# The config keys each experiment reads, each with its default: the one owner
+# of experiment settings.  Only the reproduce cases read a grid; the other
+# experiments run on fixed grids.
+_REPRODUCE_KEYS = {"steps": 20, "seed": 0, "trials": 1, "lower": DEFAULT_DOMAIN.lower,
+                   "upper": DEFAULT_DOMAIN.upper, "grid_points": DEFAULT_DOMAIN.grid_points,
+                   "out_dir": None, "threads": 1}
+EXPERIMENTS = {
+    "reproduce_case1": _REPRODUCE_KEYS,
+    "reproduce_case2": _REPRODUCE_KEYS,
+    "reproduce_case3": _REPRODUCE_KEYS,
+    "bound_validate": {"steps": 10, "seed": 0, "filter_kind": "gauss_proj", "out_dir": None},
+    "reduction_fuzz": {"trials": 1000, "seed": 0, "theorem": "tv"},
+    "vi_demo": {"steps": 5, "seed": 0, "out_dir": None},
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings.  A key left unset (None) takes the
+    experiment's default from EXPERIMENTS; setting a key that the experiment
+    does not read is a ValueError."""
+
     experiment: str
-    steps: int = 20
-    seed: int = 0
-    trials: int = 1
-    filter_kind: str = "gauss_proj"  # bound_validate: "gauss_proj" | "particle"
-    theorem: str = "tv"              # reduction_fuzz: tv | hellinger | w1-ip | w1-dyn
+    steps: int = None
+    seed: int = None
+    trials: int = None
+    filter_kind: str = None  # bound_validate: "gauss_proj" | "particle"
+    theorem: str = None      # reduction_fuzz: tv | hellinger | w1-ip | w1-dyn
     lower: Optional[float] = None
     upper: Optional[float] = None
     grid_points: Optional[int] = None
     out_dir: Optional[str] = None
-    threads: int = 1                 # accepted and validated; has no effect
+    threads: int = None      # accepted and validated; has no effect
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        reads = EXPERIMENTS.get(self.experiment)
+        if reads is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if min(self.steps, self.trials, self.threads) < 1:
-            raise ValueError("steps, trials and threads must be >= 1")
-        if self.filter_kind not in FILTER_DOMAINS:
+        unread = [k for k in CONFIG_FIELDS
+                  if k != "experiment" and k not in reads and getattr(self, k) is not None]
+        if unread:
+            raise ValueError(f"{self.experiment} takes no {', '.join(map(repr, unread))}")
+        for key, default in reads.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, default)
+        for key in ("steps", "trials", "threads"):
+            if key in reads and getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if "filter_kind" in reads and self.filter_kind not in FILTER_DOMAINS:
             raise ValueError(f"unknown filter {self.filter_kind!r}")
-        if self.theorem not in FUZZ_THEOREMS:
+        if "theorem" in reads and self.theorem not in FUZZ_THEOREMS:
             raise ValueError(f"unknown theorem tag {self.theorem!r}")
-        if not self.experiment.startswith("reproduce_case"):  # fixed grids: no domain keys
-            for key in ("lower", "upper", "grid_points"):
-                if getattr(self, key) is not None:
-                    raise ValueError(f"{self.experiment} runs on fixed grids and takes no {key!r}")
+        if "grid_points" in reads:
+            self.domain()  # a bad grid fails here, before a run makes its out_dir
 
     def domain(self) -> DomainSpec:
-        if self.lower is None and self.upper is None and self.grid_points is None:
-            return DEFAULT_DOMAIN
-        return DomainSpec(
-            DEFAULT_DOMAIN.lower if self.lower is None else self.lower,
-            DEFAULT_DOMAIN.upper if self.upper is None else self.upper,
-            DEFAULT_DOMAIN.grid_points if self.grid_points is None else self.grid_points)
+        """The grid of a reproduce experiment."""
+        if self.grid_points is None:
+            raise ValueError(f"{self.experiment} runs on fixed grids")
+        return DomainSpec(self.lower, self.upper, self.grid_points)
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":

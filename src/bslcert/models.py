@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import DomainSpec, finite_min, gauss_pdf
+from .domains import _SQRT_2PI, DomainSpec, finite_min, gauss_pdf
 from .errors import NonFinite, UnboundedConstant, UnsupportedRepresentation, ZeroEvidence
 
 EVIDENCE_FLOOR = 1e-300
@@ -42,8 +42,23 @@ _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system k
 _SE_CHECK_ROWS = 256  # observations per kernel pass of the SE closed-form check (_se_g_max)
 # Threads that evaluate kernel blocks and per-parameter kernels: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PEAK_SLOPE = math.exp(-0.5)  # max of |u * exp(-u^2/2)|
+
+
+def _check_family(model, families: dict) -> None:
+    """ValueError unless ``model.family`` is a key of ``families``, which maps
+    each family to (the parameters it needs, the optional ones it takes), and
+    each parameter is set if its family needs it and None if the family does
+    not take it."""
+    kind = type(model).__name__
+    if model.family not in families:
+        raise ValueError(f"unknown {kind} family {model.family!r}")
+    needs, optional = families[model.family]
+    for name in dict.fromkeys(p for n, o in families.values() for p in n + o):
+        if name in needs and getattr(model, name) is None:
+            raise ValueError(f"a {model.family!r} {kind} needs {name!r}")
+        if name not in needs + optional and getattr(model, name) is not None:
+            raise ValueError(f"a {model.family!r} {kind} takes no {name!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +67,8 @@ class LikelihoodModel:
 
     The evaluator must be nonnegative, finite on the grid, and vectorized
     over numpy arrays.  ``declared_sup``/``declared_lip`` let custom models
-    supply analytically known constants.
+    supply analytically known constants; a linear-Gaussian model takes none,
+    because its closed form ignores them.
     """
 
     evaluator: Callable
@@ -61,6 +77,10 @@ class LikelihoodModel:
     noise_var: Optional[float] = None
     declared_sup: Optional[float] = None
     declared_lip: Optional[float] = None
+
+    def __post_init__(self):
+        _check_family(self, {"linear_gaussian": (("a", "noise_var"), ()),
+                             "custom": ((), ("declared_sup", "declared_lip"))})
 
     @staticmethod
     def linear_gaussian(a: float, noise_var: float) -> "LikelihoodModel":
@@ -87,6 +107,11 @@ class TransitionModel:
     a: Optional[float] = None
     q: Optional[float] = None
     sampler: Optional[Callable] = None  # (rng, x_prev) -> x_next
+
+    def __post_init__(self):
+        _check_family(self, {"linear_gaussian": (("a", "q"), ()),
+                             "parametric_linear_gaussian": (("q",), ()),
+                             "custom": ((), ())})
 
     @staticmethod
     def linear_gaussian(a: float, q: float) -> "TransitionModel":
@@ -156,6 +181,11 @@ class SystemSpec:
             raise ValueError("inverse problems take no transition model")
         if self.variant == "ps" and self.w_domain is None:
             raise ValueError("parameter-state systems need a parameter domain")
+        if self.variant != "ps" and self.w_domain is not None:
+            raise ValueError(f"variant {self.variant!r} takes no parameter domain")
+        if self.variant != "ip" and (self.likelihood.declared_sup is not None
+                                     or self.likelihood.declared_lip is not None):
+            raise ValueError("declared constants bound h, which is g only in an inverse problem")
 
     @property
     def n_steps(self) -> int:
@@ -576,6 +606,18 @@ def system_constants(s: SystemSpec, k: int, metric: str) -> ConstantsReport:
     return report
 
 
+def _gauss_peak(var: float) -> float:
+    """The peak of a Gaussian pdf of variance ``var``."""
+    return 1.0 / math.sqrt(2.0 * math.pi * var)
+
+
+def _gauss_peak_slope(scale: float, var: float) -> float:
+    """``scale`` times the largest slope of a Gaussian pdf of variance ``var`` in its mean.
+
+    ``scale`` multiplies before the division, which gives the pinned constants their bits."""
+    return scale * _PEAK_SLOPE / (_SQRT_2PI * var)
+
+
 def _closed_form(s: SystemSpec, k: int) -> Optional[tuple[float, float]]:
     """(sup g, its Lipschitz term) for the three linear-Gaussian families, else None.
 
@@ -590,36 +632,31 @@ def _closed_form(s: SystemSpec, k: int) -> Optional[tuple[float, float]]:
     if lik.family != "linear_gaussian":
         return None
     if s.variant == "ip":
-        h_lip = abs(lik.a) * _PEAK_SLOPE / (_SQRT_2PI * lik.noise_var)
-        return 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var), h_lip
+        return _gauss_peak(lik.noise_var), _gauss_peak_slope(abs(lik.a), lik.noise_var)
     # integral of h(y, x) dx: 1/|a|, or the diameter times sup h when h is flat in x
     h_mass = (1.0 / abs(lik.a)) if lik.a != 0 else \
         s.domain.diameter() / math.sqrt(2.0 * math.pi * lik.noise_var)
     if s.variant == "se" and trans.family == "linear_gaussian" and trans.q > 0:
         mixed_var = lik.a ** 2 * trans.q + lik.noise_var
         if trans.a != 0 and lik.a != 0:
-            c_th = 1.0 / math.sqrt(2.0 * math.pi * mixed_var)
+            c_th = _gauss_peak(mixed_var)
         else:
             c_th = float(gauss_pdf(s.y(k), 0.0, mixed_var)) if lik.a != 0 \
-                else 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
-        t_lip = abs(trans.a) * _PEAK_SLOPE / (_SQRT_2PI * trans.q)
-        return c_th, t_lip * h_mass
+                else _gauss_peak(lik.noise_var)
+        return c_th, _gauss_peak_slope(abs(trans.a), trans.q) * h_mass
     if s.variant == "ps" and trans.family == "parametric_linear_gaussian":
-        c_th_tilde = 1.0 / math.sqrt(2.0 * math.pi * (lik.a ** 2 * trans.q + lik.noise_var)) \
-            if lik.a != 0 else 1.0 / math.sqrt(2.0 * math.pi * lik.noise_var)
+        c_th_tilde = _gauss_peak(lik.a ** 2 * trans.q + lik.noise_var if lik.a != 0
+                                 else lik.noise_var)
         reach = max(abs(s.w_domain.lower), abs(s.w_domain.upper),
                     abs(s.domain.lower), abs(s.domain.upper))
-        return c_th_tilde, _PEAK_SLOPE / (_SQRT_2PI * trans.q) * reach * h_mass
+        return c_th_tilde, _gauss_peak_slope(1.0, trans.q) * reach * h_mass
     return None
 
 
 def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
     """One rule for every variant and family; the module docstring states it."""
-    claim = _closed_form(s, k)
-    if claim is None and s.variant == "ip":
-        # a declaration bounds h, which is g only in an inverse problem
-        claim = s.likelihood.declared_sup, s.likelihood.declared_lip
-    sup, lip = claim or (None, None)
+    # only an inverse problem takes declared constants (SystemSpec)
+    sup, lip = _closed_form(s, k) or (s.likelihood.declared_sup, s.likelihood.declared_lip)
     if s.variant == "se" and sup is not None:
         # against this observation's max g from one check of every observation
         _verify_floor(sup, _se_g_max(s)[s.y(k).hex()])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -300,6 +301,43 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(experiment, steps=1, **{key: value})
 
+    UNREAD = [(f"reproduce_case{c}", key) for c in (1, 2, 3) for key in ("filter_kind", "theorem")] + [
+        ("bound_validate", "trials"), ("bound_validate", "theorem"), ("bound_validate", "threads"),
+        ("reduction_fuzz", "steps"), ("reduction_fuzz", "filter_kind"),
+        ("reduction_fuzz", "out_dir"), ("reduction_fuzz", "threads"),
+        ("vi_demo", "trials"), ("vi_demo", "filter_kind"), ("vi_demo", "theorem"),
+        ("vi_demo", "threads")]
+    VALUES = {"steps": 2, "trials": 7, "threads": 3, "filter_kind": "particle",
+              "theorem": "w1-dyn", "out_dir": "out"}
+
+    @pytest.mark.parametrize("experiment,key", UNREAD)
+    def test_keys_the_experiment_does_not_read_are_refused(self, tmp_path, experiment, key):
+        body = {"experiment": experiment, key: self.VALUES[key]}
+        message = f"^{experiment} takes no {key!r}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**body)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(body))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(str(p))
+
+    def test_one_error_names_every_refused_key(self):
+        with pytest.raises(ValueError, match=r"^reduction_fuzz takes no 'steps', 'lower'$"):
+            ExperimentConfig("reduction_fuzz", steps=2, lower=3.0)
+
+    def test_unset_keys_take_the_table_defaults(self):
+        assert ExperimentConfig("bound_validate").steps == 10
+        assert ExperimentConfig("vi_demo").steps == 5
+        assert ExperimentConfig("reduction_fuzz").trials == 1000
+        for experiment, defaults in harness.EXPERIMENTS.items():
+            config = ExperimentConfig(experiment)
+            assert {k: getattr(config, k) for k in defaults} == defaults
+            assert all(getattr(config, k) is None for k in harness.CONFIG_FIELDS
+                       if k != "experiment" and k not in defaults)
+        assert ExperimentConfig("reproduce_case1").domain() == harness.DEFAULT_DOMAIN
+        with pytest.raises(ValueError, match="vi_demo runs on fixed grids"):
+            ExperimentConfig("vi_demo").domain()
+
 
 class TestCli:
     def test_reproduce_roundtrip(self, tmp_path):
@@ -465,6 +503,30 @@ class TestCli:
         assert out.startswith("reduction_fuzz[tv]: 40 trials")
         assert out.rstrip().endswith(", skipped 10 (DomainTooSmall 10)")
 
+    @pytest.mark.parametrize("domain", [{"grid_points": 50}, {"lower": 40.0},
+                                        {"lower": 1.0, "upper": 1.0}])
+    def test_bad_reproduce_domain_is_refused_before_out_is_made(self, tmp_path, capsys, domain):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(experiment="reproduce_case1", **domain)))
+        out = tmp_path / "o"
+        assert cli.main(["reproduce", "--config", str(p), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bslcert: config error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_experiment_flags_take_their_defaults_from_the_table(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+        for command in ("reproduce", "bound-validate", "reduction-fuzz", "vi-demo"):
+            defaults = {a.dest: a.default for a in sub[command]._actions if a.dest != "help"}
+            assert set(defaults.values()) == {None}, (command, defaults)
+        choices = {a.dest: a.choices for c in ("bound-validate", "reduction-fuzz")
+                   for a in sub[c]._actions}
+        assert choices["filter"] == ["gauss-proj", "particle"]
+        assert tuple(choices["theorem"]) == harness.FUZZ_THEOREMS
+        assert set(cli.REPRODUCE_FIELDS) == {"experiment", *harness.EXPERIMENTS["reproduce_case1"]}
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"experiment": "reproduce_case2", "steps": 2, "seed": 4}))
@@ -500,6 +562,10 @@ class TestStrictConfig:
         ("vi-bound", dict(VI, bound_type=2)),
         ("vi-bound", dict(VI, bound_type=2, beta_inputs=[
             {"c_vi_tilde": 0.1, "w_err": 0.01, "z_hat": 0.2}] * 2)),
+        # a type-1 bound reads no beta_inputs, whether bound_type is set or not
+        ("vi-bound", dict(VI, bound_type=1, beta_inputs=[
+            {"c_vi_tilde": 5.0, "w_err": 9.0, "z_hat": 0.3}])),
+        ("vi-bound", dict(VI, beta_inputs=[{"c_vi_tilde": 5.0, "w_err": 9.0, "z_hat": 0.3}])),
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, command, body):
         p = tmp_path / "c.json"
@@ -562,3 +628,30 @@ class TestViDemoCommand:
         assert cli.main(["vi-demo", "--steps", "2", "--out", out]) == 0
         assert sorted(os.listdir(out)) == ["run_meta.json", "tv.csv", "tv.svg"]
         assert "vi_demo: 2 rows, 0 violations" in capsys.readouterr().out
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of every ``bslcert`` line in the README's code blocks,
+    one per value of a for-loop's ``$tag``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in readme.split("```")[1::2]:
+        tags = [""]
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:3] == ["for", "tag", "in"]:
+                tags = [w.rstrip(";") for w in words[3:] if w.rstrip(";") not in ("", "do")]
+            elif words[:1] == ["done"]:
+                tags = [""]
+            elif words[:1] == ["bslcert"]:
+                commands += [[w.replace("$tag", tag) for w in words[1:]] for tag in tags]
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a stale flag or choice exits with SystemExit
+    assert ["reduction-fuzz", "--theorem", "w1-dyn", "--trials", "1000", "--seed", "0"] in commands

@@ -383,6 +383,61 @@ class TestSystemSpec:
             SystemSpec("xx", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], D40)
 
 
+class TestUnreadSettingsFail:
+    """A model setting that nothing would read is a ValueError, not ignored."""
+
+    def test_only_parameter_state_systems_take_a_parameter_domain(self):
+        s = se_system()
+        with pytest.raises(ValueError, match="'se' takes no parameter domain"):
+            dataclasses.replace(s, w_domain=DomainSpec(0.0, 1.0, 101))
+        with pytest.raises(ValueError, match="'ip' takes no parameter domain"):
+            dataclasses.replace(ip_system(), w_domain=DomainSpec(0.0, 1.0, 101))
+
+    def test_unknown_family_tags(self):
+        # "Custom" would miss CUSTOM_LIP_SAFETY, which applies to the tag "custom" only
+        with pytest.raises(ValueError, match="unknown TransitionModel family 'Custom'"):
+            TransitionModel(_laplace_kernel, "Custom")
+        with pytest.raises(ValueError, match="unknown LikelihoodModel family 'gaussian'"):
+            LikelihoodModel(_identity_lik, "gaussian", a=1.0, noise_var=1.0)
+
+    @pytest.mark.parametrize("make,missing", [
+        (lambda: LikelihoodModel(_identity_lik, "linear_gaussian", a=1.0), "noise_var"),
+        (lambda: LikelihoodModel(_identity_lik, "linear_gaussian", noise_var=1.0), "a"),
+        (lambda: TransitionModel(None, "linear_gaussian", q=0.5), "a"),
+        (lambda: TransitionModel(None, "parametric_linear_gaussian"), "q"),
+    ])
+    def test_gaussian_families_need_their_parameters(self, make, missing):
+        with pytest.raises(ValueError, match=f"needs {missing!r}"):
+            make()
+
+    @pytest.mark.parametrize("declared", [{"declared_sup": 1.0}, {"declared_lip": 1.0}])
+    def test_gaussian_likelihood_takes_no_declared_constants(self, declared):
+        with pytest.raises(ValueError, match=f"takes no {next(iter(declared))!r}"):
+            LikelihoodModel(_identity_lik, "linear_gaussian", a=1.0, noise_var=1.0, **declared)
+
+    @pytest.mark.parametrize("make,extra", [
+        (lambda: LikelihoodModel(_identity_lik, a=1.0), "a"),
+        (lambda: LikelihoodModel(_identity_lik, noise_var=1.0), "noise_var"),
+        (lambda: TransitionModel(_half_gain_kernel, q=0.5), "q"),
+        (lambda: TransitionModel(_half_gain_kernel, a=0.5), "a"),
+        (lambda: TransitionModel(_laplace_kernel, "parametric_linear_gaussian", a=0.5, q=0.5), "a"),
+    ])
+    def test_other_families_take_no_gaussian_parameters(self, make, extra):
+        with pytest.raises(ValueError, match=f"takes no {extra!r}"):
+            make()
+
+    @pytest.mark.parametrize("declared", [{"declared_sup": 1e-6}, {"declared_lip": 1.0}])
+    def test_declared_constants_only_on_inverse_problems(self, declared):
+        lik = LikelihoodModel.custom(_bump, **declared)
+        with pytest.raises(ValueError, match="only in an inverse problem"):
+            _se(lik, TransitionModel.linear_gaussian(0.9, 0.5))
+        with pytest.raises(ValueError, match="only in an inverse problem"):
+            SystemSpec("ps", lik, [0.0], DomainSpec(-5.0, 5.0, 101),
+                       transition=TransitionModel.parametric_linear_gaussian(0.25),
+                       w_domain=DomainSpec(0.0, 1.0, 101))
+        SystemSpec("ip", lik, [0.0], D10)
+
+
 class TestTransitionCache:
     def test_cached_matrix_is_the_dense_kernel(self):
         s = se_system()
