@@ -24,24 +24,6 @@ MIN_SIGMA_COVERAGE = 8.0
 VARIANCE_FLOOR = 1e-3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _UNDERFLOW_Z = math.sqrt(2.0 * 746.0)  # exp(-z * z / 2) is exactly 0.0 beyond this |z|
-_SQRT1_2 = 0.70710678118654752440
-
-# cephes ndtr.c coefficients; the denominators carry their leading 1.0
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821794e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2  # exp(-x * x) is taken as 0.0 beyond this x * x
 
 
 @dataclass(frozen=True)
@@ -96,48 +78,6 @@ class DomainSpec:
         return float(self.trapezoid_weights @ np.asarray(values, dtype=float))
 
 
-def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
-    """Horner's rule from the leading coefficient, one multiply and one add a step (cephes polevl)."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def ndtr(a):
-    """Standard normal CDF with the bits of ``scipy.special.ndtr``.
-
-    A port of cephes' ndtr, erf and erfc as SciPy runs them: erf's rational
-    function for |x| < 1 with x = a / sqrt(2), else 0.5 * erfc(|x|), reflected
-    for x > 0, and 0.0 where x * x > MAXLOG.  exp comes from libm
-    (``math.exp``), whose last bit ``np.exp`` does not always share; numpy's
-    separate multiply and add match a build without fused multiply-add.
-    Computes in float64; scalar inputs give a numpy scalar.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):  # signalling NaNs, z * z past 1e154
-        x = np.asarray(a, dtype=float) * _SQRT1_2
-        z = np.abs(x)
-        y = np.full(x.shape, np.nan)
-        inner = z < 1.0
-        if inner.any():
-            xi = x[inner]
-            y[inner] = 0.5 + 0.5 * (xi * _polevl(xi * xi, _ERF_T) / _polevl(xi * xi, _ERF_U))
-        outer = z >= 1.0  # NaN is in neither branch
-        zo = z[outer]
-        sq = zo * zo
-        erfc = np.zeros(zo.shape)
-        live = sq <= _MAXLOG
-        erfc[live] = list(map(math.exp, (-sq[live]).tolist()))
-        for part, num, den in ((live & (zo < 8.0), _ERFC_P, _ERFC_Q),
-                               (live & (zo >= 8.0), _ERFC_R, _ERFC_S)):
-            if part.any():
-                zp = zo[part]
-                erfc[part] = erfc[part] * _polevl(zp, num) / _polevl(zp, den)
-        erfc *= 0.5
-        y[outer] = np.where(x[outer] > 0.0, 1.0 - erfc, erfc)
-    return y if y.ndim else y[()]
-
-
 def gauss_pdf(x, mean, var, out=None):
     """Normal density with the given mean and variance at x (broadcasting).
 
@@ -173,10 +113,6 @@ class Gaussian1D:
 
     def pdf(self, x) -> np.ndarray:
         return gauss_pdf(x, self.mean, self.variance)
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return ndtr((x - self.mean) / self.std)
 
 
 def finite_min(x: np.ndarray) -> float:

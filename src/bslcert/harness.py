@@ -54,7 +54,8 @@ EXPERIMENTS = {
 class ExperimentConfig:
     """One experiment's settings.  A key left unset (None) takes the
     experiment's default from EXPERIMENTS; setting a key that the experiment
-    does not read is a ValueError."""
+    does not read, or to a value not of its type, is a ValueError (numpy
+    integers count as ints)."""
 
     experiment: str
     steps: int = None
@@ -69,6 +70,13 @@ class ExperimentConfig:
     threads: int = None      # accepted and validated; has no effect
 
     def __post_init__(self):
+        for key in CONFIG_FIELDS:
+            if isinstance(getattr(self, key), np.integer):
+                object.__setattr__(self, key, int(getattr(self, key)))
+        wrong = _type_problems({k: getattr(self, k) for k in CONFIG_FIELDS
+                                if getattr(self, k) is not None}, CONFIG_FIELDS)
+        if wrong:
+            raise ValueError("; ".join(wrong))
         reads = EXPERIMENTS.get(self.experiment)
         if reads is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
@@ -104,7 +112,7 @@ CONFIG_FIELDS = typing.get_type_hints(ExperimentConfig)
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value has type ``hint``: a class, ``Optional[...]``,
+    """Whether a value has type ``hint``: a class, ``Optional[...]``,
     ``list[...]`` or a dataclass (an object holding exactly its fields)."""
     if typing.get_origin(hint) is typing.Union:
         return any(_conforms(value, h) for h in typing.get_args(hint))
@@ -129,11 +137,16 @@ def read_config(path: str, fields: dict, required: Sequence[str] = ()) -> dict:
         raise ValueError("config file must hold a JSON object")
     problems = [f"unknown key {k!r}" for k in sorted(set(raw) - set(fields))]
     problems += [f"missing key {k!r}" for k in required if k not in raw]
-    problems += [f"key {k!r} must be {_type_name(fields[k])}, got {v!r}"
-                 for k, v in raw.items() if k in fields and not _conforms(v, fields[k])]
+    problems += _type_problems({k: v for k, v in raw.items() if k in fields}, fields)
     if problems:
         raise ValueError("; ".join(problems))
     return raw
+
+
+def _type_problems(values: dict, fields: dict) -> list:
+    """One message per value whose type is not the one ``fields`` gives its key."""
+    return [f"key {k!r} must be {_type_name(fields[k])}, got {v!r}"
+            for k, v in values.items() if not _conforms(v, fields[k])]
 
 
 def _type_name(hint) -> str:

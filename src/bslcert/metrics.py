@@ -1,11 +1,15 @@
 """Distances between distributions on a truncated domain.
 
-Total variation and Hellinger are evaluated by trapezoid quadrature of the
-defining integrals (particle inputs are rejected: TV against a continuous
-density is degenerate).  The 1-Wasserstein distance is evaluated exactly in
-1-D as the L1 distance between CDFs, which also makes continuous-vs-empirical
-comparisons well defined.  The scaled-measure Hellinger distance applies the
-same integral to unnormalized densities.
+``tv``, ``hellinger`` and ``w1`` read a continuous input, a Gaussian1D or a
+GridDensity, as one measure: its density values on the grid nodes
+(domains.grid_values, which discretizes a Gaussian as bayes.grid_update
+does), integrated by the trapezoid rule.  Total variation and Hellinger are
+trapezoid quadratures of the defining integrals (particle inputs are
+rejected: TV against a continuous density is degenerate).  The
+1-Wasserstein distance is the L1 distance between CDFs, exact in 1-D for
+that measure, whose CDF is linear between nodes; this also makes
+continuous-vs-empirical comparisons well defined.  The scaled-measure
+Hellinger distance applies the same integral to unnormalized densities.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D, ParticleSet,
-                      check_coverage, finite_nonnegative, grid_values)
+                      finite_nonnegative, grid_values)
 from .errors import DomainMismatch, NonFinite, Unnormalized
 
 Distribution = Union[Gaussian1D, GridDensity, ParticleSet]
@@ -113,13 +117,8 @@ def _empirical_cdf(ps: ParticleSet, xs: np.ndarray) -> np.ndarray:
 
 
 def _continuous_cdf(dist, d: DomainSpec, xs: np.ndarray) -> np.ndarray:
-    """CDF of ``dist`` truncated to ``d``, at sorted points xs from d.lower to d.upper."""
-    if isinstance(dist, Gaussian1D):
-        check_coverage(dist, d)
-        f = np.asarray(dist.cdf(xs), dtype=float)
-        lo = float(f[0])
-        total = float(f[-1]) - lo
-        return (f - lo) / total
+    """CDF of the grid measure of ``dist`` on ``d`` (see domains.grid_values), at sorted
+    points xs from d.lower to d.upper: linear between nodes, as the trapezoid rule reads it."""
     values = grid_values(dist, d)
     # cumulative trapezoid at the nodes, from 0
     nodal = np.concatenate(([0.0], np.cumsum(0.5 * d.spacing * (values[1:] + values[:-1]))))
@@ -142,7 +141,12 @@ def _shared_grid_support(a: ParticleSet, b: ParticleSet, d: DomainSpec) -> bool:
 
 
 def w1(a: Distribution, b: Distribution, d: DomainSpec) -> float:
-    """1-Wasserstein distance as the L1 distance between CDFs on the domain."""
+    """1-Wasserstein distance as the L1 distance between CDFs on the domain.
+
+    A Gaussian counts through its discretization, so w1(g, x, d) equals
+    w1(discretize(g, d), x, d) bit for bit, and raises DomainTooSmall when d
+    covers fewer than 8 standard deviations on either side of its mean.
+    """
     a_emp = isinstance(a, ParticleSet)
     b_emp = isinstance(b, ParticleSet)
     if a_emp:

@@ -33,10 +33,9 @@ CUSTOM_LIP_SAFETY = 2.0
 # streamed, is one BLAS call per block, so the height sets the bits: 65-row
 # blocks change the bytes of kernel-reuse benchmark seeds 0, 5 and 11, while
 # 64-row blocks keep every recorded digest.  A streamed block at 2000 columns
-# takes 1,024,000 B, under the 1 MiB heap threshold that bslcert/__init__ sets
-# and within a core's L2 cache.  A cached matrix's blocks stay on the calling
-# thread: on the pool, the w1-dyn fuzz, whose 201-node products are small,
-# took 40% longer.
+# takes 1,024,000 B, within a core's L2 cache.  A cached matrix's blocks stay
+# on the calling thread: on the pool, the w1-dyn fuzz, whose 201-node
+# products are small, took 40% longer.
 _KERNEL_BLOCK = 64
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
 _SE_CHECK_ROWS = 256  # observations per kernel pass of the SE closed-form check (_se_g_max)
@@ -61,17 +60,32 @@ def _check_family(model, families: dict) -> None:
             raise ValueError(f"a {model.family!r} {kind} takes no {name!r}")
 
 
+def _set_built(model, **built) -> None:
+    """Set a Gaussian-family model's callables to the ones built from its parameters.
+
+    ValueError if one was passed in: it could contradict the parameters, which
+    the closed-form constants read while the grid and particle updates call it.
+    """
+    passed = [name for name in built if getattr(model, name) is not None]
+    if passed:
+        raise ValueError(f"a {model.family!r} {type(model).__name__} builds its own "
+                         f"{', '.join(map(repr, passed))} from its parameters")
+    for name, fn in built.items():
+        object.__setattr__(model, name, fn)
+
+
 @dataclass(frozen=True)
 class LikelihoodModel:
     """Observation density h(y, x) (or h(y, x, w) in parameter-state systems).
 
     The evaluator must be nonnegative, finite on the grid, and vectorized
-    over numpy arrays.  ``declared_sup``/``declared_lip`` let custom models
-    supply analytically known constants; a linear-Gaussian model takes none,
-    because its closed form ignores them.
+    over numpy arrays; a linear-Gaussian model builds its own from a and
+    noise_var.  ``declared_sup``/``declared_lip`` let custom models supply
+    analytically known constants; a linear-Gaussian model takes none, because
+    its closed form ignores them.
     """
 
-    evaluator: Callable
+    evaluator: Optional[Callable]
     family: str = "custom"  # "linear_gaussian" | "custom"
     a: Optional[float] = None
     noise_var: Optional[float] = None
@@ -81,17 +95,20 @@ class LikelihoodModel:
     def __post_init__(self):
         _check_family(self, {"linear_gaussian": (("a", "noise_var"), ()),
                              "custom": ((), ("declared_sup", "declared_lip"))})
+        if self.family == "linear_gaussian":
+            a, noise_var = self.a, self.noise_var
+            if noise_var <= 0:
+                raise ValueError("noise_var must be positive")
+
+            def evaluator(y, x, w=None):
+                return gauss_pdf(y, a * np.asarray(x, dtype=float), noise_var)
+
+            _set_built(self, evaluator=evaluator)
 
     @staticmethod
     def linear_gaussian(a: float, noise_var: float) -> "LikelihoodModel":
         """h(y, x) = Gaussian pdf of y with mean a*x and variance noise_var."""
-        if noise_var <= 0:
-            raise ValueError("noise_var must be positive")
-
-        def evaluator(y, x, w=None):
-            return gauss_pdf(y, a * np.asarray(x, dtype=float), noise_var)
-
-        return LikelihoodModel(evaluator, "linear_gaussian", a=a, noise_var=noise_var)
+        return LikelihoodModel(None, "linear_gaussian", a=a, noise_var=noise_var)
 
     @staticmethod
     def custom(evaluator, declared_sup=None, declared_lip=None) -> "LikelihoodModel":
@@ -100,7 +117,10 @@ class LikelihoodModel:
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """Markov transition density T(x_next, x_prev) (or T(x_next, x_prev, w))."""
+    """Markov transition density T(x_next, x_prev) (or T(x_next, x_prev, w)).
+
+    The Gaussian families build their own kernel and sampler from a and q.
+    """
 
     kernel: Optional[Callable]
     family: str = "custom"
@@ -112,36 +132,41 @@ class TransitionModel:
         _check_family(self, {"linear_gaussian": (("a", "q"), ()),
                              "parametric_linear_gaussian": (("q",), ()),
                              "custom": ((), ())})
+        a, q = self.a, self.q
+        if self.family == "linear_gaussian":
+            if q < 0:
+                raise ValueError("q must be nonnegative")
+            kernel = None
+            if q > 0:
+                def kernel(x_next, x_prev):
+                    return gauss_pdf(x_next, a * np.asarray(x_prev, dtype=float), q)
+
+            def sampler(rng, x_prev):
+                x_prev = np.asarray(x_prev, dtype=float)
+                out = a * x_prev
+                if q > 0:
+                    out = out + math.sqrt(q) * rng.standard_normal(x_prev.shape)
+                return out
+
+            _set_built(self, kernel=kernel, sampler=sampler)
+        elif self.family == "parametric_linear_gaussian":
+            if q <= 0:
+                raise ValueError("q must be positive")
+
+            def kernel(x_next, x_prev, w):
+                return gauss_pdf(x_next, np.asarray(w, dtype=float) * np.asarray(x_prev, dtype=float), q)
+
+            _set_built(self, kernel=kernel, sampler=None)
 
     @staticmethod
     def linear_gaussian(a: float, q: float) -> "TransitionModel":
         """T(x_next, x_prev) = Gaussian pdf of x_next with mean a*x_prev, variance q."""
-        if q < 0:
-            raise ValueError("q must be nonnegative")
-        kernel = None
-        if q > 0:
-            def kernel(x_next, x_prev):
-                return gauss_pdf(x_next, a * np.asarray(x_prev, dtype=float), q)
-
-        def sampler(rng, x_prev):
-            x_prev = np.asarray(x_prev, dtype=float)
-            out = a * x_prev
-            if q > 0:
-                out = out + math.sqrt(q) * rng.standard_normal(x_prev.shape)
-            return out
-
-        return TransitionModel(kernel, "linear_gaussian", a=a, q=q, sampler=sampler)
+        return TransitionModel(None, "linear_gaussian", a=a, q=q)
 
     @staticmethod
     def parametric_linear_gaussian(q: float) -> "TransitionModel":
         """T(x_next, x_prev, w) = Gaussian pdf with mean w*x_prev, variance q."""
-        if q <= 0:
-            raise ValueError("q must be positive")
-
-        def kernel(x_next, x_prev, w):
-            return gauss_pdf(x_next, np.asarray(w, dtype=float) * np.asarray(x_prev, dtype=float), q)
-
-        return TransitionModel(kernel, "parametric_linear_gaussian", q=q)
+        return TransitionModel(None, "parametric_linear_gaussian", q=q)
 
     @staticmethod
     def custom(kernel, sampler=None) -> "TransitionModel":
@@ -179,6 +204,10 @@ class SystemSpec:
             raise ValueError(f"variant {self.variant!r} requires a transition model")
         if self.variant == "ip" and self.transition is not None:
             raise ValueError("inverse problems take no transition model")
+        # the parametric kernel takes w, which only "ps" has; the plain one takes no w
+        wrong = {"se": "parametric_linear_gaussian", "ps": "linear_gaussian"}.get(self.variant)
+        if self.transition is not None and self.transition.family == wrong:
+            raise ValueError(f"variant {self.variant!r} takes no {wrong!r} transition")
         if self.variant == "ps" and self.w_domain is None:
             raise ValueError("parameter-state systems need a parameter domain")
         if self.variant != "ps" and self.w_domain is not None:

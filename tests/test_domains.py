@@ -4,11 +4,10 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr as scipy_ndtr
 
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D,
                              ParticleSet, discretize, discretize_product, gauss_pdf,
-                             moments, ndtr)
+                             moments)
 from bslcert import bayes, reduction
 from bslcert.errors import DomainTooSmall, NonFinite, Unnormalized
 from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, lik_values
@@ -60,72 +59,6 @@ class TestGaussPdf:
         x = XS.copy()
         gauss_pdf(x, 0.0, 1.0)
         assert np.array_equal(x, XS)
-
-
-def assert_same_bits(new, old):
-    assert type(new) is type(old)
-    assert np.shape(new) == np.shape(old)
-    assert np.array_equal(np.asarray(new).view(np.int64), np.asarray(old).view(np.int64))
-
-
-_SQRT2 = math.sqrt(2.0)
-# branch points in a: erf below sqrt(2), erfc's second fit from 8 sqrt(2),
-# exp(-a * a / 2) cut past sqrt(2 MAXLOG) ~ 37.68
-_NDTR_BRANCHES = [_SQRT2, 8.0 * _SQRT2, math.sqrt(2.0 * 7.09782712893383996843e2)]
-NDTR_EDGES = np.array(
-    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
-     37.68, -37.68]
-    + [sign * step for b in _NDTR_BRANCHES for sign in (1.0, -1.0)
-       for step in (np.nextafter(b, 0.0), b, np.nextafter(b, math.inf))])
-# the cdf arguments (nodes - mean) / std of every grid and Gaussian scale the library meets
-NDTR_GRIDS = [(d, mean, sd) for d in (DomainSpec(-40.0, 40.0, 8001), DomainSpec(-10.0, 10.0, 401),
-                                      DomainSpec(-3.0, 3.0, 101))
-              for mean, sd in ((0.0, 1.0), (1.7, 0.35), (-2.3, 0.01), (0.3, 2.0), (d.upper, 5.0))]
-
-
-class TestNdtr:
-    """domains.ndtr and Gaussian1D.cdf keep scipy.special.ndtr's bits, type and shape."""
-
-    def test_edge_values(self):
-        assert_same_bits(ndtr(NDTR_EDGES), scipy_ndtr(NDTR_EDGES))
-        for a in NDTR_EDGES:
-            assert_same_bits(ndtr(float(a)), scipy_ndtr(float(a)))
-
-    def test_around_branch_points(self):
-        a = np.concatenate([sign * b * (1.0 + np.arange(-2000, 2001) * 1e-13)
-                            for b in _NDTR_BRANCHES for sign in (1.0, -1.0)])
-        assert_same_bits(ndtr(a), scipy_ndtr(a))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(width=64))
-    def test_any_float(self, a):
-        assert_same_bits(ndtr(a), scipy_ndtr(a))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=200))
-    def test_arrays(self, values):
-        a = np.array(values)
-        assert_same_bits(ndtr(a), scipy_ndtr(a))
-
-    def test_dense_sweep(self):
-        a = np.linspace(-45.0, 45.0, 200_001)
-        assert_same_bits(ndtr(a), scipy_ndtr(a))
-
-    @pytest.mark.parametrize("d, mean, sd", NDTR_GRIDS)
-    def test_grid_arguments(self, d, mean, sd):
-        g = Gaussian1D(mean, sd * sd)
-        u = (d.nodes - g.mean) / g.std
-        assert_same_bits(ndtr(u), scipy_ndtr(u))
-        assert_same_bits(g.cdf(d.nodes), scipy_ndtr(u))
-        assert_same_bits(g.cdf(d.lower), scipy_ndtr((d.lower - g.mean) / g.std))
-
-    @pytest.mark.parametrize("x", [0.3, -7, np.float64(-9.1), np.array(0.3), XS,
-                                   np.add.outer(XS[::40], XS[::50])],
-                             ids=["float", "int", "np.float64", "0-d", "1-D", "2-D"])
-    def test_types_and_shapes(self, x):
-        assert_same_bits(ndtr(x), scipy_ndtr(x))
-        g = Gaussian1D(1.7, 0.7)
-        assert_same_bits(g.cdf(x), scipy_ndtr((np.asarray(x, dtype=float) - g.mean) / g.std))
 
 
 class TestDiscretize:

@@ -325,6 +325,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^reduction_fuzz takes no 'steps', 'lower'$"):
             ExperimentConfig("reduction_fuzz", steps=2, lower=3.0)
 
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"experiment": "reproduce_case1", "steps": 2, "trials": True}, "trials"),
+        ({"experiment": "vi_demo", "steps": True}, "steps"),
+        ({"experiment": "bound_validate", "seed": 1.5}, "seed"),
+    ])
+    def test_constructor_checks_value_types(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^key {key!r} must be int, got "):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_count_as_ints(self):
+        config = ExperimentConfig("vi_demo", steps=np.int64(2), seed=np.int32(3))
+        assert (config.steps, config.seed) == (2, 3)
+        assert type(config.steps) is int and type(config.seed) is int
+
     def test_unset_keys_take_the_table_defaults(self):
         assert ExperimentConfig("bound_validate").steps == 10
         assert ExperimentConfig("vi_demo").steps == 5
@@ -488,7 +502,7 @@ class TestCli:
     def test_gaussian_w1_output_is_pinned(self, capsys):
         assert cli.main(["metric", "--kind", "w1", "--a", "gaussian:0,1",
                          "--b", "gaussian:2,1"]) == 0
-        assert capsys.readouterr().out == "1.9999999999999996\n"
+        assert capsys.readouterr().out == "2.0\n"
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         # no genuine violation is reachable, so patch in a violating record

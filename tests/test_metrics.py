@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
+from scipy.special import ndtr
 from scipy.stats import wasserstein_distance
 
 from bslcert import metrics
@@ -98,7 +99,7 @@ class TestW1:
         value = w1(Gaussian1D(0.0, 1.0), cloud, D10)
         # dense-grid oracle for the CDF gap integral
         xs = np.linspace(-10, 10, 200001)
-        fg = Gaussian1D(0.0, 1.0).cdf(xs)
+        fg = ndtr(xs)
         fe = np.searchsorted(np.sort(pts), xs, side="right") / 2000
         oracle = trapezoid(np.abs(fg - fe), xs)
         assert abs(value - oracle) < 1e-4
@@ -107,6 +108,17 @@ class TestW1:
         ps = ParticleSet(np.array([50.0]), np.array([1.0]))
         with pytest.raises(DomainMismatch):
             w1(ps, Gaussian1D(0, 1), D10)
+
+    @pytest.mark.parametrize("other", ["gaussian", "grid", "particles"])
+    def test_gaussian_reads_as_its_discretization(self, other):
+        g = Gaussian1D(0.3, 0.8)
+        x = {"gaussian": Gaussian1D(-0.5, 1.2),
+             "grid": discretize(Gaussian1D(1.0, 0.5), D10),
+             "particles": ParticleSet(np.random.default_rng(7).normal(0.0, 1.5, 500),
+                                      np.full(500, 1 / 500))}[other]
+        q = discretize(g, D10)
+        assert w1(g, x, D10).hex() == w1(q, x, D10).hex()
+        assert w1(x, g, D10).hex() == w1(x, q, D10).hex()
 
 
 @pytest.fixture

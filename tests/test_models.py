@@ -437,6 +437,31 @@ class TestUnreadSettingsFail:
                        w_domain=DomainSpec(0.0, 1.0, 101))
         SystemSpec("ip", lik, [0.0], D10)
 
+    @pytest.mark.parametrize("make,passed", [
+        (lambda: LikelihoodModel(_identity_lik, "linear_gaussian", a=1.0, noise_var=1.0),
+         "'evaluator'"),
+        (lambda: TransitionModel(_half_gain_kernel, "linear_gaussian", a=0.9, q=1.0), "'kernel'"),
+        (lambda: TransitionModel(None, "linear_gaussian", a=0.9, q=1.0,
+                                 sampler=lambda rng, x: 0.5 * x), "'sampler'"),
+        (lambda: TransitionModel(_laplace_kernel, "parametric_linear_gaussian", q=0.5,
+                                 sampler=lambda rng, x: x), "'kernel', 'sampler'"),
+    ])
+    def test_gaussian_families_refuse_a_passed_callable(self, make, passed):
+        # a callable could contradict the parameters that the closed forms read
+        with pytest.raises(ValueError, match=f"builds its own {passed} from its parameters"):
+            make()
+
+    @pytest.mark.parametrize("variant,transition", [
+        ("se", TransitionModel.parametric_linear_gaussian(0.5)),
+        ("ps", TransitionModel.linear_gaussian(0.5, 1.0)),
+    ])
+    def test_transition_family_matches_the_variant(self, variant, transition):
+        w_domain = DomainSpec(0.0, 1.0, 101) if variant == "ps" else None
+        with pytest.raises(ValueError, match=f"variant {variant!r} takes no "
+                                             f"{transition.family!r} transition"):
+            SystemSpec(variant, LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3],
+                       DomainSpec(-10.0, 10.0, 401), transition=transition, w_domain=w_domain)
+
 
 class TestTransitionCache:
     def test_cached_matrix_is_the_dense_kernel(self):
