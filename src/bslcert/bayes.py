@@ -88,19 +88,6 @@ def _mass(s: SystemSpec, values: np.ndarray) -> float:
     return s.domain.integrate(values)
 
 
-def evidence(s: SystemSpec, k: int, prior) -> float:
-    """Evidence of the prior at step k: pre-normalization mass of the update."""
-    if s.variant == "ip" and isinstance(prior, ParticleSet):
-        return float(prior.weights @ lik_values(s, k, prior.points))
-    unnorm = _unnormalized_posteriors(s, k, [prior])[0]
-    return _mass(s, unnorm)
-
-
-def validate_admissible(s: SystemSpec, k: int, prior) -> float:
-    """Return the evidence of `prior` at step k; raise if it is inadmissible."""
-    return admissible_evidence(evidence(s, k, prior))
-
-
 def _check_boundary(s: SystemSpec, values: np.ndarray) -> None:
     if s.variant == "ps":
         hx, hw = s.domain.spacing, s.w_domain.spacing
@@ -146,13 +133,6 @@ def conjugate_update_ip(prior: Gaussian1D, a: float, noise_var: float, y: float)
     post_var = 1.0 / (1.0 / prior.variance + a * a / noise_var)
     post_mean = post_var * (prior.mean / prior.variance + a * y / noise_var)
     return UpdateResult(Gaussian1D(post_mean, post_var), z)
-
-
-def conjugate_update_se(prior: Gaussian1D, trans_a: float, trans_q: float,
-                        a: float, noise_var: float, y: float) -> UpdateResult:
-    """Two-stage closed form: Gaussian pushforward, then the conjugate update."""
-    predicted = Gaussian1D(trans_a * prior.mean, trans_a ** 2 * prior.variance + trans_q)
-    return conjugate_update_ip(predicted, a, noise_var, y)
 
 
 def gaussian_projection_step(s: SystemSpec, k: int, prior: Gaussian1D):

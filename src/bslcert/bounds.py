@@ -63,7 +63,6 @@ class BoundLedger:
 
     metric: str
     variant: str  # "set1" | "set2"
-    window_start: int
     rows: tuple[LedgerRow, ...]
     initial: float = 0.0  # seed of the recursion (nonzero for inaccurate priors)
 
@@ -88,46 +87,42 @@ class BoundLedger:
 
 
 def _factors(metric: str, s: SystemSpec, evidences: Sequence[float], eps: Sequence[float],
-             window_start: int = 1,
              first_step_constants: Optional[ConstantsReport] = None) -> list[float]:
-    """K_k = pointwise_K(s, k, metric, z_k) for k = window_start..len(eps), except that
-    first_step_constants, if given, replace the system's at step window_start."""
+    """K_k = pointwise_K(s, k, metric, z_k) for k = 1..len(eps), except that
+    first_step_constants, if given, replace the system's at step 1."""
     if len(evidences) != len(eps):
         raise ValueError("evidences and eps must have equal length")
-    k_total = len(eps)
-    if not 1 <= window_start <= k_total:
-        raise ValueError(f"window_start {window_start} outside 1..{k_total}")
+    if len(eps) == 0:
+        raise ValueError("a ledger needs at least one step")
     first = [] if first_step_constants is None else \
-        [table_constant(first_step_constants, metric, evidences[window_start - 1])]
+        [table_constant(first_step_constants, metric, evidences[0])]
     return first + [pointwise_K(s, k, metric, evidences[k - 1])
-                     for k in range(window_start + len(first), k_total + 1)]
+                     for k in range(1 + len(first), len(eps) + 1)]
 
 
 def _build_ledger(metric: str, variant: str, factors: Sequence[float], eps: Sequence[float],
-                  window_start: int = 1, initial: float = 0.0) -> BoundLedger:
-    """Chain cum_k = K_k * cum_{k-1} + eps_k from `initial`, one factor per step from window_start."""
+                  initial: float = 0.0) -> BoundLedger:
+    """Chain cum_k = K_k * cum_{k-1} + eps_k from `initial`, one factor per step from step 1."""
     cum = finite_nonnegative("initial", initial)
     rows = []
-    for k, factor in enumerate(factors, start=window_start):
+    for k, factor in enumerate(factors, start=1):
         cum = factor * cum + finite_nonnegative("eps", eps[k - 1])
         if math.isnan(cum):
             cum = math.inf  # inf * 0 saturation
         rows.append(LedgerRow(k, factor, float(eps[k - 1]), cum))
-    return BoundLedger(metric, variant, window_start, tuple(rows), initial=initial)
+    return BoundLedger(metric, variant, tuple(rows), initial=initial)
 
 
 def recursion_set1(metric: str, s: SystemSpec, exact_evidences: Sequence[float],
-                   eps: Sequence[float], window_start: int = 1) -> BoundLedger:
+                   eps: Sequence[float]) -> BoundLedger:
     """Cumulative bound with exact-sequence evidences p(y_k | data so far)."""
-    return _build_ledger(metric, "set1", _factors(metric, s, exact_evidences, eps, window_start),
-                         eps, window_start)
+    return _build_ledger(metric, "set1", _factors(metric, s, exact_evidences, eps), eps)
 
 
 def recursion_set2(metric: str, s: SystemSpec, approx_evidences: Sequence[float],
-                   eps: Sequence[float], window_start: int = 1) -> BoundLedger:
+                   eps: Sequence[float]) -> BoundLedger:
     """Cumulative bound with approximate-sequence evidences (computable online)."""
-    return _build_ledger(metric, "set2", _factors(metric, s, approx_evidences, eps, window_start),
-                         eps, window_start)
+    return _build_ledger(metric, "set2", _factors(metric, s, approx_evidences, eps), eps)
 
 
 def tv_to_w1_bound(tv_bound: float, d: float) -> float:
@@ -144,7 +139,7 @@ def inaccurate_prior_bound(metric: str, s: SystemSpec, approx_evidences: Sequenc
     linear term (first-step factor times the product of later factors, times
     the prior error) falls out of the same replayable ledger.
     """
-    factors = _factors(metric, s, approx_evidences, eps, 1, first_step_constants)
+    factors = _factors(metric, s, approx_evidences, eps, first_step_constants)
     return _build_ledger(metric, "set2", factors, eps, initial=prior_error)
 
 

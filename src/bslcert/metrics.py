@@ -69,15 +69,6 @@ def tv(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     return grid_distance("tv", normalized_values(a, d), normalized_values(b, d), d)
 
 
-def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
-    """Closed-form Hellinger distance between two Gaussians."""
-    v1, v2 = a.variance, b.variance
-    bc = math.sqrt(2.0 * math.sqrt(v1 * v2) / (v1 + v2)) * math.exp(
-        -((a.mean - b.mean) ** 2) / (4.0 * (v1 + v2))
-    )
-    return math.sqrt(max(0.0, 1.0 - bc))
-
-
 def hellinger(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """Hellinger distance sqrt(0.5 * integral (sqrt p - sqrt q)^2)."""
     return grid_distance("hellinger", normalized_values(a, d), normalized_values(b, d), d)

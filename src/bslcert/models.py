@@ -16,6 +16,7 @@ Lipschitz estimate is scaled by CUSTOM_LIP_SAFETY.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import threading
@@ -58,6 +59,21 @@ def _check_family(model, families: dict) -> None:
             raise ValueError(f"a {model.family!r} {kind} needs {name!r}")
         if name not in needs + optional and getattr(model, name) is not None:
             raise ValueError(f"a {model.family!r} {kind} takes no {name!r}")
+
+
+def _takes(fn: Callable, n: int) -> bool:
+    """Whether fn's signature binds n positional arguments; True if it has none to read.
+
+    fn is not called, so a kernel's cost and side effects are left alone."""
+    try:
+        signature = inspect.signature(fn)
+    except (TypeError, ValueError):
+        return True
+    try:
+        signature.bind(*range(n))
+    except TypeError:
+        return False
+    return True
 
 
 def _set_built(model, **built) -> None:
@@ -204,10 +220,12 @@ class SystemSpec:
             raise ValueError(f"variant {self.variant!r} requires a transition model")
         if self.variant == "ip" and self.transition is not None:
             raise ValueError("inverse problems take no transition model")
-        # the parametric kernel takes w, which only "ps" has; the plain one takes no w
-        wrong = {"se": "parametric_linear_gaussian", "ps": "linear_gaussian"}.get(self.variant)
-        if self.transition is not None and self.transition.family == wrong:
-            raise ValueError(f"variant {self.variant!r} takes no {wrong!r} transition")
+        # one arity rule for every transition kernel, whatever its family
+        kernel = None if self.transition is None else self.transition.kernel
+        args = ("x_next", "x_prev") if self.variant == "se" else ("x_next", "x_prev", "w")
+        if kernel is not None and not _takes(kernel, len(args)):
+            raise ValueError(f"variant {self.variant!r} takes no {self.transition.family!r} "
+                             f"transition: its kernel must take ({', '.join(args)})")
         if self.variant == "ps" and self.w_domain is None:
             raise ValueError("parameter-state systems need a parameter domain")
         if self.variant != "ps" and self.w_domain is not None:
@@ -706,10 +724,10 @@ def _compute_constants(s: SystemSpec, k: int, want_w1: bool) -> ConstantsReport:
 def _se_g_max(s: SystemSpec) -> dict:
     """max g on at most 801 nodes for each distinct observation of an SE system, by y.hex().
 
-    g costs O(n^2) on n nodes, so an SE closed form is checked on the system
-    grid when it has at most 801 nodes (through its kept matrix) and on an
-    801-node grid otherwise, streaming the density: no system is built on
-    that grid, so no second matrix is kept.  Each kernel_rmatvec over a stack
+    g costs O(n^2) on n nodes, so an SE closed form is checked on min(n, 801)
+    nodes spanning the system's domain, streaming the density: no system is
+    built on that grid, so no second matrix is kept, and a streamed product
+    has the bits of one through the kept matrix.  Each kernel_rmatvec over a stack
     of up to _SE_CHECK_ROWS observations' weighted likelihoods evaluates each
     kernel block once; each row keeps the bits of se_g_values of the system
     on that grid.  Keyed by the bits of y, as the constants memo is, and kept
@@ -719,7 +737,6 @@ def _se_g_max(s: SystemSpec) -> dict:
     maxima = s._cache.get("se_g_max")
     if maxima is None:
         d = DomainSpec(s.domain.lower, s.domain.upper, min(s.domain.grid_points, 801))
-        kernel = s.transition_kernel() if d == s.domain else s.transition_density()
         steps = {}  # y.hex() -> the first step that observes it
         for k in range(1, s.n_steps + 1):
             steps.setdefault(s.y(k).hex(), k)
@@ -727,7 +744,7 @@ def _se_g_max(s: SystemSpec) -> dict:
         for start in range(0, len(keys), _SE_CHECK_ROWS):
             chunk = keys[start:start + _SE_CHECK_ROWS]
             h = d.trapezoid_weights * np.stack([lik_values(s, steps[y], d.nodes) for y in chunk])
-            g_max = np.max(kernel_rmatvec(kernel, d.nodes, d.nodes, h), axis=1)
+            g_max = np.max(kernel_rmatvec(s.transition_density(), d.nodes, d.nodes, h), axis=1)
             maxima.update(zip(chunk, g_max.tolist()))
         s._cache["se_g_max"] = maxima
     return maxima

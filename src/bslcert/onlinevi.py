@@ -18,7 +18,7 @@ import numpy as np
 from .bayes import predicted_values
 from .domains import DomainSpec, Gaussian1D, GridDensity, grid_values
 from .errors import MissingD, NonFinite, UnsupportedRepresentation, VacuousBound
-from .models import SystemSpec, admissible_evidence, c_vi_tilde_estimate  # noqa: F401, re-export
+from .models import SystemSpec, admissible_evidence
 
 _SQRT2 = math.sqrt(2.0)
 

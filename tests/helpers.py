@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+from bslcert.bayes import UpdateResult, conjugate_update_ip
 from bslcert.domains import DomainSpec, Gaussian1D, GridDensity
 from bslcert.harness import _mixture_density as mixture_density
 from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec, TransitionModel,
@@ -73,6 +74,22 @@ def grid_constant_estimates(s: SystemSpec, k: int, metric: str, n: int) -> Const
     return _report(r, float(np.max(g)), _lip_estimate(r, k, g) if metric == "w1" else None)
 
 
+def conjugate_update_se(prior: Gaussian1D, trans_a: float, trans_q: float,
+                        a: float, noise_var: float, y: float) -> UpdateResult:
+    """The Kalman step: Gaussian pushforward, then the conjugate update."""
+    predicted = Gaussian1D(trans_a * prior.mean, trans_a ** 2 * prior.variance + trans_q)
+    return conjugate_update_ip(predicted, a, noise_var, y)
+
+
+def gaussian_hellinger(a: Gaussian1D, b: Gaussian1D) -> float:
+    """Closed-form Hellinger distance between two Gaussians."""
+    v1, v2 = a.variance, b.variance
+    bc = math.sqrt(2.0 * math.sqrt(v1 * v2) / (v1 + v2)) * math.exp(
+        -((a.mean - b.mean) ** 2) / (4.0 * (v1 + v2))
+    )
+    return math.sqrt(max(0.0, 1.0 - bc))
+
+
 def gauss_tv_equal_var(m1: float, m2: float, var: float) -> float:
     """Closed-form TV distance for equal-variance Gaussians (crossing at midpoint)."""
     from scipy.special import ndtr
@@ -97,19 +114,19 @@ def _cells(s: SystemSpec, metric: str, evidences, i: int) -> float:
     return (2.0 * c.d * c.lip + c.sup) / z
 
 
-def double_sum_bound(metric: str, s: SystemSpec, evidences, eps, window_start: int = 1,
+def double_sum_bound(metric: str, s: SystemSpec, evidences, eps,
                      initial: float = 0.0, first_factor: float = None) -> float:
     """Direct double-sum evaluation of the cumulative bound at the final step."""
     k = len(eps)
     total = eps[k - 1]
-    for j in range(window_start, k):
+    for j in range(1, k):
         coef = 1.0
         for i in range(j + 1, k + 1):
             coef *= _cells(s, metric, evidences, i)
         total += coef * eps[j - 1]
     if initial:
-        coef = first_factor if first_factor is not None else _cells(s, metric, evidences, window_start)
-        for i in range(window_start + 1, k + 1):
+        coef = first_factor if first_factor is not None else _cells(s, metric, evidences, 1)
+        for i in range(2, k + 1):
             coef *= _cells(s, metric, evidences, i)
         total += coef * initial
     return total

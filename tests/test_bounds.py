@@ -133,16 +133,6 @@ class TestRecursions:
         oracle = double_sum_bound("tv", s, evid, eps)
         assert abs(led.final_bound - oracle) <= 1e-12 * max(1.0, oracle)
 
-    def test_windowed_variant(self):
-        s = ip_system(5)
-        evid = [0.2, 0.25, 0.3, 0.2, 0.22]
-        eps = [0.03, 0.01, 0.02, 0.04, 0.01]
-        led = recursion_set2("tv", s, evid, eps, window_start=3)
-        assert led.rows[0].step == 3
-        assert led.bounds()[0] == eps[2]
-        oracle = double_sum_bound("tv", s, evid, eps, window_start=3)
-        assert abs(led.final_bound - oracle) <= 1e-12
-
     def test_saturates_at_infinity(self):
         led = recursion_set2("tv", ip_system(3), [1e-250] * 3, [0.1, 0.1, 0.1])
         assert math.isinf(led.final_bound)
@@ -172,7 +162,7 @@ class TestReplay:
         assert not dataclasses.replace(led, rows=tuple(rows)).replay_consistent()
 
     def test_negative_eps_fails(self):
-        led = BoundLedger("tv", "set2", 1, (LedgerRow(1, 2.0, 0.1, 0.1), LedgerRow(2, 2.0, -0.1, 0.1)))
+        led = BoundLedger("tv", "set2", (LedgerRow(1, 2.0, 0.1, 0.1), LedgerRow(2, 2.0, -0.1, 0.1)))
         assert not led.replay_consistent()
 
     def test_infinite_factor_times_zero_saturates(self):
@@ -191,6 +181,10 @@ class TestLedgerInputs:
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             recursion_set1("tv", ip_system(3), [0.2] * 3, [0.1, -0.5, 0.1])
 
+    def test_empty_sequences_rejected(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            recursion_set2("tv", ip_system(3), [], [])
+
     @pytest.mark.parametrize("bad,error", [(math.nan, NonFinite), (math.inf, NonFinite),
                                            (-0.1, ValueError)])
     def test_bad_prior_error_rejected(self, bad, error):
@@ -206,8 +200,8 @@ class TestFactors:
     def test_bound_validate_factors_are_pointwise_K(self, monkeypatch):
         calls = []
         for name in ("recursion_set1", "recursion_set2"):
-            def record(metric, s, z, eps, window_start=1, _fn=getattr(bounds, name)):
-                led = _fn(metric, s, z, eps, window_start)
+            def record(metric, s, z, eps, _fn=getattr(bounds, name)):
+                led = _fn(metric, s, z, eps)
                 calls.append((s, z, led))
                 return led
             monkeypatch.setattr(bounds, name, record)

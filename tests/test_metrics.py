@@ -12,9 +12,8 @@ from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet, d
                              discretize_product)
 from bslcert.errors import (DomainMismatch, DomainTooSmall, NonFinite, Unnormalized,
                             UnsupportedRepresentation)
-from bslcert.metrics import (gaussian_hellinger, hellinger, scaled_hellinger,
-                             tv, w1)
-from helpers import gauss_tv_equal_var, random_density
+from bslcert.metrics import hellinger, scaled_hellinger, tv, w1
+from helpers import gauss_tv_equal_var, gaussian_hellinger, random_density
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 D10 = DomainSpec(-10.0, 10.0, 1001)

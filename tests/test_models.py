@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bslcert import domains, harness, models, onlinevi
-from bslcert.bayes import grid_update, predicted_values, validate_admissible
+from bslcert import domains, harness, models
+from bslcert.bayes import grid_update, predicted_values
 from bslcert.domains import DomainSpec, Gaussian1D, discretize
 from bslcert.errors import (NonFinite, UnboundedConstant, UnsupportedRepresentation,
                             ZeroEvidence)
@@ -184,7 +185,7 @@ class TestLikelihoodChecked:
         with pytest.raises(NonFinite):
             models._ps_star_estimate(self.ps_negative(), 1)
         with pytest.raises(NonFinite):
-            onlinevi.c_vi_tilde_estimate(self.ps_negative(), 1)
+            models.c_vi_tilde_estimate(self.ps_negative(), 1)
 
 
 class TestConstantsMemo:
@@ -307,8 +308,10 @@ class TestLikelihoodMemo:
 
 
 class TestValidateAdmissible:
+    """The grid update's evidence, which passes models.admissible_evidence."""
+
     def test_ip_gaussian_evidence(self):
-        z = validate_admissible(ip_system(), 1, Gaussian1D(0.0, 1.0))
+        z = grid_update(ip_system(), 1, Gaussian1D(0.0, 1.0)).evidence
         marg_var = 1.1 ** 2 * 1.0 + 3.0
         expected = math.exp(-0.5 / marg_var) / math.sqrt(2 * math.pi * marg_var)
         assert abs(z - expected) < 1e-9
@@ -324,10 +327,10 @@ class TestValidateAdmissible:
         s = SystemSpec("ip", LikelihoodModel.custom(ev), [0.0], d)
         prior = discretize(Gaussian1D(-8.0, 0.01), d)
         with pytest.raises(ZeroEvidence):
-            validate_admissible(s, 1, prior)
+            grid_update(s, 1, prior)
 
     def test_se_nested_evidence(self):
-        z = validate_admissible(se_system(), 1, Gaussian1D(0.0, 1.0))
+        z = grid_update(se_system(), 1, Gaussian1D(0.0, 1.0)).evidence
         assert abs(z - 1.0 / math.sqrt(2 * math.pi * 5.0)) < 1e-9
         assert abs(z - 0.17841) < 1e-5
 
@@ -462,6 +465,27 @@ class TestUnreadSettingsFail:
             SystemSpec(variant, LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3],
                        DomainSpec(-10.0, 10.0, 401), transition=transition, w_domain=w_domain)
 
+    @pytest.mark.parametrize("variant,kernel,args", [
+        ("se", TransitionModel.parametric_linear_gaussian(0.5).kernel, "(x_next, x_prev)"),
+        ("ps", TransitionModel.linear_gaussian(0.5, 1.0).kernel, "(x_next, x_prev, w)"),
+    ], ids=["se-takes-no-w", "ps-needs-w"])
+    def test_custom_kernel_takes_the_variant_arguments(self, variant, kernel, args):
+        # a custom family passes the family check, so the kernel's own signature is read
+        w_domain = DomainSpec(0.0, 1.0, 101) if variant == "ps" else None
+        with pytest.raises(ValueError, match=f"variant {variant!r} takes no 'custom' transition: "
+                                             f"its kernel must take {re.escape(args)}"):
+            SystemSpec(variant, LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3],
+                       DomainSpec(-10.0, 10.0, 401), transition=TransitionModel.custom(kernel),
+                       w_domain=w_domain)
+
+    def test_the_arity_check_calls_no_kernel(self):
+        def unreachable(x_next, x_prev):
+            raise AssertionError("the kernel was called")
+
+        for kernel in (unreachable, max):  # max has no signature to read: it is let through
+            SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3],
+                       DomainSpec(-10.0, 10.0, 401), transition=TransitionModel.custom(kernel))
+
 
 class TestTransitionCache:
     def test_cached_matrix_is_the_dense_kernel(self):
@@ -571,15 +595,18 @@ class TestSEClosedFormCheck:
         assert calls == [(s.transition.kernel, (3, 801))]
         assert sorted(s._cache["se_g_max"]) == sorted(y.hex() for y in (0.3, 0.0, -0.0))
 
-    def test_a_small_system_grid_checks_through_its_kept_matrix(self, monkeypatch):
-        s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3, -1.2], D801,
-                       transition=TransitionModel.linear_gaussian(0.9, 1.0))
+    def test_a_small_system_grid_streams_with_the_kept_matrix_bits(self, monkeypatch):
         calls = _counting_rmatvec(monkeypatch)
-        system_constants(s, 1, "tv")
-        (matrix,) = _matrices(s)
-        assert matrix is s.transition_kernel()
-        assert calls == [(matrix, (2, 801))]
-        assert s._cache["se_g_max"][s.y(2).hex()] == float(np.max(se_g_values(s, 2)))
+        # symmetric and asymmetric grids, with and without a one-column tail block
+        for domain in (DomainSpec(-25.0, 25.0, 201), DomainSpec(-20.0, 25.0, 513), D801):
+            s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3, -1.2], domain,
+                           transition=TransitionModel.linear_gaussian(0.9, 1.0))
+            calls.clear()
+            system_constants(s, 1, "tv")
+            assert calls == [(s.transition.kernel, (2, domain.grid_points))]
+            assert _matrices(s) == []  # the check keeps no matrix
+            for k in (1, 2):  # se_g_values multiplies by the kept matrix
+                assert s._cache["se_g_max"][s.y(k).hex()] == float(np.max(se_g_values(s, k)))
 
     def test_the_particle_system_keeps_one_matrix_and_a_small_peak(self, monkeypatch):
         # one worker, so the peak does not depend on the core count: each worker
@@ -952,6 +979,3 @@ class TestParameterStateKernels:
         assert models._ps_star_estimate(custom, 2).hex() == "0x1.ad08fd06343bap+2"
         assert models.c_vi_tilde_estimate(s, 1).hex() == "0x1.cd3d97ebd5abap+3"
         assert models.c_vi_tilde_estimate(custom, 2).hex() == "0x1.b8c6a2efae146p+3"
-
-    def test_c_vi_tilde_is_re_exported(self):
-        assert onlinevi.c_vi_tilde_estimate is models.c_vi_tilde_estimate

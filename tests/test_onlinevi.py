@@ -7,9 +7,10 @@ from bslcert.bayes import conjugate_update_ip
 from bslcert.domains import DomainSpec, Gaussian1D, ParticleSet, discretize
 from bslcert.errors import (DomainMismatch, MissingD, NonFinite, UnsupportedRepresentation,
                             VacuousBound, ZeroEvidence)
-from bslcert.models import CUSTOM_LIP_SAFETY, LikelihoodModel, SystemSpec, TransitionModel
+from bslcert.models import (CUSTOM_LIP_SAFETY, LikelihoodModel, SystemSpec, TransitionModel,
+                            c_vi_tilde_estimate)
 from bslcert.onlinevi import (BetaInputs, GaussianPair, VIBoundInputs,
-                              beta_term, c_vi_tilde_estimate, elbo_mc,
+                              beta_term, elbo_mc,
                               elbo_mc_stats, log_sup_likelihood,
                               vi_bound_type1, vi_bound_type2, vi_coefficient)
 

@@ -105,7 +105,7 @@ def _system_functions(module) -> dict:
 @pytest.mark.parametrize("module,some", [
     (models, {"g_values", "se_g_values", "ps_g_values", "lik_values_ps", "transition_matrix",
               "each_parameter_kernel", "system_constants"}),
-    (bayes, {"grid_update", "predicted_values", "evidence"}),
+    (bayes, {"grid_update", "grid_updates", "predicted_values"}),
     (reduction, {"check_tv", "check_w1"}),
 ], ids=["models", "bayes", "reduction"])
 def test_no_system_function_takes_a_grid(module, some):
