@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .domains import finite_nonnegative
 from .errors import MissingConstant
@@ -86,18 +86,14 @@ class BoundLedger:
         return all(r.eps >= 0.0 and (r.cum_bound >= 0.0 or math.isinf(r.cum_bound)) for r in self.rows)
 
 
-def _factors(metric: str, s: SystemSpec, evidences: Sequence[float], eps: Sequence[float],
-             first_step_constants: Optional[ConstantsReport] = None) -> list[float]:
-    """K_k = pointwise_K(s, k, metric, z_k) for k = 1..len(eps), except that
-    first_step_constants, if given, replace the system's at step 1."""
+def _factors(metric: str, s: SystemSpec, evidences: Sequence[float],
+             eps: Sequence[float]) -> list[float]:
+    """K_k = pointwise_K(s, k, metric, z_k) for k = 1..len(eps)."""
     if len(evidences) != len(eps):
         raise ValueError("evidences and eps must have equal length")
     if len(eps) == 0:
         raise ValueError("a ledger needs at least one step")
-    first = [] if first_step_constants is None else \
-        [table_constant(first_step_constants, metric, evidences[0])]
-    return first + [pointwise_K(s, k, metric, evidences[k - 1])
-                     for k in range(1 + len(first), len(eps) + 1)]
+    return [pointwise_K(s, k, metric, evidences[k - 1]) for k in range(1, len(eps) + 1)]
 
 
 def _build_ledger(metric: str, variant: str, factors: Sequence[float], eps: Sequence[float],
@@ -131,16 +127,15 @@ def tv_to_w1_bound(tv_bound: float, d: float) -> float:
 
 
 def inaccurate_prior_bound(metric: str, s: SystemSpec, approx_evidences: Sequence[float],
-                           eps: Sequence[float], prior_error: float,
-                           first_step_constants: Optional[ConstantsReport] = None) -> BoundLedger:
+                           eps: Sequence[float], prior_error: float) -> BoundLedger:
     """Bound for inference started from an estimated initial prior.
 
     The recursion is seeded with the initial-prior distance, so the extra
     linear term (first-step factor times the product of later factors, times
     the prior error) falls out of the same replayable ledger.
     """
-    factors = _factors(metric, s, approx_evidences, eps, first_step_constants)
-    return _build_ledger(metric, "set2", factors, eps, initial=prior_error)
+    return _build_ledger(metric, "set2", _factors(metric, s, approx_evidences, eps), eps,
+                         initial=prior_error)
 
 
 def two_output_bound(metric: str, s: SystemSpec, eps_a: Sequence[float],

@@ -212,9 +212,6 @@ class ParticleSet:
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise Unnormalized(f"weights sum to {s!r}, expected 1 within {WEIGHT_SUM_TOL}")
 
-    def mean(self) -> float:
-        return float(self.weights @ self.points)
-
 
 @dataclass(frozen=True)
 class JointGrid2D:

@@ -103,10 +103,6 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} runs on fixed grids")
         return DomainSpec(self.lower, self.upper, self.grid_points)
 
-    @staticmethod
-    def from_json(path: str) -> "ExperimentConfig":
-        return ExperimentConfig(**read_config(path, CONFIG_FIELDS, required=("experiment",)))
-
 
 CONFIG_FIELDS = typing.get_type_hints(ExperimentConfig)
 
@@ -513,7 +509,7 @@ def vi_demo(steps: int, seed: int) -> RunRecord:
         floors.append(elbo)
         inputs = VIBoundInputs(r=1, det_gamma=PS_OBS_VAR,
                                elbo_floors=floors, evidences=evidences,
-                               d=xd.diameter() + wd.diameter())
+                               d=system.diameter())
         bound = onlinevi.vi_bound_type1(inputs, "tv")
         p_joint = exact_p.posterior
         q_pair = next_pair

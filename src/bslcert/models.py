@@ -120,6 +120,8 @@ class LikelihoodModel:
                 return gauss_pdf(y, a * np.asarray(x, dtype=float), noise_var)
 
             _set_built(self, evaluator=evaluator)
+        elif not callable(self.evaluator):
+            raise ValueError("a 'custom' LikelihoodModel needs a callable evaluator")
 
     @staticmethod
     def linear_gaussian(a: float, noise_var: float) -> "LikelihoodModel":
@@ -173,6 +175,8 @@ class TransitionModel:
                 return gauss_pdf(x_next, np.asarray(w, dtype=float) * np.asarray(x_prev, dtype=float), q)
 
             _set_built(self, kernel=kernel, sampler=None)
+        elif self.kernel is not None and not callable(self.kernel):
+            raise ValueError("a 'custom' TransitionModel's kernel must be callable")
 
     @staticmethod
     def linear_gaussian(a: float, q: float) -> "TransitionModel":
@@ -185,8 +189,8 @@ class TransitionModel:
         return TransitionModel(None, "parametric_linear_gaussian", q=q)
 
     @staticmethod
-    def custom(kernel, sampler=None) -> "TransitionModel":
-        return TransitionModel(kernel, "custom", sampler=sampler)
+    def custom(kernel) -> "TransitionModel":
+        return TransitionModel(kernel, "custom")
 
 
 @dataclass(frozen=True)
@@ -220,8 +224,10 @@ class SystemSpec:
             raise ValueError(f"variant {self.variant!r} requires a transition model")
         if self.variant == "ip" and self.transition is not None:
             raise ValueError("inverse problems take no transition model")
-        # one arity rule for every transition kernel, whatever its family
         kernel = None if self.transition is None else self.transition.kernel
+        if self.variant == "ps" and kernel is None:
+            raise ValueError("parameter-state systems need a transition kernel")
+        # one arity rule for every transition kernel, whatever its family
         args = ("x_next", "x_prev") if self.variant == "se" else ("x_next", "x_prev", "w")
         if kernel is not None and not _takes(kernel, len(args)):
             raise ValueError(f"variant {self.variant!r} takes no {self.transition.family!r} "
@@ -606,9 +612,8 @@ def c_vi_tilde_estimate(s: SystemSpec, k: int) -> float:
     sup over the parameter grid.  Over-approximates custom families by the
     usual safety factor.
     """
-    if s.variant != "ps" or s.transition.kernel is None:
-        raise UnsupportedRepresentation(
-            "the estimator needs a parameter-state system with a kernel")
+    if s.variant != "ps":
+        raise UnsupportedRepresentation("the estimator needs a parameter-state system")
     xd = DomainSpec(s.domain.lower, s.domain.upper, 201)
     wd = DomainSpec(s.w_domain.lower, s.w_domain.upper, 201)
     g_lip = np.array([_max_slope(t, wd.spacing, axis=1) for t in _slabs(s, xd.nodes, wd.nodes)])

@@ -11,10 +11,9 @@ from bslcert.bounds import (BoundLedger, LedgerRow, inaccurate_prior_bound,
                             recursion_set2, table_constant, tv_to_w1_bound, two_output_bound)
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet,
                              discretize)
-from bslcert.errors import MissingConstant, NonFinite, UnboundedConstant, ZeroEvidence
+from bslcert.errors import MissingConstant, NonFinite, ZeroEvidence
 from bslcert.metrics import hellinger, scaled_hellinger, tv
-from bslcert.models import (ConstantsReport, LikelihoodModel, SystemSpec,
-                            TransitionModel, system_constants)
+from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, system_constants
 from helpers import double_sum_bound
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
@@ -258,36 +257,23 @@ class TestInaccuratePrior:
         assert abs(led.final_bound - oracle) <= 1e-12 * max(1.0, oracle)
         assert led.replay_consistent()
 
-    def test_supplied_first_step_constants_are_used_alone(self):
-        def ev(y, x, w=None):
-            return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-
-        # the declared sup is below the true sup 1, so the system's own constants raise
-        s = SystemSpec("ip", LikelihoodModel.custom(ev, declared_sup=0.5), [0.0], D40)
-        with pytest.raises(UnboundedConstant):
-            inaccurate_prior_bound("tv", s, [0.25], [0.01], 0.1)
-        led = inaccurate_prior_bound("tv", s, [0.25], [0.01], 0.1,
-                                     first_step_constants=ConstantsReport("ip", 20.0, sup=1.0))
-        assert led.rows[0].factor == 1.0 / 0.25
-        assert led.final_bound == 4.0 * 0.1 + 0.01
-        assert led.replay_consistent()
-
-    def test_supplied_first_step_constants_cover_step_one_only(self):
-        def ev(y, x, w=None):
-            # sup 1 at y = 0 is above the declared 0.5; sup 0.4 at y = 1 is below it
-            return (1.0 if y == 0.0 else 0.4) * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-
-        s = SystemSpec("ip", LikelihoodModel.custom(ev, declared_sup=0.5), [0.0, 1.0, 1.0], D40)
-        evid, eps = [0.25, 0.2, 0.4], [0.01, 0.02, 0.03]
-        with pytest.raises(UnboundedConstant):
-            inaccurate_prior_bound("tv", s, evid, eps, 0.1)
-        led = inaccurate_prior_bound("tv", s, evid, eps, 0.1,
-                                     first_step_constants=ConstantsReport("ip", 20.0, sup=1.0))
-        assert [row.factor for row in led.rows] == [
-            1.0 / 0.25, pointwise_K(s, 2, "tv", 0.2), pointwise_K(s, 3, "tv", 0.4)]
-        assert led.rows[1].factor == 0.5 / 0.2
-        assert led.rows[2].factor == 0.5 / 0.4
-        assert led.replay_consistent()
+    @pytest.mark.parametrize("metric,distance", [("tv", tv), ("hellinger", hellinger)])
+    def test_paper_series_is_the_prior_distance_times_the_step_factors(self, metric, distance):
+        # ROADMAP item 1's paper series: a filter started from N(3, 1) in place of
+        # N(0, 1), with no approximation error after the prior
+        d = harness.FILTER_DOMAINS["particle"]
+        s = harness.linear_se_system(20, np.random.default_rng(0), d)
+        d0 = distance(Gaussian1D(0.0, 1.0), Gaussian1D(3.0, 1.0), d)
+        prior, z = Gaussian1D(3.0, 1.0), []
+        for k in range(1, 21):
+            up = bayes.grid_update(s, k, prior)
+            prior = up.posterior
+            z.append(up.evidence)
+        expected, product = [], d0
+        for k in range(1, 21):
+            product = product * pointwise_K(s, k, metric, z[k - 1])
+            expected.append(product)
+        assert inaccurate_prior_bound(metric, s, z, [0.0] * 20, d0).bounds() == expected
 
 
 class TestTwoOutput:

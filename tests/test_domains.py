@@ -193,10 +193,6 @@ class TestParticleSet:
         with pytest.raises(ValueError):
             ParticleSet(np.array([]), np.array([]))
 
-    def test_mean(self):
-        ps = ParticleSet(np.array([0.0, 2.0]), np.array([0.25, 0.75]))
-        assert ps.mean() == 1.5
-
     def test_read_only_grid_nodes_are_not_copied(self):
         s = SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.0], _D101,
                        transition=TransitionModel.linear_gaussian(0.9, 1.0))

@@ -275,19 +275,11 @@ class TestEmit:
 
 
 class TestConfig:
-    def test_from_json(self, tmp_path):
+    def test_from_json(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"experiment": "reproduce_case1", "steps": 4, "seed": 3}))
-        config = ExperimentConfig.from_json(str(p))
-        rec = run_config(config)
-        assert rec.experiment == "reproduce_case1"
-        assert len(rec.rows) == 8
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"experiment": "reproduce_case1", "step": 4}))
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_json(str(p))
+        assert cli.main(["reproduce", "--config", str(p)]) == 0
+        assert capsys.readouterr().out == "reproduce_case1: 8 rows, 0 violations\n"
 
     def test_domain_override(self):
         config = ExperimentConfig(experiment="reproduce_case2", lower=-30.0,
@@ -311,15 +303,9 @@ class TestConfig:
               "theorem": "w1-dyn", "out_dir": "out"}
 
     @pytest.mark.parametrize("experiment,key", UNREAD)
-    def test_keys_the_experiment_does_not_read_are_refused(self, tmp_path, experiment, key):
-        body = {"experiment": experiment, key: self.VALUES[key]}
-        message = f"^{experiment} takes no {key!r}$"
-        with pytest.raises(ValueError, match=message):
-            ExperimentConfig(**body)
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(body))
-        with pytest.raises(ValueError, match=message):
-            ExperimentConfig.from_json(str(p))
+    def test_keys_the_experiment_does_not_read_are_refused(self, experiment, key):
+        with pytest.raises(ValueError, match=f"^{experiment} takes no {key!r}$"):
+            ExperimentConfig(**{"experiment": experiment, key: self.VALUES[key]})
 
     def test_one_error_names_every_refused_key(self):
         with pytest.raises(ValueError, match=r"^reduction_fuzz takes no 'steps', 'lower'$"):
@@ -618,11 +604,12 @@ class TestStrictConfig:
         assert cli.main(["reproduce", "--config", str(p)]) == 1
         assert capsys.readouterr().err == "bslcert: config error: key 'steps' must be int, got True\n"
 
-    def test_from_json_needs_experiment(self, tmp_path):
+    def test_from_json_needs_experiment(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"steps": 4}))
-        with pytest.raises(ValueError, match="missing key 'experiment'"):
-            ExperimentConfig.from_json(str(p))
+        assert cli.main(["reproduce", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == ("bslcert: config error: need --case or a "
+                                           "reproduce_case1|2|3 experiment key in the config\n")
 
     def test_vi_bound_closes_its_config(self, tmp_path):
         p = tmp_path / "vi.json"

@@ -486,6 +486,20 @@ class TestUnreadSettingsFail:
             SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3],
                        DomainSpec(-10.0, 10.0, 401), transition=TransitionModel.custom(kernel))
 
+    @pytest.mark.parametrize("make,message", [
+        # a zero-noise linear-Gaussian transition has a sampler but no kernel
+        (lambda: SystemSpec("ps", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3],
+                            DomainSpec(-10.0, 10.0, 401),
+                            transition=TransitionModel.linear_gaussian(0.5, 0.0),
+                            w_domain=DomainSpec(0.0, 1.0, 101)),
+         "parameter-state systems need a transition kernel"),
+        (lambda: TransitionModel.custom(np.eye(3)), "kernel must be callable"),
+        (lambda: LikelihoodModel.custom(None), "needs a callable evaluator"),
+    ], ids=["ps-without-kernel", "kernel-not-callable", "evaluator-not-callable"])
+    def test_unusable_models_are_refused_when_built(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestTransitionCache:
     def test_cached_matrix_is_the_dense_kernel(self):

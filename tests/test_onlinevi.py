@@ -282,11 +282,14 @@ class TestWrongRepresentation:
         with pytest.raises(UnsupportedRepresentation):
             elbo_mc(pair, ps_system(custom), 1, pair, 500, 0)
 
-    @pytest.mark.parametrize("system", [IP, ps_system(TransitionModel.custom(None))],
-                             ids=["ip", "ps-without-kernel"])
-    def test_c_vi_tilde_needs_a_ps_kernel(self, system):
-        with pytest.raises(UnsupportedRepresentation):
-            c_vi_tilde_estimate(system, 1)
+    # a parameter-state system without a kernel is refused when it is built
+    @pytest.mark.parametrize("system,error", [
+        (lambda: IP, UnsupportedRepresentation),
+        (lambda: ps_system(TransitionModel.custom(None)), ValueError)],
+        ids=["ip", "ps-without-kernel"])
+    def test_c_vi_tilde_needs_a_ps_kernel(self, system, error):
+        with pytest.raises(error):
+            c_vi_tilde_estimate(system(), 1)
 
 
 class TestParameterLipschitzEstimate:

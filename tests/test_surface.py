@@ -1,7 +1,16 @@
-"""The library's public surface: every public top-level function or class of
-``bslcert`` is referred to somewhere else in the package, or is kept for a
-reason named in KEPT.  A name that only tests reach moves into the tests or
-goes, and a KEPT entry goes once the library calls the name.
+"""The library's public surface.
+
+Every public top-level function or class of ``bslcert``, and every public
+method or property of such a class, is referred to somewhere else in the
+package.  Every defaulted parameter of a public function or method is passed
+by some call in the package: by keyword, by position, or through ``*`` or
+``**``.  What no library code uses stays only for a reason named in KEPT.  A
+name or an option that only tests reach moves into the tests or goes, and a
+KEPT entry goes once the library uses what it names.
+
+The checks go by name, not by type: a member counts as used when any
+attribute of its name is, and a parameter as passed when any call of a
+function or method of its name passes it.
 """
 
 import ast
@@ -11,8 +20,9 @@ import bslcert
 
 PACKAGE = pathlib.Path(bslcert.__file__).parent
 
-# names no library code refers to, each with the reason it stays in the library;
-# se_g_values and ps_g_values need no entry: g_values calls them
+# what no library code uses, each with the reason it stays in the library: a
+# top-level name, a "Class.member", or a function's unpassed options as
+# "function(option, ...)"; se_g_values and ps_g_values need no entry: g_values calls them
 KEPT = {
     "inaccurate_prior_bound": "the paper's bound for an estimated initial prior; "
                               "ROADMAP item 1 gives it a caller",
@@ -22,32 +32,97 @@ KEPT = {
     "literature_ratio": "acceptance criterion 2 checks the paper's comparison with it",
     "scaled_hellinger": "acceptance criterion 6 checks the paper's scaled-measure distance",
     "c_vi_tilde_estimate": "estimates c_vi_tilde, the input vi-bound takes for type-2 bounds",
+    "BoundLedger.replay_consistent": "checks a ledger against its recursion; ROADMAP item 10's "
+                                     "ledger sidecars give it a caller",
+    "main(argv)": "cli.main's argument list: the tests drive the CLI through it",
+    "LikelihoodModel.custom(declared_sup, declared_lip)":
+        "the certified-constant input for a custom inverse-problem likelihood",
 }
 
 
-def _unreferenced() -> dict:
-    """{name: "module.py:line"} for each public top-level def or class that no
-    name, attribute or import anywhere in the package refers to, outside the
-    lines of its own definition."""
-    defs, refs = {}, []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+def _modules() -> list:
+    """(file name, syntax tree) for each module of the package."""
+    return [(path.name, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _public_defs(modules) -> list:
+    """(qualified name, node, file name) for each public top-level function or
+    class, and each public method or property of a public class."""
+    defs = []
+    for module, tree in modules:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defs[node.name] = (path.name, node.lineno, node.end_lineno)
+                defs.append((node.name, node, module))
+                if isinstance(node, ast.ClassDef):
+                    defs += [(f"{node.name}.{m.name}", m, module) for m in node.body
+                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return defs
+
+
+def _unreferenced() -> dict:
+    """{qualified name: "module.py:line"} for each public definition whose name
+    no name, attribute or import anywhere in the package refers to, outside the
+    lines of its own definition."""
+    modules, refs = _modules(), []
+    for module, tree in modules:
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
                     node.name if isinstance(node, ast.alias) else None)
             if name is not None:
-                refs.append((name, path.name, node.lineno))
-    return {name: f"{module}:{first}" for name, (module, first, last) in defs.items()
-            if not any(ref == name and (where != module or not first <= line <= last)
+                refs.append((name, module, node.lineno))
+    return {qualname: f"{module}:{node.lineno}" for qualname, node, module in _public_defs(modules)
+            if not any(ref == qualname.rsplit(".", 1)[-1]
+                       and (where != module or not node.lineno <= line <= node.end_lineno)
                        for ref, where, line in refs)}
 
 
+def _passes(call: ast.Call, option: str, position) -> bool:
+    """Whether a call may pass an option: by keyword, through ``*`` or ``**``,
+    or as its positional argument number ``position`` (None: keyword-only)."""
+    return (any(k.arg in (None, option) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def _unpassed() -> dict:
+    """{"function(option, ...)": "module.py:line"} for each public function or
+    method with defaulted parameters that no call in the package passes."""
+    modules = _modules()
+    calls = [node for _, tree in modules for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found = {}
+    for qualname, node, module in _public_defs(modules):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = qualname.rsplit(".", 1)[-1]
+        sites = [c for c in calls if name == (c.func.id if isinstance(c.func, ast.Name) else
+                                              getattr(c.func, "attr", None))]
+        # a call of a method other than a static one passes self or cls implicitly
+        bound = "." in qualname and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                            for d in node.decorator_list)
+        args = node.args
+        positional = args.posonlyargs + args.args
+        options = [(p.arg, i - bound) for i, p in enumerate(positional)
+                   if i >= len(positional) - len(args.defaults)]
+        options += [(p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+        unpassed = [option for option, position in options
+                    if not any(_passes(call, option, position) for call in sites)]
+        if unpassed:
+            found[f"{qualname}({', '.join(unpassed)})"] = f"{module}:{node.lineno}"
+    return found
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
-    unreferenced = _unreferenced()
-    assert {n: where for n, where in unreferenced.items() if n not in KEPT} == {}
-    # an entry whose name gained a caller, or left the library, goes too
-    assert sorted(set(KEPT) - set(unreferenced)) == []
+    assert {n: where for n, where in _unreferenced().items() if n not in KEPT} == {}
+
+
+def test_every_option_is_passed_or_has_a_reason():
+    assert {n: where for n, where in _unpassed().items() if n not in KEPT} == {}
+
+
+def test_every_kept_entry_is_still_unused():
+    # an entry whose name gained a caller, whose options a call passes, or that
+    # left the library, goes too
+    assert sorted(set(KEPT) - set(_unreferenced()) - set(_unpassed())) == []
