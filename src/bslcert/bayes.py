@@ -118,7 +118,7 @@ def _normalize(s: SystemSpec, unnorm: np.ndarray) -> UpdateResult:
     values = values / _mass(s, values)
     _check_boundary(s, values)
     if s.variant == "ps":
-        return UpdateResult(JointGrid2D(s.domain, s.w_domain, values, normalized=True), z)
+        return UpdateResult(JointGrid2D(s.domain, s.w_domain, values), z)
     return UpdateResult(GridDensity(s.domain, values, normalized=True), z)
 
 

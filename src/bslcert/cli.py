@@ -99,10 +99,7 @@ def _metric_domain(a: Gaussian1D, b: Gaussian1D) -> DomainSpec:
                    (hull_lo, hull_hi)):
         span = (hi - lo) / spacing
         if span < METRIC_MAX_POINTS:
-            points = max(8001, int(span) + 1)
-            if lo == DEFAULT_DOMAIN.lower and hi == DEFAULT_DOMAIN.upper and points == 8001:
-                return DEFAULT_DOMAIN
-            return DomainSpec(lo, hi, points)
+            return DomainSpec(lo, hi, max(8001, int(span) + 1))
     raise ValueError(f"resolving {a} and {b} takes more than {METRIC_MAX_POINTS} grid points")
 
 

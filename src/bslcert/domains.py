@@ -148,9 +148,9 @@ def _as_readonly(values) -> np.ndarray:
 
 
 def _check_density(density, shape: tuple, shape_error: str, kind: str, mass_kind: str,
-                   tol: float) -> None:
+                   tol: float | None) -> None:
     """Store a read-only copy of ``density.values`` and check its shape, that its entries are
-    finite and nonnegative, and that its mass is 1 within ``tol`` (normalized) or positive."""
+    finite and nonnegative, and that its mass is 1 within ``tol`` (None: positive)."""
     values = _as_readonly(density.values)
     object.__setattr__(density, "values", values)
     if values.shape != shape:
@@ -161,7 +161,7 @@ def _check_density(density, shape: tuple, shape_error: str, kind: str, mass_kind
     if lo < 0.0:
         raise ValueError(f"{kind} values must be nonnegative")
     m = density.mass()
-    if density.normalized:
+    if tol is not None:
         if abs(m - 1.0) > tol:
             raise Unnormalized(f"{mass_kind} mass {m!r} is not 1 within {tol}")
     elif not (math.isfinite(m) and m > 0.0):
@@ -183,7 +183,7 @@ class GridDensity:
     def __post_init__(self):
         _check_density(self, (self.domain.grid_points,),
                        "values must be 1-D with one entry per grid node",
-                       "density", "trapezoid", NORMALIZATION_TOL)
+                       "density", "trapezoid", NORMALIZATION_TOL if self.normalized else None)
 
     def mass(self) -> float:
         return self.domain.integrate(self.values)
@@ -215,12 +215,11 @@ class ParticleSet:
 
 @dataclass(frozen=True)
 class JointGrid2D:
-    """Nonnegative values on the product grid of two domains (row-major: x by w)."""
+    """Unit-mass density values on the product grid of two domains (row-major: x by w)."""
 
     x_domain: DomainSpec
     w_domain: DomainSpec
     values: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         shape = (self.x_domain.grid_points, self.w_domain.grid_points)
@@ -269,7 +268,7 @@ def discretize_product(gx: Gaussian1D, gw: Gaussian1D, xd: DomainSpec, wd: Domai
     pw = discretize(gw, wd).values
     values = np.outer(px, pw)
     values = values / joint_mass(xd, wd, values)
-    return JointGrid2D(xd, wd, values, normalized=True)
+    return JointGrid2D(xd, wd, values)
 
 
 def grid_values(dist, d: DomainSpec) -> np.ndarray:

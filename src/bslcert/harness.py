@@ -1,5 +1,6 @@
-"""Experiment drivers: posterior-pair reproduction, bound validation runs,
-reduction fuzzing, the online-VI demo, and CSV/SVG emission.
+"""Experiments: posterior-pair reproduction, bound validation runs, reduction
+fuzzing and the online-VI demo, each run by ``run_config`` from an
+``ExperimentConfig``, which checks every setting; and CSV/SVG emission.
 
 Every run is a pure function of (config, seed): trial seeds are spawned
 deterministically and trials run serially in order, so outputs are
@@ -52,10 +53,10 @@ EXPERIMENTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings.  A key left unset (None) takes the
-    experiment's default from EXPERIMENTS; setting a key that the experiment
-    does not read, or to a value not of its type, is a ValueError (numpy
-    integers count as ints)."""
+    """One experiment's settings, and their one check.  A key left unset (None)
+    takes the experiment's default from EXPERIMENTS; setting a key that the
+    experiment does not read, to a value not of its type (numpy integers count
+    as ints) or out of its range is a ValueError."""
 
     experiment: str
     steps: int = None
@@ -220,15 +221,8 @@ def _reproduce_trial(case: int, steps: int, trial_seed: int, domain: DomainSpec)
     return rows, {"y": y, "x_star": x_star}
 
 
-def reproduce(case: int, steps: int, seed: int, trials: int = 1,
-              domain: DomainSpec = DEFAULT_DOMAIN, threads: int = 1) -> RunRecord:
-    """Run the paired conjugate chains and the symmetric per-step bounds.
-
-    Trials run serially; ``threads`` is validated and has no effect."""
-    if case not in (1, 2, 3):
-        raise ValueError("case must be 1, 2, or 3")
-    if steps < 1 or trials < 1 or threads < 1:
-        raise ValueError("steps, trials and threads must be >= 1")
+def _reproduce(case: int, steps: int, seed: int, trials: int, domain: DomainSpec) -> RunRecord:
+    """Run the paired conjugate chains and the symmetric per-step bounds; trials run serially."""
     results = [_reproduce_trial(case, steps, ts, domain) for ts in _trial_seeds(seed, trials)]
     rows = tuple(r for chunk, _ in results for r in chunk)
     meta = {
@@ -298,14 +292,10 @@ def _ledger_rows(metric: str, distances, eps, z1, z2, system) -> list[Row]:
     return rows
 
 
-def bound_validate(filter_kind: str, steps: int, seed: int) -> RunRecord:
+def _bound_validate(filter_kind: str, steps: int, seed: int) -> RunRecord:
     """Exact and approximate sequences side by side on the filter's grid in
     FILTER_DOMAINS, with both bound sets: each step records the error against
     the exact update of the previous Q and d(P_k, Q_k)."""
-    if filter_kind not in FILTER_DOMAINS:
-        raise ValueError(f"unknown filter {filter_kind!r}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     domain = FILTER_DOMAINS[filter_kind]
     rng = np.random.default_rng(seed)
     meta = {"experiment": "bound_validate", "filter": filter_kind, "steps": steps, "seed": seed}
@@ -421,17 +411,12 @@ def _fuzz_se_instance(rng, d: DomainSpec):
     return system, p, q
 
 
-def reduction_fuzz(theorem: str, trials: int, seed: int,
-                   skips: Optional[Counter] = None) -> FuzzRecord:
+def _reduction_fuzz(theorem: str, trials: int, seed: int, skips: Optional[Counter]) -> FuzzRecord:
     """Randomized soundness sweep: no GUARANTEED verdict may see the distance grow.
 
     A trial whose draw or check raises a ``BslError`` is skipped; ``skips``,
     when given, counts the skipped trials by exception class name.
     """
-    if theorem not in FUZZ_THEOREMS:
-        raise ValueError(f"unknown theorem tag {theorem!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     guaranteed = violations = 0
     worst = -math.inf
@@ -487,10 +472,8 @@ def _joint_factor_moments(j: JointGrid2D) -> GaussianPair:
     return GaussianPair(Gaussian1D(mx, max(vx, 1e-12)), Gaussian1D(mw, max(vw, 1e-12)))
 
 
-def vi_demo(steps: int, seed: int) -> RunRecord:
+def _vi_demo(steps: int, seed: int) -> RunRecord:
     """Type-1 bound pipeline on the parameter-state toy with factorized Gaussians."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
     system = ps_toy_system(steps, rng)
     xd, wd = system.domain, system.w_domain
@@ -623,18 +606,16 @@ def write_meta(record: RunRecord, out_dir: str) -> str:
 
 
 def run_config(config: ExperimentConfig, fuzz_skips: Optional[Counter] = None):
-    """Dispatch a config to its experiment; returns RunRecord or FuzzRecord.
+    """Run the experiment a config names, the library's one way to run an
+    experiment; returns a RunRecord, or a FuzzRecord for a reduction fuzz.
 
     ``fuzz_skips`` receives a reduction fuzz's skipped trials by exception class.
     """
     if config.experiment.startswith("reproduce_case"):
         case = int(config.experiment[-1])
-        return reproduce(case, config.steps, config.seed, trials=config.trials,
-                         domain=config.domain(), threads=config.threads)
+        return _reproduce(case, config.steps, config.seed, config.trials, config.domain())
     if config.experiment == "bound_validate":
-        return bound_validate(config.filter_kind, config.steps, config.seed)
+        return _bound_validate(config.filter_kind, config.steps, config.seed)
     if config.experiment == "reduction_fuzz":
-        return reduction_fuzz(config.theorem, config.trials, config.seed, fuzz_skips)
-    if config.experiment == "vi_demo":
-        return vi_demo(config.steps, config.seed)
-    raise ValueError(f"unknown experiment {config.experiment!r}")
+        return _reduction_fuzz(config.theorem, config.trials, config.seed, fuzz_skips)
+    return _vi_demo(config.steps, config.seed)

@@ -137,14 +137,15 @@ class LikelihoodModel:
 class TransitionModel:
     """Markov transition density T(x_next, x_prev) (or T(x_next, x_prev, w)).
 
-    The Gaussian families build their own kernel and sampler from a and q.
+    The Gaussian families build their own kernel from a and q; the
+    linear-Gaussian one also builds the sampler, which no other transition has.
     """
 
     kernel: Optional[Callable]
     family: str = "custom"
     a: Optional[float] = None
     q: Optional[float] = None
-    sampler: Optional[Callable] = None  # (rng, x_prev) -> x_next
+    sampler: Optional[Callable] = field(default=None, init=False)  # (rng, x_prev) -> x_next
 
     def __post_init__(self):
         _check_family(self, {"linear_gaussian": (("a", "q"), ()),
@@ -174,7 +175,7 @@ class TransitionModel:
             def kernel(x_next, x_prev, w):
                 return gauss_pdf(x_next, np.asarray(w, dtype=float) * np.asarray(x_prev, dtype=float), q)
 
-            _set_built(self, kernel=kernel, sampler=None)
+            _set_built(self, kernel=kernel)
         elif self.kernel is not None and not callable(self.kernel):
             raise ValueError("a 'custom' TransitionModel's kernel must be callable")
 
@@ -227,6 +228,8 @@ class SystemSpec:
         kernel = None if self.transition is None else self.transition.kernel
         if self.variant == "ps" and kernel is None:
             raise ValueError("parameter-state systems need a transition kernel")
+        if self.variant == "se" and kernel is None and self.transition.sampler is None:
+            raise ValueError("state-estimation systems need a transition kernel or sampler")
         # one arity rule for every transition kernel, whatever its family
         args = ("x_next", "x_prev") if self.variant == "se" else ("x_next", "x_prev", "w")
         if kernel is not None and not _takes(kernel, len(args)):

@@ -15,8 +15,7 @@ from bslcert import bayes, metrics
 from bslcert.bounds import literature_ratio, pointwise_K, table_constant
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet,
                              discretize)
-from bslcert.harness import (bound_validate, emit, reduction_fuzz, reproduce,
-                             vi_demo)
+from bslcert.harness import ExperimentConfig, emit, run_config
 from bslcert.models import LikelihoodModel, SystemSpec, system_constants
 from bslcert.onlinevi import BetaInputs, VIBoundInputs, beta_term, elbo_mc_stats, vi_bound_type1
 from bslcert.reduction import check_hellinger, check_tv, check_w1
@@ -36,7 +35,8 @@ def test_criterion_1_reproduction_dominance():
     violations = 0
     rows = 0
     for case, trials in ((1, 1), (2, 1), (3, 200)):
-        rec = reproduce(case, 20, seed=2024 + case, trials=trials, threads=4)
+        rec = run_config(ExperimentConfig(f"reproduce_case{case}", steps=20, seed=2024 + case,
+                                          trials=trials, threads=4))
         violations += rec.violations
         rows += len(rec.rows)
     elapsed = time.monotonic() - start
@@ -92,8 +92,10 @@ def test_criterion_4_sequence_bound_suite():
     start = time.monotonic()
     violations = 0
     for seed in range(20):
-        violations += bound_validate("gauss_proj", 10, seed).violations
-        violations += bound_validate("particle", 10, seed).violations
+        violations += run_config(ExperimentConfig("bound_validate", filter_kind="gauss_proj",
+                                                  steps=10, seed=seed)).violations
+        violations += run_config(ExperimentConfig("bound_validate", filter_kind="particle",
+                                                  steps=10, seed=seed)).violations
     elapsed = time.monotonic() - start
     _report(4, violations == 0 and elapsed < 120.0,
             f"projection(TV,H) + particle(W1), 10 steps x 20 seeds, "
@@ -170,7 +172,7 @@ def test_criterion_7_reduction_soundness():
     # run twice over to give each branch tag its own thousand trials
     for theorem, trials in (("tv", 1000), ("hellinger", 2000),
                             ("w1-ip", 1000), ("w1-dyn", 1000)):
-        rec = reduction_fuzz(theorem, trials, seed=97)
+        rec = run_config(ExperimentConfig("reduction_fuzz", theorem=theorem, trials=trials, seed=97))
         assert rec.violations == 0, f"{theorem}: unsound verdicts"
         total_guaranteed += rec.guaranteed
     # one frozen, strictly certifying fixture per theorem tag
@@ -200,7 +202,8 @@ def test_criterion_8_online_vi_suite():
         assert est.value <= log_z + 3.0 * est.stderr
 
     # (b) type-1 dominance on the parameter-state toy
-    violations = sum(vi_demo(5, seed).violations for seed in range(10))
+    violations = sum(run_config(ExperimentConfig("vi_demo", steps=5, seed=seed)).violations
+                     for seed in range(10))
     assert violations == 0
 
     # (c) zero parameter error kills the augmentation exactly
@@ -223,7 +226,8 @@ def test_criterion_8_online_vi_suite():
 
 def test_criterion_9_determinism(tmp_path):
     def run(threads, tag):
-        rec = reproduce(3, 10, seed=55, trials=8, threads=threads)
+        rec = run_config(ExperimentConfig("reproduce_case3", steps=10, seed=55, trials=8,
+                                          threads=threads))
         out = str(tmp_path / tag)
         return {os.path.basename(p): Path(p).read_bytes() for p in emit(rec, "csv", out)}
 

@@ -204,7 +204,8 @@ class TestFactors:
                 calls.append((s, z, led))
                 return led
             monkeypatch.setattr(bounds, name, record)
-        harness.bound_validate("gauss_proj", 10, 0)
+        harness.run_config(harness.ExperimentConfig("bound_validate", filter_kind="gauss_proj",
+                                                    steps=10, seed=0))
         assert sorted((led.metric, led.variant) for _, _, led in calls) == [
             ("hellinger", "set1"), ("hellinger", "set2"), ("tv", "set1"), ("tv", "set2")]
         for s, z, led in calls:

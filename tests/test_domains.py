@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D,
                              ParticleSet, discretize, discretize_product, gauss_pdf,
-                             moments)
+                             joint_mass, moments)
 from bslcert import bayes, reduction
 from bslcert.errors import DomainTooSmall, NonFinite, Unnormalized
 from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, lik_values
@@ -177,8 +177,7 @@ class TestShapeAndMassChecks:
 
     @pytest.mark.parametrize("make,message", [
         (lambda d, v: GridDensity(d, v[0], normalized=False), "scaled density"),
-        (lambda d, v: JointGrid2D(d, d, v, normalized=False), "scaled joint density"),
-    ], ids=["grid", "joint"])
+    ], ids=["grid"])
     def test_scaled_mass(self, make, message):
         with pytest.raises(ValueError, match=re.escape(f"{message} must have finite positive mass, got 0.0")):
             make(self.D, np.zeros((101, 101)))
@@ -245,6 +244,8 @@ def _ip_system(values) -> SystemSpec:
 
 
 _WEIGHTS = np.r_[np.full(4, 0.25), np.zeros(96)]  # zeros at the injected entries
+_JOINT = np.r_[np.zeros((1, 101)), np.ones((100, 101))]  # zeros at the injected entries
+_JOINT /= joint_mass(_D101, _D101, _JOINT)
 _UNNORM = 0.3 * discretize(Gaussian1D(0.0, 1.0), _D101).values
 
 # site -> (call with the injected entries, outcome for non-finite, outcome for -1.0)
@@ -257,8 +258,7 @@ _VALUE_SITES = {
     "ParticleSet.weights": (lambda bad: ParticleSet(np.arange(100.0), _inject(_WEIGHTS, bad)),
                             (NonFinite, "particles and weights must be finite"),
                             (ValueError, "weights must be nonnegative")),
-    "JointGrid2D": (lambda bad: JointGrid2D(_D101, _D101, _inject(np.ones((101, 101)), bad),
-                                            normalized=False),
+    "JointGrid2D": (lambda bad: JointGrid2D(_D101, _D101, _inject(_JOINT, bad)),
                     (NonFinite, "joint density values must be finite"),
                     (ValueError, "joint density values must be nonnegative")),
     "lik_values": (lambda bad: lik_values(_ip_system(_inject(np.ones(101), bad)), 1),

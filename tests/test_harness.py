@@ -16,41 +16,38 @@ from bslcert import cli, domains, harness, metrics, reduction
 from bslcert.bayes import conjugate_update_ip
 from bslcert.domains import DomainSpec, Gaussian1D
 from bslcert.errors import IOFailure
-from bslcert.harness import (ExperimentConfig, FuzzRecord, Row, RunRecord,
-                             bound_validate, emit, reduction_fuzz, reproduce,
-                             run_config, vi_demo, write_meta)
+from bslcert.harness import (ExperimentConfig, FuzzRecord, Row, RunRecord, emit, run_config,
+                             write_meta)
 
 
 class TestReproduce:
     def test_case2_shape_and_dominance(self):
-        rec = reproduce(2, 6, 0)
+        rec = run_config(ExperimentConfig("reproduce_case2", steps=6, seed=0))
         assert len(rec.rows) == 12  # two metrics per step
         assert rec.violations == 0
         assert {r.metric for r in rec.rows} == {"tv", "hellinger"}
         assert rec.meta["realized_y"] and rec.meta["realized_x_star"]
 
     def test_case3_trials(self):
-        rec = reproduce(3, 4, 7, trials=3)
+        rec = run_config(ExperimentConfig("reproduce_case3", steps=4, seed=7, trials=3))
         assert len(rec.rows) == 3 * 4 * 2
         assert rec.violations == 0
         assert len(rec.meta["realized_y"]) == 3
 
     def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            reproduce(2, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
             ExperimentConfig(experiment="reproduce_case2", steps=0)
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError, match="trials"):
-            reproduce(3, 4, 7, trials=0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            ExperimentConfig("reproduce_case3", steps=4, seed=7, trials=0)
 
     @pytest.mark.parametrize("case, priors", [
         (1, (Gaussian1D(-10.0, 5.0), Gaussian1D(8.0, 5.0))),
         (2, (Gaussian1D(0.0, 1.0), Gaussian1D(2.0, 1.0))),
     ])
     def test_distances_are_the_metric_values(self, case, priors):
-        rec = reproduce(case, 5, 3)
+        rec = run_config(ExperimentConfig(f"reproduce_case{case}", steps=5, seed=3))
         y = rec.meta["realized_y"][0]
         mu, mu_prime = priors
         for k in range(1, 6):
@@ -74,30 +71,32 @@ class TestReproduce:
             if name.startswith("bslcert") and getattr(module, "discretize", None) is real:
                 monkeypatch.setattr(module, "discretize", counting)
         steps = 7
-        reproduce(3, steps, 11)
+        run_config(ExperimentConfig("reproduce_case3", steps=steps, seed=11))
         assert len(calls) == 2 * steps + 2
 
     def test_thread_count_does_not_change_results(self):
-        serial = reproduce(3, 3, 5, trials=6, threads=1)
-        parallel = reproduce(3, 3, 5, trials=6, threads=4)
+        serial, parallel = (run_config(ExperimentConfig("reproduce_case3", steps=3, seed=5,
+                                                        trials=6, threads=threads))
+                            for threads in (1, 4))
         assert serial.rows == parallel.rows
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            ExperimentConfig("reproduce_case3", threads=0)
 
     def test_rerun_is_identical(self):
-        a = reproduce(1, 3, 9)
-        b = reproduce(1, 3, 9)
+        a, b = (run_config(ExperimentConfig("reproduce_case1", steps=3, seed=9)) for _ in range(2))
         assert a.rows == b.rows and a.meta == b.meta
 
 
 class TestBoundValidate:
     def test_gauss_proj_rows(self):
-        rec = bound_validate("gauss_proj", 3, 0)
+        rec = run_config(ExperimentConfig("bound_validate", filter_kind="gauss_proj", steps=3, seed=0))
         assert rec.violations == 0
         # two metrics, two bound sets, three steps
         assert len(rec.rows) == 12
         assert {r.series for r in rec.rows} == {"set1", "set2"}
 
     def test_particle_rows(self):
-        rec = bound_validate("particle", 3, 0)
+        rec = run_config(ExperimentConfig("bound_validate", filter_kind="particle", steps=3, seed=0))
         assert rec.violations == 0
         assert len(rec.rows) == 6
         assert all(r.metric == "w1" for r in rec.rows)
@@ -105,23 +104,23 @@ class TestBoundValidate:
     @pytest.mark.parametrize("filter_kind", ["gauss_proj", "particle"])
     def test_rejects_zero_steps(self, filter_kind):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            bound_validate(filter_kind, 0, 0)
+            ExperimentConfig("bound_validate", filter_kind=filter_kind, steps=0)
 
 
 class TestReductionFuzzDriver:
     def test_summary_counts(self):
-        rec = reduction_fuzz("hellinger", 120, 2)
+        rec = run_config(ExperimentConfig("reduction_fuzz", theorem="hellinger", trials=120, seed=2))
         assert rec.trials == 120
         assert rec.violations == 0
         assert rec.guaranteed >= 1
 
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown theorem tag 'bogus'"):
-            reduction_fuzz("bogus", 20, 0)
+            ExperimentConfig("reduction_fuzz", theorem="bogus", trials=20, seed=0)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            reduction_fuzz("tv", 0, 0)
+            ExperimentConfig("reduction_fuzz", theorem="tv", trials=0, seed=0)
 
     @pytest.mark.parametrize("theorem,skipped", [("tv", {"DomainTooSmall": 195}),
                                                  ("w1-dyn", {"DomainTooSmall": 128}),
@@ -147,7 +146,7 @@ class TestFuzzViolations:
     def test_excess_past_the_threshold_counts(self, monkeypatch, excess, violating):
         _stub_check_tv(monkeypatch, excess)
         skips = Counter()
-        rec = reduction_fuzz("tv", 40, 1, skips)
+        rec = run_config(ExperimentConfig("reduction_fuzz", theorem="tv", trials=40, seed=1), skips)
         assert rec.guaranteed == 40 - skips.total() > 0
         assert rec.violations == (rec.guaranteed if violating else 0)
         assert rec.worst_excess == excess
@@ -180,13 +179,13 @@ def test_simulated_data_keeps_its_bytes(seed, variant):
 
 class TestViDemo:
     def test_small_run(self):
-        rec = vi_demo(2, 0)
+        rec = run_config(ExperimentConfig("vi_demo", steps=2, seed=0))
         assert len(rec.rows) == 2
         assert rec.violations == 0
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            vi_demo(0, 0)
+            ExperimentConfig("vi_demo", steps=0, seed=0)
 
 
 # (step, metric, series, distance, bound, evidence_p, evidence_q), recorded
@@ -224,8 +223,10 @@ PINNED_ROWS = {
 }
 
 
-@pytest.mark.parametrize("name,run", [("vi_demo", lambda: vi_demo(5, 0)),
-                                      ("particle", lambda: bound_validate("particle", 10, 0))])
+@pytest.mark.parametrize("name,run", [
+    ("vi_demo", lambda: run_config(ExperimentConfig("vi_demo", steps=5, seed=0))),
+    ("particle", lambda: run_config(ExperimentConfig("bound_validate", filter_kind="particle",
+                                                     steps=10, seed=0)))])
 def test_rows_keep_their_bits(name, run):
     rows = [(r.step, r.metric, r.series) + tuple(
         repr(v) for v in (r.distance, r.bound, r.evidence_p, r.evidence_q)) for r in run().rows]

@@ -259,9 +259,10 @@ class TestSingleItemsStayInline:
             models._run_each(seen.append, [8, 9])
 
     def test_no_reuse_experiments(self, no_pool):
-        record = harness.reduction_fuzz("w1-dyn", 10, 0)
+        record = harness.run_config(ExperimentConfig("reduction_fuzz", theorem="w1-dyn", trials=10,
+                                                     seed=0))
         assert record.trials == 10
-        assert harness.reproduce(3, 20, 0, trials=1).rows
+        assert harness.run_config(ExperimentConfig("reproduce_case3", steps=20, seed=0, trials=1)).rows
 
 
 

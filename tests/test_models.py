@@ -444,10 +444,6 @@ class TestUnreadSettingsFail:
         (lambda: LikelihoodModel(_identity_lik, "linear_gaussian", a=1.0, noise_var=1.0),
          "'evaluator'"),
         (lambda: TransitionModel(_half_gain_kernel, "linear_gaussian", a=0.9, q=1.0), "'kernel'"),
-        (lambda: TransitionModel(None, "linear_gaussian", a=0.9, q=1.0,
-                                 sampler=lambda rng, x: 0.5 * x), "'sampler'"),
-        (lambda: TransitionModel(_laplace_kernel, "parametric_linear_gaussian", q=0.5,
-                                 sampler=lambda rng, x: x), "'kernel', 'sampler'"),
     ])
     def test_gaussian_families_refuse_a_passed_callable(self, make, passed):
         # a callable could contradict the parameters that the closed forms read
@@ -493,9 +489,13 @@ class TestUnreadSettingsFail:
                             transition=TransitionModel.linear_gaussian(0.5, 0.0),
                             w_domain=DomainSpec(0.0, 1.0, 101)),
          "parameter-state systems need a transition kernel"),
+        (lambda: SystemSpec("se", LikelihoodModel.linear_gaussian(1.0, 1.0), [0.3],
+                            DomainSpec(-10.0, 10.0, 401), transition=TransitionModel.custom(None)),
+         "state-estimation systems need a transition kernel or sampler"),
         (lambda: TransitionModel.custom(np.eye(3)), "kernel must be callable"),
         (lambda: LikelihoodModel.custom(None), "needs a callable evaluator"),
-    ], ids=["ps-without-kernel", "kernel-not-callable", "evaluator-not-callable"])
+    ], ids=["ps-without-kernel", "se-without-kernel-or-sampler", "kernel-not-callable",
+            "evaluator-not-callable"])
     def test_unusable_models_are_refused_when_built(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

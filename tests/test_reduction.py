@@ -7,7 +7,7 @@ import pytest
 
 from bslcert.domains import DomainSpec, Gaussian1D, ParticleSet, discretize
 from bslcert.errors import DomainMismatch, UnsupportedRepresentation
-from bslcert.harness import reduction_fuzz
+from bslcert.harness import ExperimentConfig, run_config
 from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, g_values, se_g_values
 from bslcert.reduction import (_abs_gap_matvec, check_hellinger, check_tv, check_w1,
                                hellinger_branch, hellinger_condition_values,
@@ -196,7 +196,8 @@ class TestFuzzVerdictsPinned:
     ], ids=lambda e: e[0])
     def test_seed0(self, expected):
         # repr, as the benchmark digests it: every bit of worst_excess counts
-        assert repr(dataclasses.astuple(reduction_fuzz(expected[0], 250, 0))) == repr(expected)
+        config = ExperimentConfig("reduction_fuzz", theorem=expected[0], trials=250, seed=0)
+        assert repr(dataclasses.astuple(run_config(config))) == repr(expected)
 
 
 class TestVariantGuards:
