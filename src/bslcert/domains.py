@@ -9,6 +9,7 @@ particle and 2-D joint-grid representations of distributions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +40,10 @@ class DomainSpec:
             raise NonFinite("domain endpoints must be finite")
         if not self.lower < self.upper:
             raise ValueError(f"lower must be < upper, got [{self.lower}, {self.upper}]")
+        if not math.isfinite(float(self.upper) - float(self.lower)):
+            raise ValueError(f"upper - lower overflows on [{self.lower}, {self.upper}]")
+        if not isinstance(self.grid_points, numbers.Integral):
+            raise ValueError(f"grid_points must be an integer, got {self.grid_points!r}")
         if self.grid_points < 101:
             raise ValueError(f"grid_points must be >= 101, got {self.grid_points}")
 

@@ -30,13 +30,14 @@ from .errors import NonFinite, UnboundedConstant, UnsupportedRepresentation, Zer
 
 EVIDENCE_FLOOR = 1e-300
 CUSTOM_LIP_SAFETY = 2.0
-# Rows per kernel block.  Every product with a transition kernel, cached or
-# streamed, is one BLAS call per block, so the height sets the bits: 65-row
-# blocks change the bytes of kernel-reuse benchmark seeds 0, 5 and 11, while
-# 64-row blocks keep every recorded digest.  A streamed block at 2000 columns
-# takes 1,024,000 B, within a core's L2 cache.  A cached matrix's blocks stay
-# on the calling thread: on the pool, the w1-dyn fuzz, whose 201-node
-# products are small, took 40% longer.
+# Rows (or columns) per kernel block; a product's last block takes the rest,
+# down to one.  Every product with a transition kernel, cached or streamed, is
+# one BLAS call per block, so the height sets the bits: 65-row blocks change
+# the bytes of kernel-reuse benchmark seeds 0, 5 and 11, and one 65-row block
+# gave an 8001-node streamed product other bits on two BLAS threads than on
+# one.  A streamed block at 2000 columns takes 1,024,000 B, within a core's
+# L2 cache.  A cached matrix's blocks stay on the calling thread: on the pool,
+# the w1-dyn fuzz, whose 201-node products are small, took 40% longer.
 _KERNEL_BLOCK = 64
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
 _SE_CHECK_ROWS = 256  # observations per kernel pass of the SE closed-form check (_se_g_max)
@@ -399,15 +400,9 @@ def _run_each(fn, items) -> None:
 
 
 def _blocks(n: int):
-    """Slices of _KERNEL_BLOCK consecutive indices covering range(n) in order.
-
-    A one-index tail joins the block before it: numpy multiplies a one-row
-    block through dot, not gemv, which would give other bits.
-    """
-    starts = list(range(0, n, _KERNEL_BLOCK))
-    if n > 1 and n % _KERNEL_BLOCK == 1:
-        del starts[-1]
-    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+    """Slices of _KERNEL_BLOCK consecutive indices covering range(n) in order;
+    the last one is shorter when _KERNEL_BLOCK does not divide n."""
+    return [slice(start, min(start + _KERNEL_BLOCK, n)) for start in range(0, n, _KERNEL_BLOCK)]
 
 
 def _each_block(kernel, fn, n: int) -> None:

@@ -27,6 +27,19 @@ class TestDomainSpec:
             DomainSpec(0.0, 1.0, 100)
         with pytest.raises(NonFinite):
             DomainSpec(0.0, float("inf"), 101)
+        with pytest.raises(ValueError, match="overflows"):
+            DomainSpec(-1e308, 1e308, 101)
+
+    @pytest.mark.parametrize("points", [201.0, 200.5, np.float64(201), "201"],
+                             ids=["201.0", "200.5", "float64", "str"])
+    def test_rejects_grid_points_that_are_not_integers(self, points):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DomainSpec(0.0, 1.0, points)
+
+    @pytest.mark.parametrize("points", [np.int64(201), np.int32(201), np.uint16(201)])
+    def test_numpy_integer_grid_points_build_the_same_grid(self, points):
+        d = DomainSpec(0.0, 1.0, points)
+        assert d.nodes.tobytes() == DomainSpec(0.0, 1.0, 201).nodes.tobytes()
 
     def test_trapezoid_weights_sum_to_length(self):
         d = DomainSpec(-3.0, 5.0, 257)

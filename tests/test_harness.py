@@ -505,7 +505,8 @@ class TestCli:
         assert out.rstrip().endswith(", skipped 10 (DomainTooSmall 10)")
 
     @pytest.mark.parametrize("domain", [{"grid_points": 50}, {"lower": 40.0},
-                                        {"lower": 1.0, "upper": 1.0}])
+                                        {"lower": 1.0, "upper": 1.0},
+                                        {"lower": -1e308, "upper": 1e308}])
     def test_bad_reproduce_domain_is_refused_before_out_is_made(self, tmp_path, capsys, domain):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(dict(experiment="reproduce_case1", **domain)))

@@ -2,6 +2,7 @@
 worker threads with the bits of the serial loop, traced entry points stay on
 the calling thread, failures propagate, and single-item work stays inline."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -122,13 +123,38 @@ def _readme_products(n, cached, vec=None):
                  for product in (kernel_matvec, kernel_rmatvec))
 
 
+BLAS_GRIDS = (201, 257, 258, 513, 1025, 2001, 2049, 8001)
+
+
+def print_blas_digests():
+    """Print, for each of BLAS_GRIDS and the README SE system's kept and streamed
+    kernel, the sha256 of kernel_matvec, kernel_rmatvec and a stacked kernel_rmatvec.
+    An 8001-node matrix is too large to keep, so that grid only streams."""
+    for n in BLAS_GRIDS:
+        for cached in (False,) if n == 8001 else (True, False):
+            kernel, d = _readme_kernel(n, cached)
+            xs = d.nodes
+            prior = d.trapezoid_weights * discretize(Gaussian1D(0.0, 4.0), d).values
+            stack = np.vstack([prior, np.random.default_rng(n).standard_normal((2, n))])
+            products = (kernel_matvec(kernel, xs, xs, prior), kernel_rmatvec(kernel, xs, xs, prior),
+                        kernel_rmatvec(kernel, xs, xs, stack))
+            print(n, cached, *(hashlib.sha256(p.tobytes()).hexdigest() for p in products))
+
+
+@pytest.fixture(scope="module")
+def blas_thread_digests():
+    """The lines of print_blas_digests, from one process per BLAS thread count."""
+    code = "import test_kernel_pool as t; t.print_blas_digests()"
+    return {threads: run_python(["-c", code], blas_threads=threads).splitlines()
+            for threads in (1, 2, 4)}
+
+
 class TestBlockRule:
     def test_blocks_cover_the_range_in_order(self):
         for n in [*range(1, 601), 2001, 8001]:
             blocks = [range(n)[b] for b in models._blocks(n)]
             assert [i for b in blocks for i in b] == list(range(n))
             assert all(b.start % _KERNEL_BLOCK == 0 for b in blocks)
-            assert n == 1 or min(len(b) for b in blocks) > 1
 
     @pytest.mark.parametrize("n", [201, 257, 258, 513, 1025, 2001, 2049])
     def test_cached_and_streamed_products_are_equal(self, n):
@@ -148,14 +174,18 @@ class TestBlockRule:
             # a fresh copy: the single product must not lean on the stack's memory
             assert row.tobytes() == kernel_rmatvec(kernel, xs, xs, vec.copy()).tobytes()
 
-    def test_streamed_8001_node_products_keep_their_bits(self):
-        # 8001 = 125 * 64 + 1: the one-index tail joins the last block.  The
-        # digests were taken with 256-row blocks and BLAS on one thread.
-        code = ("import hashlib, test_kernel_pool as t; "
-                "print(*(hashlib.sha256(b).hexdigest() for b in t._readme_products(8001, False)))")
-        assert run_python(["-c", code], blas_threads=1).split() == [
-            "481ca0d2731b62e8d5bda542d4289678a716a3d813ca5db67aae75735554736b",
-            "6294d823a587c93b6dd4f654b50ed3e80d7e2219c9a601c67da335bc3c7bfdab"]
+    def test_products_do_not_depend_on_the_blas_thread_count(self, blas_thread_digests):
+        one_thread = blas_thread_digests[1]
+        assert len(one_thread) == 2 * len(BLAS_GRIDS) - 1
+        assert blas_thread_digests[2] == one_thread
+        assert blas_thread_digests[4] == one_thread
+
+    def test_streamed_8001_node_products_keep_their_bits(self, blas_thread_digests):
+        # 8001 = 125 * 64 + 1: the last block has one row (one column)
+        for lines in blas_thread_digests.values():
+            assert lines[-1].split()[:4] == [
+                "8001", "False", "b051d59d11af5f549d2714220e1202d31dc0245647dbd4c0d4c20e2aba870a30",
+                "3aa821a628d30bc21e98f473116483797bb426b21aca1d5b4586e5c08ead0d75"]
 
 
 def _wrap_traced(monkeypatch, record):

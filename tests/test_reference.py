@@ -1,8 +1,8 @@
 """The emitted bytes of pool seed 0 of each benchmark workload equal the
-digests recorded in benches/reference.json, also with one kernel-pool worker.
-So do the kernel-reuse pool seeds whose bytes once depended on the BLAS thread
-count, both with BLAS pinned to one thread as the benchmark pins it and with
-two BLAS threads."""
+digests recorded in benches/reference.json, also with one kernel-pool worker
+and with four BLAS threads.  So do the kernel-reuse pool seeds whose bytes
+once depended on the BLAS thread count, both with BLAS pinned to one thread as
+the benchmark pins it and with two BLAS threads."""
 
 import hashlib
 import json
@@ -45,10 +45,21 @@ def test_blas_sensitive_seeds_match_reference_with_pinned_blas(seed, tmp_path, m
 
 @pytest.mark.parametrize("seed", BLAS_SENSITIVE_SEEDS)
 def test_blas_sensitive_seeds_match_reference_with_two_blas_threads(seed, tmp_path):
-    out = run_python([str(BENCHES / "rep.py"), "kernel-reuse", str(seed), "0", str(tmp_path / "out")],
-                     blas_threads=2)
+    _check_rep("kernel-reuse", seed, 2, tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["no-reuse", "kernel-reuse"])
+def test_pool_seed_0_matches_reference_with_four_blas_threads(workload, tmp_path):
+    _check_rep(workload, 0, 4, tmp_path)
+
+
+def _check_rep(workload, seed, blas_threads, tmp_path):
+    """benches/rep.py's digest of one pool seed, with BLAS on ``blas_threads``
+    threads, equals its digest in benches/reference.json."""
+    out = run_python([str(BENCHES / "rep.py"), workload, str(seed), "0", str(tmp_path / "out")],
+                     blas_threads=blas_threads)
     result = json.loads(out.strip().splitlines()[-1])
-    reference = json.loads((BENCHES / "reference.json").read_text())["workloads"]["kernel-reuse"]
+    reference = json.loads((BENCHES / "reference.json").read_text())["workloads"][workload]
     assert result["error"] is None
     assert result["digest"] == reference["digests"][str(seed)]
 
