@@ -83,19 +83,39 @@ class DomainSpec:
         return float(self.trapezoid_weights @ np.asarray(values, dtype=float))
 
 
+def _pow2_exponent_scale(sd: float):
+    """-0.5 / sd^2 = -2^(1-2e) when sd = 2^(e-1) lies in [2^-400, 2^400], else None."""
+    mantissa, e = math.frexp(sd)
+    if mantissa == 0.5 and 2.0 ** -400 <= sd <= 2.0 ** 400:
+        return -math.ldexp(1.0, 1 - 2 * e)
+    return None
+
+
 def gauss_pdf(x, mean, var, out=None):
     """Normal density with the given mean and variance at x (broadcasting).
 
     Evaluated in one buffer, ``out`` when given; the bits equal
     exp(-0.5 * z * z) / (sd * sqrt(2 pi)) with z = (x - mean) / sd, because
     scaling by -0.5 is exact (when z * z is subnormal, exp gives 1.0 either
-    way).  Scalar inputs give a numpy scalar.
+    way).  When sd = 2^(e-1) lies in [2^-400, 2^400], the exponent is
+    fl(t * t) * -2^(1-2e) with t = x - mean, one pass fewer.  Scaling by a
+    power of two is exact where the result is a normal number; elsewhere
+    the exponent is so small or so large that exp gives 1.0 or 0.0 either
+    way, and NaN and infinities pass through both alike.  The range keeps
+    the constant finite, so t = 0 gives exp(-0.0), not NaN.  With sd > 1, a
+    |t| above 1.3e154 overflows t * t and numpy warns where the division did
+    not; the density is 0.0 either way.  Scalar inputs give a numpy scalar.
     """
     sd = math.sqrt(var)
     z = np.asarray(np.subtract(x, mean, dtype=float, out=out))
-    z /= sd
-    z *= z
-    z *= -0.5
+    scale = _pow2_exponent_scale(sd)
+    if scale is not None:
+        z *= z
+        z *= scale
+    else:
+        z /= sd
+        z *= z
+        z *= -0.5
     np.exp(z, out=z)
     z /= sd * _SQRT_2PI
     return z if z.ndim else z[()]
@@ -251,8 +271,28 @@ def check_coverage(g: Gaussian1D, d: DomainSpec) -> None:
         )
 
 
+# (Gaussian1D, DomainSpec, GridDensity) of the latest discretize evaluation, read and replaced
+# as one tuple; holding the two objects keeps their ids from being reused by others
+_last_discretized = (None, None, None)
+
+
 def discretize(g: Gaussian1D, d: DomainSpec) -> GridDensity:
-    """Project a Gaussian onto the grid as a normalized density; d must pass check_coverage."""
+    """Project a Gaussian onto the grid as a normalized density; d must pass check_coverage.
+
+    Called again with the same two objects (by identity, not value) as the
+    latest evaluation, it returns that evaluation's read-only GridDensity: a
+    projected Gaussian is read by the update, the metrics and the next step.
+    """
+    global _last_discretized
+    last_g, last_d, last = _last_discretized
+    if g is last_g and d is last_d:
+        return last
+    result = _discretize(g, d)
+    _last_discretized = (g, d, result)
+    return result
+
+
+def _discretize(g: Gaussian1D, d: DomainSpec) -> GridDensity:
     check_coverage(g, d)
     sigma = g.std
     # nodes beyond _UNDERFLOW_Z standard deviations have density exactly 0.0:

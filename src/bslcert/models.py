@@ -476,18 +476,39 @@ def each_parameter_kernel(s: SystemSpec, apply) -> None:
     _run_each(share, [range(i, ws.shape[0], _WORKERS) for i in range(_WORKERS)])
 
 
+def _distinct_points(xs):
+    """(the distinct points of xs, the index of each point of xs among them), distinct
+    by bit pattern; (xs, None) when no point repeats."""
+    xs = np.asarray(xs)
+    _, first, inverse = np.unique(np.asarray(xs, dtype=float).view(np.int64),
+                                  return_index=True, return_inverse=True)
+    if first.shape[0] == xs.shape[0]:
+        return xs, None
+    return xs[first], inverse
+
+
 def kernel_matvec(kernel, xs_next, xs_prev, vec) -> np.ndarray:
     """K @ vec with K[i, j] = kernel(xs_next[i], xs_prev[j]), one BLAS call per row block.
 
     ``kernel`` is K itself or the density callable, whose row blocks are
     evaluated and multiplied on pool threads (_each_block).  Either way each
     block of _blocks is its own product of the same shape, so a cached and a
-    streamed kernel give the same bits, whatever the worker count.
+    streamed kernel give the same bits, whatever the worker count.  When
+    xs_prev repeats a point, as a resampled particle cloud does, a streamed
+    block evaluates the density once per distinct point, distinct by bit
+    pattern so that 0.0 and -0.0 stay apart, and ``np.take`` copies the
+    columns back into a contiguous block: the gemv sees the same matrix.
     """
     out = np.empty(xs_next.shape[0])
+    distinct, inverse = _distinct_points(xs_prev) if callable(kernel) else (None, None)
 
     def row_block(rows):
-        block = _kernel_block(kernel, xs_next[rows], xs_prev) if callable(kernel) else kernel[rows]
+        if callable(kernel):
+            block = _kernel_block(kernel, xs_next[rows], distinct)
+            if inverse is not None:
+                block = np.take(block, inverse, axis=1)
+        else:
+            block = kernel[rows]
         out[rows] = block @ vec
 
     _each_block(kernel, row_block, out.shape[0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, JointGrid2D,
                              ParticleSet, discretize, discretize_product, gauss_pdf,
                              joint_mass, moments)
-from bslcert import bayes, reduction
+from bslcert import bayes, domains, reduction
 from bslcert.errors import DomainTooSmall, NonFinite, Unnormalized
 from bslcert.models import LikelihoodModel, SystemSpec, TransitionModel, lik_values
 from helpers import PDF_INPUTS, XS, two_temporary_pdf
@@ -74,6 +74,58 @@ class TestGaussPdf:
         assert np.array_equal(x, XS)
 
 
+# t = x - mean at which exp's argument under- or overflows, is a zero, an infinity or NaN
+_EDGE_TS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.0 ** -520, 1e154, 1.4e154,
+                     -1e200, 1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan])
+
+
+def _pdf_pair(t, mean, var):
+    """gauss_pdf and the division path's expression at x = mean + t, as bytes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = mean + t
+        return gauss_pdf(x, mean, var).tobytes(), two_temporary_pdf(x, mean, var).tobytes()
+
+
+class TestPowerOfTwoSd:
+    """sd = 2^k squares x - mean and scales it once by -2^(1-2e), with the bits of the division."""
+
+    # k = 0 and -1: the particle system (variance 1) and every vi_demo kernel (variance 0.25)
+    @pytest.mark.parametrize("k", range(-40, 41))
+    def test_bits_equal_the_division_path(self, k):
+        sd = 2.0 ** k
+        assert domains._pow2_exponent_scale(sd) == -0.5 / (sd * sd)
+        rng = np.random.default_rng(k + 40)
+        with np.errstate(over="ignore"):
+            t = np.concatenate([sd * rng.uniform(-45.0, 45.0, 2000), sd * rng.standard_normal(2000),
+                                _EDGE_TS, sd * _EDGE_TS])
+        for mean in (0.0, 1.7 * sd):
+            new, old = _pdf_pair(t, mean, sd * sd)
+            assert new == old
+        for t0 in _EDGE_TS:  # scalar inputs
+            new, old = _pdf_pair(float(t0), 0.0, sd * sd)
+            assert new == old
+
+    @pytest.mark.parametrize("sd", [2.0 ** -400, 2.0 ** 400])
+    def test_the_guard_edges_take_the_power_of_two_path(self, sd):
+        assert domains._pow2_exponent_scale(sd) == -0.5 / sd / sd
+        with np.errstate(over="ignore"):
+            t = sd * np.concatenate([_EDGE_TS, np.linspace(-40.0, 40.0, 801)])
+        new, old = _pdf_pair(t, 0.0, sd * sd)
+        assert new == old
+
+    @pytest.mark.parametrize("sd", [2.0 ** -401, 2.0 ** 401, 2.0 ** -520, 2.0 ** 511, 0.7, 5.0,
+                                    math.nextafter(1.0, 2.0), math.nextafter(0.5, 0.0)])
+    def test_other_sds_take_the_division_path(self, sd):
+        assert domains._pow2_exponent_scale(sd) is None
+        new, old = _pdf_pair(np.concatenate([_EDGE_TS, sd * np.linspace(-40.0, 40.0, 801)]), 0.0,
+                             sd * sd)
+        assert new == old
+
+    def test_zero_at_a_tiny_sd_is_not_nan(self):
+        # -2^(1-2e) overflows at sd = 2^-520, and 0 * inf would be NaN
+        assert gauss_pdf(0.0, 0.0, 2.0 ** -1040) == 1.0 / (2.0 ** -520 * math.sqrt(2.0 * math.pi))
+
+
 class TestDiscretize:
     def test_standard_normal(self):
         g = discretize(Gaussian1D(0.0, 1.0), DomainSpec(-20.0, 20.0, 4001))
@@ -122,6 +174,52 @@ class TestDiscretize:
         assert abs(m - mean) <= 1e-5 * max(1.0, abs(mean))
         assert abs(v - var) <= 1e-5 * var
         assert abs(g.mass() - 1.0) < 1e-8
+
+
+class TestDiscretizeMemo:
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The (Gaussian, domain) pairs that discretize evaluates, from an empty memo."""
+        seen, real = [], domains._discretize
+
+        def spy(g, d):
+            seen.append((g, d))
+            return real(g, d)
+
+        monkeypatch.setattr(domains, "_last_discretized", (None, None, None))
+        monkeypatch.setattr(domains, "_discretize", spy)
+        return seen
+
+    def test_the_same_two_objects_return_the_same_density(self, evaluations):
+        g, d = Gaussian1D(0.3, 1.2), DomainSpec(-20.0, 20.0, 401)
+        first = discretize(g, d)
+        assert discretize(g, d) is first and discretize(g, d) is first
+        assert evaluations == [(g, d)]
+        assert not first.values.flags.writeable
+
+    def test_equal_but_other_objects_are_evaluated_afresh(self, evaluations):
+        g, d = Gaussian1D(0.3, 1.2), DomainSpec(-20.0, 20.0, 401)
+        first = discretize(g, d)
+        g2, d2 = Gaussian1D(0.3, 1.2), DomainSpec(-20.0, 20.0, 401)
+        assert g2 == g and d2 == d
+        others = [discretize(g2, d), discretize(g2, d2), discretize(g, d2)]
+        assert len(evaluations) == 4
+        assert all(o is not first and o.values.tobytes() == first.values.tobytes() for o in others)
+
+    def test_only_the_latest_pair_is_kept(self, evaluations):
+        d = DomainSpec(-20.0, 20.0, 401)
+        a, b = Gaussian1D(0.0, 1.0), Gaussian1D(1.0, 2.0)
+        for g in (a, b, a, a, b):
+            discretize(g, d)
+        assert [g for g, _ in evaluations] == [a, b, a, b]
+
+    def test_a_failed_evaluation_stores_nothing(self, evaluations):
+        g, d = Gaussian1D(0.0, 1.0), DomainSpec(-20.0, 20.0, 401)
+        first = discretize(g, d)
+        with pytest.raises(DomainTooSmall):
+            discretize(g, DomainSpec(-2.0, 2.0, 101))
+        assert discretize(g, d) is first
+        assert len(evaluations) == 2
 
 
 class TestMoments:

@@ -101,6 +101,29 @@ class TestBoundValidate:
         assert len(rec.rows) == 6
         assert all(r.metric == "w1" for r in rec.rows)
 
+    def test_gauss_proj_evaluates_each_gaussian_once(self, monkeypatch):
+        # the step, metrics.tv, metrics.hellinger and the next grid_update each discretize a
+        # projection; the memo evaluates the prior and each of the 40 projections once
+        calls, evaluated = [], []
+        real, evaluate = domains.discretize, domains._discretize
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        def spy(g, d):
+            evaluated.append(g)
+            return evaluate(g, d)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bslcert") and getattr(module, "discretize", None) is real:
+                monkeypatch.setattr(module, "discretize", counting)
+        monkeypatch.setattr(domains, "_discretize", spy)
+        monkeypatch.setattr(domains, "_last_discretized", (None, None, None))
+        run_config(ExperimentConfig("bound_validate", filter_kind="gauss_proj", steps=40, seed=0))
+        assert len(calls) == 161
+        assert len(evaluated) == 41 and len({id(g) for g in evaluated}) == 41
+
     @pytest.mark.parametrize("filter_kind", ["gauss_proj", "particle"])
     def test_rejects_zero_steps(self, filter_kind):
         with pytest.raises(ValueError, match="steps must be >= 1"):

@@ -74,10 +74,9 @@ class TestWorkerCountKeepsBits:
     def test_streamed_products_equal_the_serial_block_loop(self):
         s, prior = _particle_system(2049)
         xs, density = s.domain.nodes, s.transition_density()
-        rows = np.empty(xs.shape[0])
+        rows = _block_loop_matvec(density, xs, prior.points, prior.weights)
         cols = np.empty(xs.shape[0])
         for b in models._blocks(xs.shape[0]):
-            rows[b] = np.asarray(density(xs[b, None], prior.points[None, :])) @ prior.weights
             cols[b] = prior.weights @ np.asarray(density(prior.points[:, None], xs[None, b]))
         assert _streamed_products(s, prior) == (rows.tobytes(), cols.tobytes())
 
@@ -100,6 +99,77 @@ class TestWorkerCountKeepsBits:
                 assert _in_thread(lambda: (_streamed_products(s, prior), _ps_updates())) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+def _block_loop_matvec(density, xs, points, vec):
+    """kernel_matvec's streamed product without deduplication: each row block
+    evaluated at every point of ``points``, then one gemv."""
+    out = np.empty(xs.shape[0])
+    for b in models._blocks(xs.shape[0]):
+        out[b] = np.asarray(density(xs[b, None], points[None, :]), dtype=float) @ vec
+    return out
+
+
+def _signed_zero_density(x_next, x_prev):
+    """A transition density that doubles its value where x_prev is -0.0."""
+    doubled = np.where(np.signbit(x_prev), 2.0, 1.0)
+    return models.gauss_pdf(x_next, 0.9 * np.asarray(x_prev), 1.0) * doubled
+
+
+def _clouds():
+    """name -> (density, points): a resampled cloud, an all-distinct one, one point
+    2000 times, and a cloud holding 0.0 and -0.0 under a density that tells them apart."""
+    s, resampled = _particle_system(2001)
+    rng = np.random.default_rng(7)
+    zeros = rng.choice(np.array([0.0, -0.0, 0.25, -1.5]), 2000)
+    density = s.transition_density()
+    return {"resampled": (density, resampled.points),
+            "distinct": (density, 2.0 * rng.standard_normal(2000)),
+            "one point": (density, np.full(2000, 0.37)),
+            "signed zeros": (_signed_zero_density, zeros)}
+
+
+class TestDistinctColumns:
+    """A streamed kernel_matvec evaluates the density once per distinct column point."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cloud", ["resampled", "distinct", "one point", "signed zeros"])
+    def test_bits_equal_the_block_loop_without_deduplication(self, cloud, workers, monkeypatch):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        density, points = _clouds()[cloud]
+        xs = DomainSpec(-25.0, 25.0, 2001).nodes
+        vec = np.random.default_rng(1).dirichlet(np.ones(points.shape[0]))
+        got = kernel_matvec(density, xs, points, vec)
+        assert got.tobytes() == _block_loop_matvec(density, xs, points, vec).tobytes()
+
+    def test_the_two_zeros_stay_separate_columns(self):
+        density, points = _clouds()["signed zeros"]
+        distinct, inverse = models._distinct_points(points)
+        assert distinct.shape == (4,)
+        assert np.array_equal(np.signbit(distinct[inverse]), np.signbit(points))
+        xs = DomainSpec(-25.0, 25.0, 2001).nodes
+        vec = np.full(2000, 1.0 / 2000)
+        unsigned = _block_loop_matvec(density, xs, points + 0.0, vec)  # -0.0 + 0.0 is 0.0
+        assert kernel_matvec(density, xs, points, vec).tobytes() != unsigned.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cloud", ["resampled", "distinct", "one point", "signed zeros"])
+    def test_each_distinct_point_is_evaluated_once_per_row_block(self, cloud, workers, monkeypatch):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        base, points = _clouds()[cloud]
+        columns = []
+
+        def counting(x_next, x_prev):
+            columns.append(tuple(np.ravel(x_prev).view(np.int64)))
+            return base(x_next, x_prev)
+
+        xs = DomainSpec(-25.0, 25.0, 2001).nodes
+        kernel_matvec(counting, xs, points, np.full(points.shape[0], 1.0 / points.shape[0]))
+        distinct = len(set(points.view(np.int64).tolist()))
+        assert len(columns) == len(models._blocks(xs.shape[0]))
+        assert all(len(c) == len(set(c)) == distinct for c in columns)
+        if cloud == "resampled":
+            assert distinct < 1200  # resampling repeats about half of the particles
 
 
 def _readme_kernel(n, cached):
