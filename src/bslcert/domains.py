@@ -84,9 +84,9 @@ class DomainSpec:
 
 
 def _pow2_exponent_scale(sd: float):
-    """-0.5 / sd^2 = -2^(1-2e) when sd = 2^(e-1) lies in [2^-400, 2^400], else None."""
+    """-0.5 / sd^2 = -2^(1-2e) when sd = 2^(e-1) lies in [2^-400, 1], else None."""
     mantissa, e = math.frexp(sd)
-    if mantissa == 0.5 and 2.0 ** -400 <= sd <= 2.0 ** 400:
+    if mantissa == 0.5 and 2.0 ** -400 <= sd <= 1.0:
         return -math.ldexp(1.0, 1 - 2 * e)
     return None
 
@@ -97,14 +97,16 @@ def gauss_pdf(x, mean, var, out=None):
     Evaluated in one buffer, ``out`` when given; the bits equal
     exp(-0.5 * z * z) / (sd * sqrt(2 pi)) with z = (x - mean) / sd, because
     scaling by -0.5 is exact (when z * z is subnormal, exp gives 1.0 either
-    way).  When sd = 2^(e-1) lies in [2^-400, 2^400], the exponent is
+    way).  When sd = 2^(e-1) lies in [2^-400, 1], the exponent is
     fl(t * t) * -2^(1-2e) with t = x - mean, one pass fewer.  Scaling by a
     power of two is exact where the result is a normal number; elsewhere
     the exponent is so small or so large that exp gives 1.0 or 0.0 either
-    way, and NaN and infinities pass through both alike.  The range keeps
-    the constant finite, so t = 0 gives exp(-0.0), not NaN.  With sd > 1, a
-    |t| above 1.3e154 overflows t * t and numpy warns where the division did
-    not; the density is 0.0 either way.  Scalar inputs give a numpy scalar.
+    way, and NaN and infinities pass through both alike.  The lower end keeps
+    the constant finite, so t = 0 gives exp(-0.0), not NaN.  The upper end
+    keeps numpy's warnings: with sd <= 1, t * t or its scaling overflows
+    only where (t / sd)^2 does, while with sd > 1 a |t| above 1.3e154
+    would overflow t * t where the division does not.  Scalar inputs give a
+    numpy scalar.
     """
     sd = math.sqrt(var)
     z = np.asarray(np.subtract(x, mean, dtype=float, out=out))

@@ -131,6 +131,14 @@ def _shared_grid_support(a: ParticleSet, b: ParticleSet, d: DomainSpec) -> bool:
             and bool((pts[1:] > pts[:-1]).all()))
 
 
+def _sorted_distinct(xs: np.ndarray) -> np.ndarray:
+    """np.unique(xs) for finite 1-D xs, with its bits: the same sort, then the first of
+    each run of equal values.  np.unique without index outputs imports numpy.ma, about
+    14 ms on its first call in a process."""
+    xs = np.sort(xs)
+    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+
+
 def w1(a: Distribution, b: Distribution, d: DomainSpec) -> float:
     """1-Wasserstein distance as the L1 distance between CDFs on the domain.
 
@@ -151,13 +159,13 @@ def w1(a: Distribution, b: Distribution, d: DomainSpec) -> float:
         value = float(np.abs(np.cumsum(a.weights) - np.cumsum(b.weights))[:-1]
                       @ np.diff(a.points))
     elif a_emp and b_emp:
-        xs = np.unique(np.concatenate((a.points, b.points, [d.lower, d.upper])))
+        xs = _sorted_distinct(np.concatenate((a.points, b.points, [d.lower, d.upper])))
         fa = _empirical_cdf(a, xs)
         fb = _empirical_cdf(b, xs)
         value = float(np.abs(fa - fb)[:-1] @ np.diff(xs))
     elif a_emp or b_emp:
         emp, cont = (a, b) if a_emp else (b, a)
-        xs = np.unique(np.concatenate((d.nodes, emp.points)))
+        xs = _sorted_distinct(np.concatenate((d.nodes, emp.points)))
         f_cont = _continuous_cdf(cont, d, xs)
         f_step = _empirical_cdf(emp, xs)
         # on each open cell the step CDF keeps its left (post-jump) value

@@ -40,6 +40,14 @@ CUSTOM_LIP_SAFETY = 2.0
 # the w1-dyn fuzz, whose 201-node products are small, took 40% longer.
 _KERNEL_BLOCK = 64
 _KERNEL_CACHE_BYTES = 64 * 2 ** 20  # largest dense transition matrix a system keeps
+# Bytes of per-parameter kernels a parameter-state system keeps across steps, those of
+# largest |w| first (each_parameter_kernel).  The larger |w|, the more of a kernel's
+# Gaussian underflows to zero or subnormal values, whose np.exp lanes cost 14-110 ns
+# against about 1 ns on a 2-core x86 machine: vi_demo's 107 half-stored kernels of
+# largest |w|, of 241, take 24.96 MB and about 60% of its kernel build time.  A 5-step
+# vi_demo alone then peaks at about 66 MB instead of 42, below the particle filter's
+# 73 MB; 32 MiB was no faster and raised the kernel-reuse benchmark's peak to 76.5 MB.
+_PARAMETER_KERNEL_BYTES = 24 * 2 ** 20
 _SE_CHECK_ROWS = 256  # observations per kernel pass of the SE closed-form check (_se_g_max)
 # Threads that evaluate kernel blocks and per-parameter kernels: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -211,7 +219,8 @@ class SystemSpec:
     w_domain: Optional[DomainSpec] = None
     # the system grid's transition matrix under "transition_matrix", ConstantsReports keyed by
     # ("constants", y.hex(), w1), under "lik_values" the latest observation's likelihood on the
-    # grid, as (y.hex(), values), and under "se_g_max" the SE closed-form check's max g by y.hex()
+    # grid, as (y.hex(), values), under "se_g_max" the SE closed-form check's max g by y.hex(),
+    # and under "parameter_kernels" the kept per-parameter kernel rows by node index
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -451,27 +460,71 @@ def transition_matrix(s: SystemSpec, *w, out=None) -> np.ndarray:
         return kernel_matrix(density, xs, xs, *w, out=out)
     n = xs.shape[0]
     out = np.empty((n, n)) if out is None else out
-    h = (n + 1) // 2 if s.domain.symmetric else n
+    h = _evaluated_rows(s)
     gauss_pdf(xs[:h, None], coef * xs, trans.q, out=out[:h])
-    if h < n:
-        out[h:] = out[n - h - 1::-1, ::-1]
+    _reflect(out, h)
     return out
+
+
+def _evaluated_rows(s: SystemSpec) -> int:
+    """How many leading rows of its kernel transition_matrix evaluates: ceil(n/2) for
+    a Gaussian family on a grid symmetric about zero, n otherwise."""
+    n = s.domain.grid_points
+    return (n + 1) // 2 if s.transition.family != "custom" and s.domain.symmetric else n
+
+
+def _reflect(kernel: np.ndarray, h: int) -> None:
+    """Set the rows of the n x n ``kernel`` after its first h to their reflection,
+    kernel[i, j] = kernel[n-1-i, n-1-j]; nothing when h = n."""
+    n = kernel.shape[0]
+    if h < n:
+        kernel[h:] = kernel[n - h - 1::-1, ::-1]
+
+
+def _kept_parameter_kernels(s: SystemSpec, kernel_bytes: int) -> dict:
+    """The system's kept per-parameter kernels, node index -> rows (None until built).
+
+    The kept nodes are fixed on first use, before any work is dealt to a
+    worker: those of largest |w|, ties by index, while their kernel_bytes
+    each fit in _PARAMETER_KERNEL_BYTES.
+    """
+    kept = s._cache.get("parameter_kernels")
+    if kept is None:
+        order = np.argsort(-np.abs(s.w_domain.nodes), kind="stable")
+        kept = s._cache["parameter_kernels"] = dict.fromkeys(
+            order[:_PARAMETER_KERNEL_BYTES // kernel_bytes].tolist())
+    return kept
 
 
 def each_parameter_kernel(s: SystemSpec, apply) -> None:
     """Call apply(j, K_j) with K_j = transition_matrix(s, w_j) for each parameter node w_j.
 
     The nodes are dealt round-robin to the kernel pool's workers (_run_each).
-    Each worker evaluates its nodes' kernels into one n x n buffer, which the
+    Each worker writes its nodes' kernels into one n x n buffer, which the
     next node's kernel overwrites, so apply must not keep K_j.  apply must
     write only node j's outputs and call nothing that benches/tracer.py traces.
+    The kernels of the nodes of largest |w|, the costliest to evaluate, are
+    kept for the life of the system within _PARAMETER_KERNEL_BYTES: a
+    read-only copy of the rows transition_matrix evaluates, copied back and
+    reflected as it does, so K_j has the same bits on every pass.
     """
     ws = s.w_domain.nodes
+    n, h = s.domain.grid_points, _evaluated_rows(s)
+    kept = _kept_parameter_kernels(s, 8 * h * n)
 
     def share(js):
-        kernel = np.empty((s.domain.grid_points,) * 2)
+        kernel = np.empty((n, n))
         for j in js:
-            apply(j, transition_matrix(s, ws[j], out=kernel))
+            rows = kept.get(j)
+            if rows is not None:
+                kernel[:h] = rows
+                _reflect(kernel, h)
+            else:
+                transition_matrix(s, ws[j], out=kernel)
+                if j in kept:
+                    rows = kept[j] = kernel[:h].copy()
+                    rows.setflags(write=False)
+            apply(j, kernel)
 
     _run_each(share, [range(i, ws.shape[0], _WORKERS) for i in range(_WORKERS)])
 

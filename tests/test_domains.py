@@ -87,13 +87,16 @@ def _pdf_pair(t, mean, var):
 
 
 class TestPowerOfTwoSd:
-    """sd = 2^k squares x - mean and scales it once by -2^(1-2e), with the bits of the division."""
+    """sd = 2^k <= 1 squares x - mean and scales it once by -2^(1-2e), with the bits of the division."""
 
     # k = 0 and -1: the particle system (variance 1) and every vi_demo kernel (variance 0.25)
     @pytest.mark.parametrize("k", range(-40, 41))
     def test_bits_equal_the_division_path(self, k):
         sd = 2.0 ** k
-        assert domains._pow2_exponent_scale(sd) == -0.5 / (sd * sd)
+        if k <= 0:
+            assert domains._pow2_exponent_scale(sd) == -0.5 / (sd * sd)
+        else:
+            assert domains._pow2_exponent_scale(sd) is None
         rng = np.random.default_rng(k + 40)
         with np.errstate(over="ignore"):
             t = np.concatenate([sd * rng.uniform(-45.0, 45.0, 2000), sd * rng.standard_normal(2000),
@@ -106,20 +109,40 @@ class TestPowerOfTwoSd:
             assert new == old
 
     @pytest.mark.parametrize("sd", [2.0 ** -400, 2.0 ** 400])
-    def test_the_guard_edges_take_the_power_of_two_path(self, sd):
-        assert domains._pow2_exponent_scale(sd) == -0.5 / sd / sd
+    def test_the_guard_edges(self, sd):
+        if sd < 1.0:
+            assert domains._pow2_exponent_scale(sd) == -0.5 / sd / sd
+        else:
+            assert domains._pow2_exponent_scale(sd) is None
         with np.errstate(over="ignore"):
             t = sd * np.concatenate([_EDGE_TS, np.linspace(-40.0, 40.0, 801)])
         new, old = _pdf_pair(t, 0.0, sd * sd)
         assert new == old
 
     @pytest.mark.parametrize("sd", [2.0 ** -401, 2.0 ** 401, 2.0 ** -520, 2.0 ** 511, 0.7, 5.0,
-                                    math.nextafter(1.0, 2.0), math.nextafter(0.5, 0.0)])
+                                    2.0, math.nextafter(1.0, 2.0), math.nextafter(0.5, 0.0)])
     def test_other_sds_take_the_division_path(self, sd):
         assert domains._pow2_exponent_scale(sd) is None
         new, old = _pdf_pair(np.concatenate([_EDGE_TS, sd * np.linspace(-40.0, 40.0, 801)]), 0.0,
                              sd * sd)
         assert new == old
+
+    @pytest.mark.parametrize("k", range(-40, 41))
+    def test_no_overflow_the_division_path_does_not_raise(self, k):
+        sd = 2.0 ** k
+        with np.errstate(over="ignore"):
+            ts = np.concatenate([_EDGE_TS, sd * np.array([1e154, 1.4e154, 1e300])])
+        for t in ts:
+            with np.errstate(over="raise"):
+                try:  # the division path's exponent: z = t / sd, z * z, times -0.5
+                    z = np.float64(t) / sd
+                    (z * z) * -0.5
+                except FloatingPointError:
+                    continue
+                gauss_pdf(t, 0.0, sd * sd)
+
+    def test_huge_t_at_a_large_sd_does_not_warn(self):  # pytest makes RuntimeWarnings errors
+        assert gauss_pdf(1e160, 0.0, 2.0 ** 80) == 0.0
 
     def test_zero_at_a_tiny_sd_is_not_nan(self):
         # -2^(1-2e) overflows at sd = 2^-520, and 0 * inf would be NaN

@@ -13,7 +13,7 @@ from bslcert.domains import (DomainSpec, Gaussian1D, GridDensity, ParticleSet, d
 from bslcert.errors import (DomainMismatch, DomainTooSmall, NonFinite, Unnormalized,
                             UnsupportedRepresentation)
 from bslcert.metrics import hellinger, scaled_hellinger, tv, w1
-from helpers import gauss_tv_equal_var, gaussian_hellinger, random_density
+from helpers import gauss_tv_equal_var, gaussian_hellinger, random_density, run_python
 
 D40 = DomainSpec(-40.0, 40.0, 8001)
 D10 = DomainSpec(-10.0, 10.0, 1001)
@@ -118,6 +118,53 @@ class TestW1:
         q = discretize(g, D10)
         assert w1(g, x, D10).hex() == w1(q, x, D10).hex()
         assert w1(x, g, D10).hex() == w1(x, q, D10).hex()
+
+
+def _w1_clouds(d: DomainSpec):
+    """name -> (points, points): resampled clouds that repeat points, clouds holding
+    both 0.0 and -0.0, and clouds with points on the domain ends."""
+    rng = np.random.default_rng(19)
+    base = rng.normal(0.0, 2.0, 700)
+    ends = np.array([d.lower, d.upper, d.lower, 0.0])
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.25])
+    return {"resampled": (rng.choice(base, 2000), rng.choice(base, 1500)),
+            "signed zeros": (rng.choice(zeros, 300), rng.choice(zeros[::-1], 200)),
+            "zeros and nodes": (np.concatenate([[-0.0], rng.choice(zeros, 50)]), d.nodes[::7]),
+            "domain ends": (np.concatenate([ends, rng.choice(base, 500)]),
+                            np.concatenate([rng.choice(base, 400), ends[::-1]]))}
+
+
+class TestW1SortedDistinct:
+    """w1's breakpoints come from a sort and a run mask with the bits of np.unique."""
+
+    D = DomainSpec(-10.0, 10.0, 401)
+
+    @pytest.mark.parametrize("cloud", ["resampled", "signed zeros", "zeros and nodes", "domain ends"])
+    def test_helper_equals_np_unique(self, cloud):
+        for xs in _w1_clouds(self.D)[cloud]:
+            xs = np.concatenate([xs, self.D.nodes, xs[::-1]])
+            assert metrics._sorted_distinct(xs).tobytes() == np.unique(xs).tobytes()
+
+    @pytest.mark.parametrize("cloud", ["resampled", "signed zeros", "zeros and nodes", "domain ends"])
+    def test_w1_keeps_the_np_unique_bits(self, cloud, monkeypatch):
+        rng = np.random.default_rng(3)
+        a_pts, b_pts = _w1_clouds(self.D)[cloud]
+        a = ParticleSet(a_pts, rng.dirichlet(np.ones(a_pts.size)))
+        b = ParticleSet(b_pts, rng.dirichlet(np.ones(b_pts.size)))
+        others = [b, Gaussian1D(0.4, 1.1), discretize(Gaussian1D(-0.7, 0.9), self.D)]
+        pairs = [(a, x) for x in others] + [(x, a) for x in others]
+        values = [w1(p, q, self.D).hex() for p, q in pairs]
+        monkeypatch.setattr(metrics, "_sorted_distinct", np.unique)
+        assert values == [w1(p, q, self.D).hex() for p, q in pairs]
+
+
+def test_a_particle_bound_validate_does_not_import_numpy_ma():
+    # np.unique without index outputs imports numpy.ma, 14 ms on its first call in a process
+    check = ("import sys; from bslcert import harness; "
+             "harness.run_config(harness.ExperimentConfig('bound_validate', filter_kind='particle', "
+             "steps=10, seed=0)); "
+             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'")
+    run_python(["-c", check], blas_threads=1)
 
 
 @pytest.fixture

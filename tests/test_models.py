@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import re
 import tracemalloc
 
@@ -993,3 +994,100 @@ class TestParameterStateKernels:
         assert models._ps_star_estimate(custom, 2).hex() == "0x1.ad08fd06343bap+2"
         assert models.c_vi_tilde_estimate(s, 1).hex() == "0x1.cd3d97ebd5abap+3"
         assert models.c_vi_tilde_estimate(custom, 2).hex() == "0x1.b8c6a2efae146p+3"
+
+
+def _ps_grid(name):
+    """A small PS system: the vi_demo toy on 101 parameter nodes, on its own symmetric
+    x grid, on a grid that is not symmetric, or with a custom kernel."""
+    s = _vi_toy(TransitionModel.custom(_laplace_kernel) if name == "custom" else None)
+    x = DomainSpec(-15.0, 16.0, 241) if name == "not symmetric" else s.domain
+    return dataclasses.replace(s, domain=x, w_domain=DomainSpec(-0.25, 1.45, 101))
+
+
+def _kernel_pass(s, write=False):
+    """For each parameter node, whether each_parameter_kernel handed apply the bits of
+    transition_matrix(s, w_j); with ``write``, apply then overwrites its buffer."""
+    ws = s.w_domain.nodes
+    expected = [transition_matrix(s, w).view(np.int64) for w in ws]
+    same = [None] * ws.shape[0]
+
+    def check(j, kernel):
+        same[j] = np.array_equal(kernel.view(np.int64), expected[j])
+        if write:
+            kernel[:] = np.nan
+
+    models.each_parameter_kernel(s, check)
+    return same
+
+
+def _kept(s):
+    return s._cache["parameter_kernels"]
+
+
+class TestKeptParameterKernels:
+    """each_parameter_kernel keeps the kernels of largest |w| within _PARAMETER_KERNEL_BYTES."""
+
+    @pytest.mark.parametrize("budget", ["default", "none", "ten"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("grid", ["symmetric", "not symmetric", "custom"])
+    def test_every_pass_hands_apply_the_transition_matrix(self, grid, workers, budget,
+                                                          monkeypatch):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        s = _ps_grid(grid)
+        n = s.domain.grid_points
+        rows = (n + 1) // 2 if grid == "symmetric" else n
+        if budget != "default":
+            monkeypatch.setattr(models, "_PARAMETER_KERNEL_BYTES",
+                                0 if budget == "none" else 10 * 8 * rows * n + 8)
+        for _ in range(2):
+            assert _kernel_pass(s) == [True] * 101
+        kept = _kept(s)
+        assert {r.shape for r in kept.values()} <= {(rows, n)}
+        assert len(kept) == {"default": 101 if grid == "symmetric" else 54, "none": 0, "ten": 10}[budget]
+        assert all(r is not None for r in kept.values())
+
+    def test_the_kept_set_is_the_largest_w_within_the_budget(self):
+        s = _vi_toy()  # 241 x 241, symmetric x grid
+        _kernel_pass(s)
+        kept, ws = _kept(s), s.w_domain.nodes
+        assert len(kept) == 107
+        assert list(kept) == sorted(range(241), key=lambda j: (-abs(ws[j]), j))[:107]
+        size = 8 * 121 * 241
+        assert sum(r.nbytes for r in kept.values()) == 107 * size
+        assert 107 * size <= models._PARAMETER_KERNEL_BYTES < 108 * size
+
+    def test_ties_in_w_go_by_index(self, monkeypatch):
+        monkeypatch.setattr(models, "_PARAMETER_KERNEL_BYTES", 5 * 8 * 121 * 241)
+        s = dataclasses.replace(_vi_toy(), w_domain=DomainSpec(-1.0, 1.0, 101))
+        _kernel_pass(s)
+        assert list(_kept(s)) == [0, 100, 1, 99, 2]
+
+    def test_kept_rows_are_read_only_and_a_writing_apply_changes_nothing(self):
+        s = _ps_grid("symmetric")
+        assert _kernel_pass(s, write=True) == [True] * 101
+        assert not any(r.flags.writeable for r in _kept(s).values())
+        assert _kernel_pass(s, write=True) == [True] * 101
+        assert _kernel_pass(s) == [True] * 101
+
+    def test_a_five_step_vi_demo_builds_777_kernels(self, monkeypatch):
+        calls = []
+        real = models.transition_matrix
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(models, "transition_matrix", spy)
+        harness.run_config(harness.ExperimentConfig("vi_demo", steps=5, seed=0))
+        assert len(calls) == 241 + 4 * (241 - 107)
+
+    def test_vi_demo_records_do_not_depend_on_the_budget(self, tmp_path, monkeypatch):
+        def emitted(name):
+            record = harness.run_config(harness.ExperimentConfig("vi_demo", steps=5, seed=1))
+            out = tmp_path / name
+            files = harness.emit(record, "csv", str(out)) + [harness.write_meta(record, str(out))]
+            return [pathlib.Path(f).read_bytes() for f in files]
+
+        kept = emitted("kept")
+        monkeypatch.setattr(models, "_PARAMETER_KERNEL_BYTES", 0)
+        assert emitted("none") == kept
